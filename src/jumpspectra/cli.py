@@ -271,7 +271,7 @@ def _task_numrange(exp: Experiment, rows):
     details = []
     for d in nr.DIRECTIONS:
         fit = nr.blowup_fit(samples, d)
-        details.append(f"dir {d}: slope {fit.slope:.4f}")
+        details.append(f"dir {nr.DIRECTION_LABELS[d]}: slope {fit.slope:.4f}")
         if abs(fit.slope + 0.5) > 0.05:
             verdict = en.FAIL
     defect = max(s.mean_defect for s in samples)

@@ -207,8 +207,20 @@ class QuadratureRule:
         return np.sum(self.w * values)
 
 
-def _gl_nodes(n: int, lo: float, hi: float):
+@lru_cache(maxsize=64)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order.
+
+    The arrays are shared by every caller, so they are returned read-only.
+    """
     t, w = leggauss(n)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
+def _gl_nodes(n: int, lo: float, hi: float):
+    t, w = _leggauss(n)
     half = 0.5 * (hi - lo)
     return lo + half * (t + 1.0), half * w
 
@@ -488,6 +500,28 @@ def _sinh_ratio(kappa, t, h):
             / (1.0 + np.exp(-2.0 * kappa * h)))
 
 
+def _separable_series(x, y, kap, y_factor):
+    """``sum_m sin(kap_m x) * y_factor(y)[m]`` at the points ``(x, y)``.
+
+    Sum factorisation (Orszag 1980): the sines are evaluated on the distinct
+    x values and ``y_factor`` on the distinct y values, and one
+    (n_x x M)(M x n_y) product tabulates the series on their tensor grid,
+    from which the points are gathered.  On a tensor rule the M (n_x + n_y)
+    transcendental calls replace M n_x n_y of them.  Memory scales with
+    (distinct x) x (distinct y), so n scattered points make an n x n table.
+    """
+    ux, ix = np.unique(x, return_inverse=True)
+    uy, iy = np.unique(y, return_inverse=True)
+    table = np.sin(np.multiply.outer(ux, kap)) @ y_factor(uy)
+    return table[ix.ravel(), iy.ravel()].reshape(x.shape)
+
+
+def _points(x, y):
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
+    return np.atleast_1d(x), np.atleast_1d(y)
+
+
 def torsion_function(domain: DomainSpec) -> Callable:
     """Solution of -Laplace u = 1 with zero boundary values."""
     if domain.kind == "disk":
@@ -501,14 +535,12 @@ def torsion_function(domain: DomainSpec) -> Callable:
     kap = ms * math.pi / a
     amp = 4.0 * a * a / (math.pi ** 3 * ms ** 3)
 
+    def y_factor(y):
+        return amp[:, None] * _cosh_ratio(kap[:, None], y - b / 2.0, b / 2.0)
+
     def g(x, y):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        t = y - b / 2.0
-        ratio = _cosh_ratio(kap[:, None], t[None, :], b / 2.0)
-        series = np.einsum("m,mn,mn->n", amp, ratio,
-                           np.sin(kap[:, None] * x[None, :]))
-        return x * (a - x) / 2.0 - series
+        x, y = _points(x, y)
+        return x * (a - x) / 2.0 - _separable_series(x, y, kap, y_factor)
 
     return g
 
@@ -528,15 +560,15 @@ def torsion_second(domain: DomainSpec) -> Callable:
     cm = 4.0 * a ** 4 / (math.pi ** 5 * ms ** 5)          # sine coefficients of U1
     bcoef = -(cm + (amp * b / (4.0 * kap)) * np.tanh(kap * b / 2.0))
 
-    def g2(x, y):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
+    def y_factor(y):
         t = y - b / 2.0
-        p = ((amp / (2.0 * kap))[:, None] * t[None, :]
-             * _sinh_ratio(kap[:, None], t[None, :], b / 2.0)
-             + bcoef[:, None] * _cosh_ratio(kap[:, None], t[None, :], b / 2.0))
-        series = np.einsum("mn,mn->n", p, np.sin(kap[:, None] * x[None, :]))
+        return ((amp / (2.0 * kap))[:, None] * t
+                * _sinh_ratio(kap[:, None], t, b / 2.0)
+                + bcoef[:, None] * _cosh_ratio(kap[:, None], t, b / 2.0))
+
+    def g2(x, y):
+        x, y = _points(x, y)
         u1 = (x ** 4 - 2.0 * a * x ** 3 + a ** 3 * x) / 24.0
-        return u1 + series
+        return u1 + _separable_series(x, y, kap, y_factor)
 
     return g2

@@ -26,6 +26,7 @@ from .measures import (CircleMeasure, DiracMeasure, MeasureSpec,
                        density_function, measure_integral)
 
 DIRECTIONS = (1.0 + 0j, -1.0 + 0j, 1j, -1j)
+DIRECTION_LABELS = {1.0: "+1", -1.0: "-1", 1j: "+i", -1j: "-i"}
 
 
 def profile(s):

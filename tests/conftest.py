@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from jumpspectra import geometry, measures, secular
@@ -51,19 +50,3 @@ def uniform_rect(rect_basis):
     mom = measures.compute_moments(measures.UniformMeasure(), rect_basis)
     return secular.build_secular_series(rect_basis, mom)
 
-
-def make_zero_mean_v(basis, idxs, coefs, scale):
-    """Combination of basis modes with the mean projected out in-span."""
-    coefs = np.asarray(coefs, dtype=float)
-    ocs = np.array([basis.modes[i].one_coeff for i in idxs])
-    if float(ocs @ ocs) > 0:
-        coefs = coefs - ocs * float(coefs @ ocs) / float(ocs @ ocs)
-    modes = [basis.modes[i] for i in idxs]
-
-    def v(x, y):
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        for mo, c in zip(modes, coefs):
-            out = out + c * mo.evaluate(x, y)
-        return scale * out
-
-    return v

@@ -17,7 +17,6 @@ from jumpspectra import geometry, measures, numrange as nr
 from jumpspectra import resolvent as rv
 from jumpspectra import secular, spectrum as sp, stochastic as st
 from jumpspectra.errors import DomainMembershipError
-from conftest import make_zero_mean_v
 
 WINDOW = (-1.0, 60.0, -15.0, 15.0)
 SEARCH = (0.0, 60.0, 0.01, 15.0)
@@ -51,7 +50,7 @@ def random_admissible_uniform_v(basis, rng, k=2):
     n_pick = int(rng.integers(3, 6))
     idxs = sorted(rng.choice(np.arange(0, 12), size=n_pick, replace=False))
     coefs = rng.standard_normal(n_pick)
-    v = make_zero_mean_v(basis, [int(i) for i in idxs], coefs, 1.0)
+    v = cli.make_mode_perturbation(basis, dict(zip(idxs, coefs)), 1.0)
     rule = basis.quadrature
     vals = v(rule.x, rule.y)
     norm = math.sqrt(float(np.real(rule.integrate(vals ** 2))))
@@ -71,7 +70,7 @@ def random_admissible_groundstate_v(basis, rng):
     n_pick = int(rng.integers(3, 6))
     idxs = sorted(rng.choice(np.arange(0, 12), size=n_pick, replace=False))
     coefs = rng.standard_normal(n_pick)
-    v = make_zero_mean_v(basis, [int(i) for i in idxs], coefs, 1.0)
+    v = cli.make_mode_perturbation(basis, dict(zip(idxs, coefs)), 1.0)
     rule = basis.quadrature
     vals = v(rule.x, rule.y)
     norm = math.sqrt(float(np.real(rule.integrate(vals ** 2))))
@@ -137,7 +136,7 @@ def rect_runs(rect_basis):
     """Criterion 4/5/6 rectangle family: one fixed + five random draws."""
     rng = np.random.default_rng(20240817)
     runs = []
-    vs = [make_zero_mean_v(rect_basis, [0, 1, 4], [0.7, 0.4, 0.5], 0.02)]
+    vs = [cli.make_mode_perturbation(rect_basis, {0: 0.7, 1: 0.4, 4: 0.5}, 0.02)]
     for _ in range(5):
         vs.append(random_admissible_uniform_v(rect_basis, rng))
     for v in vs:
@@ -289,7 +288,7 @@ def test_criterion_11_negative_controls(uniform_disk, disk_basis, tmp_path):
                                          generator_moments=tampered)
         # an inadmissible perturbation yields "inapplicable", never "fail",
         # and the exit-code contract maps it to 3
-        v = make_zero_mean_v(disk_basis, [1], [1.0], 0.25)
+        v = cli.make_mode_perturbation(disk_basis, {1: 1.0}, 0.25)
         spec = measures.PerturbedMeasure(measures.UniformMeasure(), v)
         cert = measures.check_hypothesis_v(spec, disk_basis, 2)
         assert not cert.passed

@@ -181,3 +181,14 @@ def test_cutoff_and_seed_overrides(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["config"]["seed"] == 99
     assert summary["config"]["cutoff"] == 500
+
+
+def test_numrange_direction_labels(tmp_path):
+    path = write_config(tmp_path, dict(DISK_SMALL, cutoff=300.0,
+                                       tasks=["numrange"]))
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out)]) == cli.EXIT_PASS
+    summary = json.loads((out / "summary.json").read_text())
+    (row,) = summary["results"]
+    labels = [part.split(":")[0] for part in row["detail"].split("; ")]
+    assert labels == ["dir +1", "dir -1", "dir +i", "dir -i"]

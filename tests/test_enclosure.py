@@ -5,13 +5,13 @@ import pytest
 
 from jumpspectra import enclosure as en
 from jumpspectra import measures, secular, spectrum as sp
+from jumpspectra.cli import make_mode_perturbation
 from jumpspectra.svgfig import render_enclosure_svg
-from conftest import make_zero_mean_v
 
 
 @pytest.fixture(scope="module")
 def rect_admissible(rect_basis):
-    v = make_zero_mean_v(rect_basis, [0, 1, 4], [0.7, 0.4, 0.5], 0.02)
+    v = make_mode_perturbation(rect_basis, {0: 0.7, 1: 0.4, 4: 0.5}, 0.02)
     spec = measures.PerturbedMeasure(measures.UniformMeasure(), v)
     cert = measures.check_hypothesis_v(spec, rect_basis, 2)
     mom = measures.compute_moments(spec, rect_basis)
@@ -67,7 +67,7 @@ def test_thm1_rectangle(rect_admissible, rect_basis):
 
 
 def test_thm1_gate_inapplicable(rect_basis):
-    v = make_zero_mean_v(rect_basis, [0, 1, 4], [0.8, 0.3, 0.4], 0.8)
+    v = make_mode_perturbation(rect_basis, {0: 0.8, 1: 0.3, 4: 0.4}, 0.8)
     spec = measures.PerturbedMeasure(measures.UniformMeasure(), v)
     cert = measures.check_hypothesis_v(spec, rect_basis, 2)
     assert not cert.passed
@@ -131,7 +131,7 @@ def test_first_eigenvalue_bound(rect_admissible):
 
 
 def test_first_eigenvalue_bound_groundstate_inapplicable(disk_basis):
-    v = make_zero_mean_v(disk_basis, [0, 5], [0.4, 0.6], 0.02)
+    v = make_mode_perturbation(disk_basis, {0: 0.4, 5: 0.6}, 0.02)
     spec = measures.PerturbedMeasure(measures.GroundStateMeasure(), v)
     cert = measures.check_hypothesis_v(spec, disk_basis, 2)
     mom = measures.compute_moments(spec, disk_basis)

@@ -265,3 +265,67 @@ def test_torsion_functions_rectangle():
     # boundary values vanish
     assert abs(g(np.array([0.0]), np.array([1.0]))[0]) < 1e-14
     assert abs(g2(np.array([math.pi]), np.array([2.0]))[0]) < 1e-12
+
+
+# --- separable rectangle anchors against the direct per-point series -------
+
+def direct_torsion_series(a, b, x, y, terms=6001):
+    """g and g2 on the rectangle, summed term by term at every point.
+
+    The cosh/sinh quotients are written in exponent-shifted form so that
+    kappa * b / 2 of several thousand cannot overflow.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    t = np.atleast_1d(np.asarray(y, dtype=float)) - b / 2.0
+    h = b / 2.0
+    g = x * (a - x) / 2.0
+    g2 = (x ** 4 - 2.0 * a * x ** 3 + a ** 3 * x) / 24.0
+    for m in range(1, terms, 2):
+        k = m * math.pi / a
+        amp = 4.0 * a * a / (math.pi ** 3 * m ** 3)
+        cm = 4.0 * a ** 4 / (math.pi ** 5 * m ** 5)
+        bcoef = -(cm + amp * b / (4.0 * k) * math.tanh(k * h))
+        denom = 1.0 + math.exp(-2.0 * k * h)
+        ch = (np.exp(k * (t - h)) + np.exp(-k * (t + h))) / denom
+        sh = (np.exp(k * (t - h)) - np.exp(-k * (t + h))) / denom
+        s = np.sin(k * x)
+        g -= amp * ch * s
+        g2 += (amp / (2.0 * k) * t * sh + bcoef * ch) * s
+    return g, g2
+
+
+@pytest.mark.parametrize("points", ["scattered", "tensor_rule", "single"])
+def test_torsion_rectangle_separable_matches_direct_series(points):
+    """The separable evaluation tabulates the series on the grid of distinct
+    x and distinct y values, so its memory scales with
+    (distinct x) x (distinct y): small on a tensor rule, n x n for n
+    scattered points, which is why the scattered case stays at 200."""
+    a, b = math.pi, 1.2337 * math.pi
+    rect = geometry.rectangle(a, b)
+    if points == "scattered":
+        rng = np.random.default_rng(3)
+        x, y = rng.uniform(0.0, a, 200), rng.uniform(0.0, b, 200)
+    elif points == "tensor_rule":
+        rule = geometry.build_basis(rect, 300.0).quadrature
+        x, y = rule.x, rule.y
+    else:
+        x, y = 1.1, 2.3
+    g_ref, g2_ref = direct_torsion_series(a, b, x, y)
+    g = geometry.torsion_function(rect)(x, y)
+    g2 = geometry.torsion_second(rect)(x, y)
+    assert g.shape == g_ref.shape and g2.shape == g2_ref.shape
+    np.testing.assert_allclose(g, g_ref, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(g2, g2_ref, rtol=0.0, atol=1e-13)
+
+
+def test_gauss_legendre_cache_read_only():
+    t, w = geometry._leggauss(48)
+    assert geometry._leggauss(48)[0] is t
+    assert not t.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        t[0] = 0.0
+    t_ref, w_ref = np.polynomial.legendre.leggauss(48)
+    assert np.array_equal(t, t_ref) and np.array_equal(w, w_ref)
+    nodes, weights = geometry._gl_nodes(48, 1.0, 3.0)
+    assert np.array_equal(nodes, 1.0 + (t_ref + 1.0))
+    assert np.array_equal(weights, w_ref)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.special import jv
 
 from jumpspectra import measures
+from jumpspectra.cli import make_mode_perturbation
 from jumpspectra.errors import (MassDeficitError, NegativeDensityError,
                                 UnsupportedMeasureError)
-from conftest import make_zero_mean_v
 
 J01 = 2.404825557695773
 
@@ -102,7 +102,7 @@ def test_perturbed_zero_mean_guard(disk_basis):
 @given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
 def test_moment_linearity(disk_basis, coefs):
     # moments(base + v) = moments(base) + (chi_n, v)
-    v = make_zero_mean_v(disk_basis, [0, 5, 9], coefs, 0.02)
+    v = make_mode_perturbation(disk_basis, dict(zip([0, 5, 9], coefs)), 0.02)
     spec = measures.PerturbedMeasure(measures.UniformMeasure(), v)
     mom = measures.compute_moments(spec, disk_basis)
     base = measures.compute_moments(measures.UniformMeasure(), disk_basis)
@@ -170,7 +170,7 @@ def test_admissibility_disk_k2_literal_zero(disk_basis):
 
 
 def test_admissibility_ground_state(disk_basis):
-    v = make_zero_mean_v(disk_basis, [0, 9], [0.5, 0.5], 0.05)
+    v = make_mode_perturbation(disk_basis, {0: 0.5, 9: 0.5}, 0.05)
     spec = measures.PerturbedMeasure(measures.GroundStateMeasure(), v)
     cert = measures.check_hypothesis_v(spec, disk_basis, 1)
     assert cert.base_kind == "ground_state"
@@ -179,7 +179,7 @@ def test_admissibility_ground_state(disk_basis):
 
 
 def test_admissibility_rejects_large_v(rect_basis):
-    v = make_zero_mean_v(rect_basis, [0, 1, 4], [0.8, 0.3, 0.4], 0.6)
+    v = make_mode_perturbation(rect_basis, {0: 0.8, 1: 0.3, 4: 0.4}, 0.6)
     spec = measures.PerturbedMeasure(measures.UniformMeasure(), v)
     cert = measures.check_hypothesis_v(spec, rect_basis, 2)
     assert not cert.passed
