@@ -1,17 +1,18 @@
-"""Hot simulation kernels: restart-diffusion walks with occupation binning.
+"""Restart-diffusion walk kernel with occupation binning.
 
-Two interchangeable engines implement the same algorithm:
-
-* a numba ``@njit`` kernel looping path-by-path (the default), and
-* a vectorised pure-numpy fallback, selected by setting the environment
-  variable ``JUMPSPECTRA_NUMBA=0`` (or automatically when numba is absent).
-
-Both engines consume identical per-path splitmix64 streams, so each is
-bitwise deterministic for a fixed seed.  Histogram accumulation is integer,
-hence independent of accumulation order.  Trajectories may still differ
-between engines by floating-point ULPs in the libm calls, which chaotic
-dynamics amplify; cross-engine agreement is therefore statistical, not
-bitwise.
+One numpy engine advances every path a block of steps at a time.  Each path
+owns a splitmix64 stream, which is counter based: the state after k draws is
+``seed + k * gamma`` (mod 2**64), so the uniforms a path needs for a whole
+block come from one broadcast addition followed by the mix (Salmon et al.,
+SC'11, "Parallel random numbers: as easy as 1, 2, 3").  Positions within a
+block are running sums over the steps, which add left to right, so each
+equals the per-step update ``x + step * z`` bit for bit.  One reduction over
+the block finds each path's first exit; only exited paths advance their
+counters to the exit, restart from the measure and finish the block in a
+shrinking inner pass.  Histogram counts are integers and the restart buffer
+is filled in (step, path) order, so the histogram, the restart buffer and
+the counters are bitwise identical to those of a per-step loop over all
+paths, whatever the block size.
 
 Restart codes: 0 uniform disk, 1 radial-table rejection on the disk,
 2 fixed point, 3 circle of radius r0, 4 uniform rectangle, 5 grid-table
@@ -22,7 +23,6 @@ rejection over the domain bounding box.  Domain codes: 0 unit disk,
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -36,214 +36,42 @@ _S11 = np.uint64(11)
 _ONE = np.uint64(1)
 _U53 = 2.0 ** -53
 
-try:
-    from numba import njit
-    NUMBA_AVAILABLE = True
-except ImportError:          # pragma: no cover - exercised via env flag instead
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap if not (args and callable(args[0])) else args[0]
+_BLOCK = 64                  # steps per block
+_BLOCK_CELLS = 1 << 16       # at most this many steps x paths per block
 
 
-def numba_enabled() -> bool:
-    """True when the numba engine is active (env flag and availability)."""
-    if os.environ.get("JUMPSPECTRA_NUMBA", "1").lower() in ("0", "false", "no"):
-        return False
-    return NUMBA_AVAILABLE
-
-
-def derive_seeds(seed: int, n_paths: int) -> np.ndarray:
-    """Independent splitmix64 stream states, one per path."""
-    root = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    idx = np.arange(1, n_paths + 1, dtype=np.uint64)
-    s = root + idx * _GOLDEN
+def _mix(s):
     z = (s ^ (s >> _S30)) * _MIX1
     z = (z ^ (z >> _S27)) * _MIX2
     return z ^ (z >> _S31)
 
 
-# ---------------------------------------------------------------------------
-# numba engine
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _nb_next(state):
-    s = state + _GOLDEN
-    z = (s ^ (s >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    return s, z ^ (z >> _S31)
+def _unit(s):
+    """Uniform on (0, 1] from advanced splitmix64 states."""
+    return ((_mix(s) >> _S11) + _ONE).astype(np.float64) * _U53
 
 
-@njit(cache=True)
-def _nb_uniform(state):
-    state, z = _nb_next(state)
-    return state, float((z >> _S11) + _ONE) * _U53
+def _running_sum(P):
+    """Running sums down axis 0, in place and added left to right, which
+    gives the bits of ``np.cumsum``.  ``np.cumsum`` makes one inner-loop call
+    per column and a row loop one ufunc call per row, which costs about as
+    much as eight column calls."""
+    if P.shape[1] > 8 * P.shape[0]:
+        for i in range(1, P.shape[0]):
+            P[i] += P[i - 1]
+    else:
+        np.cumsum(P, axis=0, out=P)
 
 
-@njit(cache=True)
-def _nb_normals(state):
-    state, u1 = _nb_uniform(state)
-    state, u2 = _nb_uniform(state)
-    r = math.sqrt(-2.0 * math.log(u1))
-    return state, r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)
+def derive_seeds(seed: int, n_paths: int) -> np.ndarray:
+    """Independent splitmix64 stream states, one per path."""
+    root = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    return _mix(root + np.arange(1, n_paths + 1, dtype=np.uint64) * _GOLDEN)
 
 
-@njit(cache=True)
-def _nb_table(table, t):
-    # linear interpolation of a [0,1]-gridded table
-    pos = t * (table.size - 1)
-    i = int(pos)
-    if i >= table.size - 1:
-        return table[table.size - 1]
-    frac = pos - i
-    return table[i] * (1.0 - frac) + table[i + 1] * frac
-
-
-@njit(cache=True)
-def _nb_grid(table2d, fx, fy):
-    nx, ny = table2d.shape
-    px = fx * (nx - 1)
-    py = fy * (ny - 1)
-    i = min(int(px), nx - 2)
-    j = min(int(py), ny - 2)
-    tx = px - i
-    ty = py - j
-    return (table2d[i, j] * (1 - tx) * (1 - ty) + table2d[i + 1, j] * tx * (1 - ty)
-            + table2d[i, j + 1] * (1 - tx) * ty + table2d[i + 1, j + 1] * tx * ty)
-
-
-@njit(cache=True)
-def _nb_restart(state, restart_code, r0, r1, domain_code, d0, d1,
-                radial_table, grid_table, btol, stats):
-    # returns (state, x, y); loops until the point clears the boundary band
-    while True:
-        if restart_code == 0:
-            state, u1 = _nb_uniform(state)
-            state, u2 = _nb_uniform(state)
-            rr = math.sqrt(u1)
-            x = rr * math.cos(2.0 * math.pi * u2)
-            y = rr * math.sin(2.0 * math.pi * u2)
-        elif restart_code == 1:
-            while True:
-                state, u1 = _nb_uniform(state)
-                state, u2 = _nb_uniform(state)
-                state, u3 = _nb_uniform(state)
-                rr = math.sqrt(u1)
-                stats[1] += 1
-                if u3 <= _nb_table(radial_table, rr):
-                    stats[2] += 1
-                    break
-            x = rr * math.cos(2.0 * math.pi * u2)
-            y = rr * math.sin(2.0 * math.pi * u2)
-        elif restart_code == 2:
-            x = r0
-            y = r1
-        elif restart_code == 3:
-            state, u1 = _nb_uniform(state)
-            x = r0 * math.cos(2.0 * math.pi * u1)
-            y = r0 * math.sin(2.0 * math.pi * u1)
-        elif restart_code == 4:
-            state, u1 = _nb_uniform(state)
-            state, u2 = _nb_uniform(state)
-            x = d0 * u1
-            y = d1 * u2
-        else:
-            while True:
-                state, u1 = _nb_uniform(state)
-                state, u2 = _nb_uniform(state)
-                state, u3 = _nb_uniform(state)
-                stats[1] += 1
-                if domain_code == 0:
-                    rr = math.sqrt(u1)
-                    x = rr * math.cos(2.0 * math.pi * u2)
-                    y = rr * math.sin(2.0 * math.pi * u2)
-                    fx = 0.5 * (x + 1.0)
-                    fy = 0.5 * (y + 1.0)
-                else:
-                    x = d0 * u1
-                    y = d1 * u2
-                    fx = u1
-                    fy = u2
-                if u3 <= _nb_grid(grid_table, fx, fy):
-                    stats[2] += 1
-                    break
-        if domain_code == 0:
-            if x * x + y * y < (1.0 - btol) * (1.0 - btol):
-                return state, x, y
-        else:
-            if btol < x < d0 - btol and btol < y < d1 - btol:
-                return state, x, y
-
-
-@njit(cache=True)
-def _nb_walk(seeds, n_steps, dt, btol, domain_code, d0, d1,
-             restart_code, r0, r1, radial_table, grid_table,
-             hist, hist_nx, hist_ny, restart_buf, stats):
-    step = math.sqrt(2.0 * dt)
-    cap = restart_buf.shape[0]
-    for p in range(seeds.size):
-        state = seeds[p]
-        state, x, y = _nb_restart(state, restart_code, r0, r1, domain_code,
-                                  d0, d1, radial_table, grid_table, btol, stats)
-        for _ in range(n_steps):
-            state, z0, z1 = _nb_normals(state)
-            xn = x + step * z0
-            yn = y + step * z1
-            if domain_code == 0:
-                exited = xn * xn + yn * yn >= (1.0 - btol) * (1.0 - btol)
-            else:
-                exited = not (btol < xn < d0 - btol and btol < yn < d1 - btol)
-            if exited:
-                bx, by = x, y
-            else:
-                bx, by = 0.5 * (x + xn), 0.5 * (y + yn)
-            if domain_code == 0:
-                rr = math.sqrt(bx * bx + by * by)
-                ib = int(rr * hist_nx)
-                if ib >= hist_nx:
-                    ib = hist_nx - 1
-                hist[ib] += 1
-            else:
-                ix = int(bx / d0 * hist_nx)
-                iy = int(by / d1 * hist_ny)
-                if ix >= hist_nx:
-                    ix = hist_nx - 1
-                if iy >= hist_ny:
-                    iy = hist_ny - 1
-                hist[ix * hist_ny + iy] += 1
-            if exited:
-                state, x, y = _nb_restart(state, restart_code, r0, r1,
-                                          domain_code, d0, d1, radial_table,
-                                          grid_table, btol, stats)
-                if stats[0] < cap:
-                    restart_buf[stats[0], 0] = x
-                    restart_buf[stats[0], 1] = y
-                stats[0] += 1
-            else:
-                x, y = xn, yn
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback engine
-# ---------------------------------------------------------------------------
-
-def _np_uniform(state, mask):
-    state[mask] += _GOLDEN
-    z = state[mask]
-    z = (z ^ (z >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    z = z ^ (z >> _S31)
-    return ((z >> _S11) + _ONE).astype(np.float64) * _U53
-
-
-def _np_normals(state, mask):
-    u1 = _np_uniform(state, mask)
-    u2 = _np_uniform(state, mask)
-    r = np.sqrt(-2.0 * np.log(u1))
-    return r * np.cos(2.0 * math.pi * u2), r * np.sin(2.0 * math.pi * u2)
+def _np_uniform(state, idx):
+    state[idx] += _GOLDEN
+    return _unit(state[idx])
 
 
 def _np_grid(table2d, fx, fy):
@@ -329,62 +157,133 @@ def _np_restart(state, mask, restart_code, r0, r1, domain_code, d0, d1,
         pending[done] = False
 
 
-def _np_walk(seeds, n_steps, dt, btol, domain_code, d0, d1,
-             restart_code, r0, r1, radial_table, grid_table,
-             hist, hist_nx, hist_ny, restart_buf, stats):
-    step = math.sqrt(2.0 * dt)
-    n_paths = seeds.size
-    state = seeds.copy()
-    x = np.empty(n_paths)
-    y = np.empty(n_paths)
-    _np_restart(state, np.ones(n_paths, dtype=bool), restart_code, r0, r1,
-                domain_code, d0, d1, radial_table, grid_table, btol, stats, x, y)
-    cap = restart_buf.shape[0]
-    for _ in range(n_steps):
-        z0, z1 = _np_normals(state, np.arange(n_paths))
-        xn = x + step * z0
-        yn = y + step * z1
-        if domain_code == 0:
-            exited = xn * xn + yn * yn >= (1.0 - btol) ** 2
-        else:
-            exited = ~((btol < xn) & (xn < d0 - btol)
-                       & (btol < yn) & (yn < d1 - btol))
-        bx = np.where(exited, x, 0.5 * (x + xn))
-        by = np.where(exited, y, 0.5 * (y + yn))
-        if domain_code == 0:
-            ib = np.minimum((np.hypot(bx, by) * hist_nx).astype(int), hist_nx - 1)
-        else:
-            ix = np.minimum((bx / d0 * hist_nx).astype(int), hist_nx - 1)
-            iy = np.minimum((by / d1 * hist_ny).astype(int), hist_ny - 1)
-            ib = ix * hist_ny + iy
-        np.add.at(hist, ib, 1)
-        x = np.where(exited, x, xn)
-        y = np.where(exited, y, yn)
-        if np.any(exited):
-            _np_restart(state, exited, restart_code, r0, r1, domain_code,
-                        d0, d1, radial_table, grid_table, btol, stats, x, y)
-            new = np.nonzero(exited)[0]
-            for p in new:
-                if stats[0] < cap:
-                    restart_buf[stats[0], 0] = x[p]
-                    restart_buf[stats[0], 1] = y[p]
-                stats[0] += 1
-
-
 def run_walk(seeds, n_steps, dt, btol, domain_code, d0, d1,
              restart_code, r0, r1, radial_table, grid_table,
-             hist_nx, hist_ny, restart_cap, force_numpy=False):
-    """Dispatch to the active engine; returns (hist, restart_buf, stats)."""
+             hist_nx, hist_ny, restart_cap, start=None, on_block=None):
+    """Walk every path ``n_steps`` steps; returns (hist, restart_buf, stats).
+
+    ``stats`` holds the restart count, the rejection attempts and the
+    rejection accepts.  An empty histogram (``hist_nx * hist_ny == 0``)
+    skips the binning.  Paths start from the restart measure, or from the
+    ``start = (x, y)`` arrays when given.  ``on_block(px, py)``, when given,
+    receives after each block the (steps, paths) positions at the end of
+    every step of the block, restarts applied.
+    """
+    n_paths = seeds.size
     hist = np.zeros(hist_nx * hist_ny, dtype=np.int64)
     restart_buf = np.zeros((restart_cap, 2))
-    stats = np.zeros(4, dtype=np.int64)
-    args = (seeds, n_steps, dt, btol, domain_code, d0, d1, restart_code,
-            r0, r1, radial_table, grid_table, hist, hist_nx, hist_ny,
-            restart_buf, stats)
-    if numba_enabled() and not force_numpy:
-        _nb_walk(*args)
-        stats[3] = 1
+    stats = np.zeros(3, dtype=np.int64)
+    if n_paths == 0:
+        return hist, restart_buf, stats
+    step = math.sqrt(2.0 * dt)
+    state = seeds.copy()
+    if domain_code == 0:
+        lim = (1.0 - btol) ** 2
+
+        def exits(px, py):
+            return px * px + py * py >= lim
+
+        def bins(bx, by):
+            return np.minimum((np.hypot(bx, by) * hist_nx).astype(int),
+                              hist_nx - 1)
     else:
-        _np_walk(*args)
-        stats[3] = 0
+        def exits(px, py):
+            return ~((btol < px) & (px < d0 - btol)
+                     & (btol < py) & (py < d1 - btol))
+
+        def bins(bx, by):
+            ix = np.minimum((bx / d0 * hist_nx).astype(int), hist_nx - 1)
+            iy = np.minimum((by / d1 * hist_ny).astype(int), hist_ny - 1)
+            return ix * hist_ny + iy
+
+    def restart(paths):
+        mask = np.zeros(n_paths, dtype=bool)
+        mask[paths] = True
+        _np_restart(state, mask, restart_code, r0, r1, domain_code, d0, d1,
+                    radial_table, grid_table, btol, stats, x, y)
+
+    if start is None:
+        x = np.empty(n_paths)
+        y = np.empty(n_paths)
+        restart(np.arange(n_paths))
+    else:
+        x = np.array(start[0], dtype=float)
+        y = np.array(start[1], dtype=float)
+
+    block = max(1, min(_BLOCK, _BLOCK_CELLS // n_paths))
+    # the draws of step i are 2i + 1 (radius) and 2i + 2 (angle)
+    offsets = np.arange(1, 2 * block + 1, dtype=np.uint64) * _GOLDEN
+    off_r, off_a = offsets[0::2].copy(), offsets[1::2].copy()
+    for t0 in range(0, n_steps, block):
+        k = min(block, n_steps - t0)
+        if on_block is not None:
+            bpx = np.empty((k, n_paths))
+            bpy = np.empty((k, n_paths))
+        events = []
+        act = np.arange(n_paths)                 # paths still in the block
+        beg = np.zeros(n_paths, dtype=np.intp)   # their block-local step
+        whole = True                             # all paths from step 0
+        while act.size:
+            rem = k - beg
+            m = int(rem.max())
+            sel = slice(None) if whole else act
+            s = state[sel]
+            r = np.sqrt(-2.0 * np.log(_unit(s + off_r[:m, None])))
+            ang = 2.0 * math.pi * _unit(s + off_a[:m, None])
+            X = np.empty((m + 1, act.size))
+            Y = np.empty((m + 1, act.size))
+            X[0] = x[sel]
+            Y[0] = y[sel]
+            X[1:] = step * (r * np.cos(ang))
+            Y[1:] = step * (r * np.sin(ang))
+            _running_sum(X)
+            _running_sum(Y)
+            rows = np.arange(m)[:, None]
+            out = exits(X[1:], Y[1:])
+            if rem.min() < m:
+                out &= rows < rem
+            first = np.where(out, rows, m).min(axis=0)
+            hit = first < m
+            used = np.where(hit, first + 1, rem)   # steps this pass consumed
+            live = rows < used
+            hc = np.nonzero(hit)[0]
+            if hist.size:
+                # step midpoints, or the old position on the exit step
+                bx = 0.5 * (X[:-1] + X[1:])
+                by = 0.5 * (Y[:-1] + Y[1:])
+                bx[first[hc], hc] = X[first[hc], hc]
+                by[first[hc], hc] = Y[first[hc], hc]
+                hist += np.bincount(bins(bx[live], by[live]),
+                                    minlength=hist.size)
+            if whole:
+                # exited paths get their restart point below, and the rows
+                # past an exit are rewritten by the later passes
+                x[:], y[:] = X[m], Y[m]
+                if on_block is not None:
+                    bpx[:], bpy[:] = X[1:], Y[1:]
+            else:
+                cols = np.arange(act.size)
+                x[act], y[act] = X[used, cols], Y[used, cols]
+                if on_block is not None:
+                    ri, ci = np.nonzero(live)
+                    bpx[beg[ci] + ri, act[ci]] = X[ri + 1, ci]
+                    bpy[beg[ci] + ri, act[ci]] = Y[ri + 1, ci]
+            state[sel] += (2 * used).astype(np.uint64) * _GOLDEN
+            gone = act[hc]
+            restart(gone)
+            at = beg[hc] + first[hc]
+            events.append((at, gone, x[gone], y[gone]))
+            if on_block is not None:
+                bpx[at, gone] = x[gone]
+                bpy[at, gone] = y[gone]
+            more = at + 1 < k
+            act, beg, whole = gone[more], at[more] + 1, False
+
+        at, who, rx, ry = (np.concatenate(v) for v in zip(*events))
+        order = np.lexsort((who, at))[:max(restart_cap - int(stats[0]), 0)]
+        restart_buf[stats[0]:stats[0] + order.size, 0] = rx[order]
+        restart_buf[stats[0]:stats[0] + order.size, 1] = ry[order]
+        stats[0] += at.size
+        if on_block is not None:
+            on_block(bpx, bpy)
     return hist, restart_buf, stats

@@ -165,6 +165,39 @@ def _build_measure(cfg: dict, domain, basis: BasisSet) -> ms.MeasureSpec:
     raise ConfigError(f"unknown measure variant {variant!r}")
 
 
+def _walk_settings(cfg: dict, domain) -> tuple[st.WalkConfig, float]:
+    """Walk config and L1 threshold of the ``walk`` block, validated."""
+    wcfg = cfg.get("walk", {})
+    if not isinstance(wcfg, dict):
+        raise ConfigError("walk must be an object")
+
+    def read(key, default, kind, positive=True):
+        value = wcfg.get(key, default)
+        try:
+            out = kind(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"walk.{key}: bad value {value!r}") from exc
+        if positive and not (math.isfinite(out) and out > 0):
+            raise ConfigError(f"walk.{key} must be finite and positive, "
+                              f"got {value!r}")
+        return out
+
+    tol = wcfg.get("boundary_tolerance")
+    config = st.WalkConfig(
+        step_dt=read("step_dt", 1e-5, float),
+        n_steps=read("n_steps", 100_000, int),
+        n_paths=read("n_paths", 1_000, int),
+        seed=read("seed", cfg["seed"], int, positive=False),
+        boundary_tolerance=None if tol is None
+        else read("boundary_tolerance", None, float),
+        n_bins=read("n_bins", 24, int))
+    # restarts land only where the band leaves room
+    if config.band() >= domain.inradius:
+        raise ConfigError(f"walk boundary band {config.band():g} leaves no "
+                          f"interior (inradius {domain.inradius:g})")
+    return config, read("l1_threshold", 0.05, float)
+
+
 def build_experiment(cfg: dict, out_dir: str | None = None) -> Experiment:
     merged = dict(_DEFAULTS)
     merged.update(cfg)
@@ -183,6 +216,7 @@ def build_experiment(cfg: dict, out_dir: str | None = None) -> Experiment:
     if window[1] > cutoff - max(50.0, 0.05 * cutoff):
         raise ConfigError("window exceeds the cutoff safety margin")
     domain = _build_domain(merged)
+    _walk_settings(merged, domain)
     try:
         basis = build_basis(domain, cutoff)
         measure = _build_measure(merged, domain, basis)
@@ -282,23 +316,18 @@ def _task_numrange(exp: Experiment, rows):
 
 
 def _task_simulate(exp: Experiment, rows):
-    wcfg = exp.config.get("walk", {})
-    config = st.WalkConfig(
-        step_dt=float(wcfg.get("step_dt", 1e-5)),
-        n_steps=int(wcfg.get("n_steps", 100_000)),
-        n_paths=int(wcfg.get("n_paths", 1_000)),
-        seed=int(wcfg.get("seed", exp.config["seed"])),
-        boundary_tolerance=wcfg.get("boundary_tolerance"),
-        n_bins=int(wcfg.get("n_bins", 24)))
+    config, threshold = _walk_settings(exp.config, exp.domain)
     hist = st.simulate_occupation(config, exp.domain, exp.measure, exp.basis)
     pred = st.stationary_prediction(exp.series, hist)
     dist = st.compare_stationary(hist, pred)
     _write(os.path.join(exp.out_dir, "occupation.csv"),
            st.histogram_to_csv(hist, pred))
-    threshold = float(wcfg.get("l1_threshold", 0.05))
     rows.append(_verdict_row("simulate",
                              en.PASS if dist < threshold else en.FAIL,
-                             f"L1 distance {dist:.4f} (threshold {threshold})"))
+                             f"L1 distance {dist:.4f} (threshold {threshold}); "
+                             f"restarts {hist.n_restarts}; rejection "
+                             f"acceptance {hist.rejection_accepts}/"
+                             f"{hist.rejection_attempts}"))
 
 
 def _task_figure1(exp: Experiment, rows):

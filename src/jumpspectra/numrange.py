@@ -92,66 +92,108 @@ def _bump(domain, frac):
     return theta, grad_sq, rb
 
 
-def rayleigh_probe(prof: ProbeProfile, basis: BasisSet,
-                   spec: MeasureSpec) -> RayleighSample:
-    """Quotient of the generator quadratic form over the layer trial state."""
+@dataclass(frozen=True)
+class _BumpTerms:
+    """Integrals of the interior bump, normalised to unit measure mean."""
+    radius: float
+    int_theta: float
+    int_theta_sq: float
+    int_grad_theta_sq: float
+
+
+@dataclass(frozen=True)
+class _LayerTerms:
+    """Direction-free sums of one layer width's collar rule."""
+    epsilon: float
+    b_raw: float              # measure mean of the profile, before direction
+    b_check: float            # the same on the finer rule
+    sum_g: float
+    sum_g_sq: float
+    sum_gp_sq: float
+
+
+def _bump_terms(basis: BasisSet, spec: MeasureSpec,
+                frac: float) -> _BumpTerms:
+    theta, theta_grad_sq, rb = _bump(basis.domain, frac)
+    theta_mass = measure_integral(spec, basis, theta)
+    if abs(theta_mass) < 1e-12:
+        raise GeometryError("bump has negligible measure mean; move it")
+    rule = basis.quadrature
+    theta_vals = theta(rule.x, rule.y) / theta_mass
+    return _BumpTerms(
+        rb,
+        float(np.real(rule.integrate(theta_vals))),
+        float(np.real(rule.integrate(theta_vals ** 2))),
+        float(np.real(rule.integrate(
+            theta_grad_sq(rule.x, rule.y)))) / theta_mass ** 2)
+
+
+def _layer_terms(basis: BasisSet, spec: MeasureSpec, eps: float,
+                 rb: float) -> _LayerTerms:
     domain = basis.domain
-    eps = prof.epsilon
-    d = complex(prof.direction)
-    theta, theta_grad_sq, rb = _bump(domain, prof.bump_radius_frac)
     if eps >= domain.inradius - rb:
         raise GeometryError(
             f"layer width {eps} reaches the bump of radius {rb}")
-
     lx, ly, lw, ls = layer_quadrature(domain, eps)
     g_vals = profile(ls)
     gp_vals = profile_derivative(ls)
 
-    # measure mean of the layer profile
-    if isinstance(spec, DiracMeasure):
-        rho = float(domain.boundary_distance(spec.x0, spec.y0))
-        b_raw = math.sqrt(eps) * profile(rho / eps) if rho < eps else 0.0
-    elif isinstance(spec, CircleMeasure):
-        rho = 1.0 - spec.r0
-        b_raw = math.sqrt(eps) * profile(rho / eps) if rho < eps else 0.0
-    else:
-        w = density_function(spec, basis)
-        b_raw = math.sqrt(eps) * float(np.sum(lw * g_vals * w(lx, ly)))
-    b_eps = d * b_raw
-
-    theta_mass = measure_integral(spec, basis, theta)
-    if abs(theta_mass) < 1e-12:
-        raise GeometryError("bump has negligible measure mean; move it")
-
-    rule = basis.quadrature
-    theta_vals = theta(rule.x, rule.y) / theta_mass
-    int_theta = float(np.real(rule.integrate(theta_vals)))
-    int_theta_sq = float(np.real(rule.integrate(theta_vals ** 2)))
-    int_grad_theta_sq = float(np.real(rule.integrate(
-        theta_grad_sq(rule.x, rule.y)))) / theta_mass ** 2
-
-    int_phi = d * math.sqrt(eps) * float(np.sum(lw * g_vals))
-    int_phi_sq = eps * float(np.sum(lw * g_vals ** 2))
-    layer_grad = float(np.sum(lw * gp_vals ** 2)) / eps
-
-    norm_sq = (domain.area + 2.0 * (int_phi - b_eps * int_theta).real
-               + int_phi_sq + abs(b_eps) ** 2 * int_theta_sq)
-    boundary_term = domain.boundary_weight * d / math.sqrt(eps)
-    volume_term = layer_grad + abs(b_eps) ** 2 * int_grad_theta_sq
-    quotient = (boundary_term + volume_term) / norm_sq
-
-    # the bump mean is normalised to 1, so <psi>_mu - 1 equals the error of
-    # the layer quadrature for b; re-evaluate b on a finer rule to measure it
-    lx2, ly2, lw2, ls2 = layer_quadrature(domain, eps, n_s=48, n_tan=384)
+    # measure mean of the layer profile; the bump mean is normalised to 1,
+    # so <psi>_mu - 1 equals the error of the layer quadrature for b, which
+    # a finer rule measures
     if isinstance(spec, (DiracMeasure, CircleMeasure)):
+        rho = (float(domain.boundary_distance(spec.x0, spec.y0))
+               if isinstance(spec, DiracMeasure) else 1.0 - spec.r0)
+        b_raw = math.sqrt(eps) * profile(rho / eps) if rho < eps else 0.0
         b_check = b_raw
     else:
         w = density_function(spec, basis)
-        b_check = math.sqrt(eps) * float(np.sum(lw2 * profile(ls2) * w(lx2, ly2)))
-    mean_defect = abs(d * b_check - b_eps)
+        b_raw = math.sqrt(eps) * float(np.sum(lw * g_vals * w(lx, ly)))
+        lx2, ly2, lw2, ls2 = layer_quadrature(domain, eps, n_s=48, n_tan=384)
+        b_check = math.sqrt(eps) * float(
+            np.sum(lw2 * profile(ls2) * w(lx2, ly2)))
+    return _LayerTerms(eps, b_raw, b_check, float(np.sum(lw * g_vals)),
+                       float(np.sum(lw * g_vals ** 2)),
+                       float(np.sum(lw * gp_vals ** 2)))
 
+
+def _quotient(d: complex, layer: _LayerTerms, bump: _BumpTerms,
+              domain) -> RayleighSample:
+    eps = layer.epsilon
+    b_eps = d * layer.b_raw
+    int_phi = d * math.sqrt(eps) * layer.sum_g
+    int_phi_sq = eps * layer.sum_g_sq
+    layer_grad = layer.sum_gp_sq / eps
+
+    norm_sq = (domain.area + 2.0 * (int_phi - b_eps * bump.int_theta).real
+               + int_phi_sq + abs(b_eps) ** 2 * bump.int_theta_sq)
+    boundary_term = domain.boundary_weight * d / math.sqrt(eps)
+    volume_term = layer_grad + abs(b_eps) ** 2 * bump.int_grad_theta_sq
+    quotient = (boundary_term + volume_term) / norm_sq
+    mean_defect = abs(d * layer.b_check - b_eps)
     return RayleighSample(d, eps, quotient, norm_sq, b_eps, mean_defect,
                           boundary_term, volume_term)
+
+
+def rayleigh_probe(prof: ProbeProfile, basis: BasisSet,
+                   spec: MeasureSpec) -> RayleighSample:
+    """Quotient of the generator quadratic form over the layer trial state."""
+    bump = _bump_terms(basis, spec, prof.bump_radius_frac)
+    layer = _layer_terms(basis, spec, prof.epsilon, bump.radius)
+    return _quotient(complex(prof.direction), layer, bump, basis.domain)
+
+
+def sweep(basis: BasisSet, spec: MeasureSpec, epsilons,
+          directions=DIRECTIONS) -> list[RayleighSample]:
+    """``rayleigh_probe`` over directions x epsilons, sharing the
+    direction-free layer and bump integrals."""
+    epsilons = [float(eps) for eps in epsilons]
+    profiles = [ProbeProfile(d, eps) for d in directions for eps in epsilons]
+    bump = _bump_terms(basis, spec, ProbeProfile.bump_radius_frac)
+    layers = {eps: _layer_terms(basis, spec, eps, bump.radius)
+              for eps in epsilons}
+    return [_quotient(complex(p.direction), layers[p.epsilon], bump,
+                      basis.domain) for p in profiles]
 
 
 @dataclass(frozen=True)
@@ -160,15 +202,6 @@ class BlowupFit:
     slope: float
     intercept: float
     r_squared: float
-
-
-def sweep(basis: BasisSet, spec: MeasureSpec, epsilons,
-          directions=DIRECTIONS) -> list[RayleighSample]:
-    out = []
-    for d in directions:
-        for eps in epsilons:
-            out.append(rayleigh_probe(ProbeProfile(d, float(eps)), basis, spec))
-    return out
 
 
 def blowup_fit(samples: list[RayleighSample], direction: complex) -> BlowupFit:

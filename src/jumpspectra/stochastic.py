@@ -57,7 +57,9 @@ class OccupationHistogram:
     bin_areas: np.ndarray
     restart_samples: np.ndarray            # (m, 2) restart positions
     n_restarts: int
-    used_numba: bool
+    used_numba: bool                       # always False: one numpy engine
+    rejection_attempts: int = 0
+    rejection_accepts: int = 0
 
     def mass_check(self) -> float:
         return float(np.sum(self.normalized_density * self.bin_areas))
@@ -106,9 +108,16 @@ def _restart_setup(spec: MeasureSpec, domain: DomainSpec,
     return 5, 0.0, 0.0, radial, np.clip(vals / vmax, 0.0, 1.0)
 
 
+def _domain_codes(domain: DomainSpec):
+    """Kernel domain code and rectangle sides."""
+    if domain.kind == "disk":
+        return 0, 0.0, 0.0
+    return 1, domain.side_x, domain.side_y
+
+
 def simulate_occupation(config: WalkConfig, domain: DomainSpec,
-                        spec: MeasureSpec, basis: BasisSet | None = None,
-                        force_numpy: bool = False) -> OccupationHistogram:
+                        spec: MeasureSpec,
+                        basis: BasisSet | None = None) -> OccupationHistogram:
     """Run the walk ensemble and bin the time-weighted occupation."""
     band = config.band()
     if isinstance(spec, DiracMeasure) and \
@@ -119,16 +128,12 @@ def simulate_occupation(config: WalkConfig, domain: DomainSpec,
 
     code, r0, r1, radial, grid = _restart_setup(spec, domain, basis)
     seeds = derive_seeds(config.seed, config.n_paths)
-    if domain.kind == "disk":
-        domain_code, d0, d1 = 0, 0.0, 0.0
-        hist_nx, hist_ny = config.n_bins, 1
-    else:
-        domain_code, d0, d1 = 1, domain.side_x, domain.side_y
-        hist_nx = hist_ny = config.n_bins
+    domain_code, d0, d1 = _domain_codes(domain)
+    hist_ny = 1 if domain_code == 0 else config.n_bins
     hist, restart_buf, stats = run_walk(
         seeds, config.n_steps, config.step_dt, band, domain_code, d0, d1,
-        code, r0, r1, radial, grid, hist_nx, hist_ny,
-        config.restart_sample_cap, force_numpy=force_numpy)
+        code, r0, r1, radial, grid, config.n_bins, hist_ny,
+        config.restart_sample_cap)
 
     if stats[1] > 0 and stats[2] < 0.01 * stats[1]:
         raise RejectionEfficiencyError(
@@ -150,7 +155,7 @@ def simulate_occupation(config: WalkConfig, domain: DomainSpec,
     n_rec = int(min(stats[0], config.restart_sample_cap))
     return OccupationHistogram(domain, config, edges, edges_y, hist, density,
                                areas, restart_buf[:n_rec].copy(), int(stats[0]),
-                               bool(stats[3]))
+                               False, int(stats[1]), int(stats[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -248,41 +253,27 @@ def decay_rate_estimate(domain: DomainSpec, spec: MeasureSpec,
     Tracks the occupancy of the inner half-disk/rectangle-quadrant over time
     and fits the log-gap to its long-run level.  Statistical noise dominates
     quickly; treat the result as a +-25% diagnostic, not a certificate.
-    Runs on the numpy engine (the only one recording time series).
     """
-    from ._kernels import _np_normals, _np_restart, derive_seeds
     code, r0, r1, radial, grid = _restart_setup(spec, domain, basis)
-    band = _OVERSHOOT * math.sqrt(2.0 * dt)
-    state = derive_seeds(seed, n_paths)
-    x = np.full(n_paths, float(start[0]))
-    y = np.full(n_paths, float(start[1]))
-    step = math.sqrt(2.0 * dt)
-    if domain.kind == "disk":
+    domain_code, d0, d1 = _domain_codes(domain)
+    if domain_code == 0:
         def observable(px, py):
             return px * px + py * py < 0.25
-        d0 = d1 = 0.0
-        domain_code = 0
     else:
-        d0, d1 = domain.side_x, domain.side_y
-        domain_code = 1
-
         def observable(px, py):
             return (px < d0 / 2) & (py < d1 / 2)
-    stats = np.zeros(4, dtype=np.int64)
-    series = np.empty(n_steps)
-    for i in range(n_steps):
-        z0, z1 = _np_normals(state, np.arange(n_paths))
-        x = x + step * z0
-        y = y + step * z1
-        if domain_code == 0:
-            exited = x * x + y * y >= (1.0 - band) ** 2
-        else:
-            exited = ~((band < x) & (x < d0 - band)
-                       & (band < y) & (y < d1 - band))
-        if np.any(exited):
-            _np_restart(state, exited, code, r0, r1, domain_code, d0, d1,
-                        radial, grid, band, stats, x, y)
-        series[i] = float(np.mean(observable(x, y)))
+    parts = []
+
+    def record(px, py):
+        parts.append(np.mean(observable(px, py), axis=1))
+
+    run_walk(derive_seeds(seed, n_paths), n_steps, dt,
+             _OVERSHOOT * math.sqrt(2.0 * dt), domain_code, d0, d1,
+             code, r0, r1, radial, grid, 0, 0, 0,
+             start=(np.full(n_paths, float(start[0])),
+                    np.full(n_paths, float(start[1]))),
+             on_block=record)
+    series = np.concatenate(parts)
     t = dt * np.arange(1, n_steps + 1)
     tail = series[int(0.7 * n_steps):].mean()
     gap = series - tail

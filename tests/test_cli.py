@@ -1,7 +1,9 @@
 import json
 import math
+import re
 
 import numpy as np
+import pytest
 
 from jumpspectra import cli
 
@@ -76,6 +78,20 @@ def test_invalid_configs(tmp_path):
         assert cli.main(["run", path]) == cli.EXIT_CONFIG, cfg
 
 
+@pytest.mark.parametrize("walk", [
+    {"n_paths": "many"}, {"n_bins": 0}, {"step_dt": -1e-4}, {"n_paths": 0},
+    {"n_steps": -5}, {"boundary_tolerance": -0.01},
+    {"boundary_tolerance": math.nan}, {"l1_threshold": 0.0},
+    {"l1_threshold": math.inf}, {"step_dt": 10.0}, "fast",
+])
+def test_invalid_walk_configs(tmp_path, capsys, walk):
+    cfg = dict(DISK_SMALL, tasks=["simulate"], walk=walk)
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", path, "--out", str(tmp_path / "out")]) \
+        == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: walk")
+
+
 def test_missing_config_file():
     assert cli.main(["run", "/nonexistent/cfg.json"]) == cli.EXIT_CONFIG
 
@@ -138,6 +154,11 @@ def test_run_simulate_task(tmp_path):
     out = str(tmp_path / "out")
     assert cli.main(["run", path, "--out", out]) == cli.EXIT_PASS
     assert (tmp_path / "out" / "occupation.csv").exists()
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    (row,) = summary["results"]
+    assert re.fullmatch(r"L1 distance \d\.\d{4} \(threshold 0\.2\); "
+                        r"restarts [1-9]\d*; rejection acceptance 0/0",
+                        row["detail"]), row["detail"]
 
 
 def test_figure1_subcommand(tmp_path):

@@ -116,3 +116,14 @@ def test_sweep_csv(disk_sweep):
     lines = text.strip().split("\n")
     assert lines[0] == "epsilon,direction_re,direction_im,re,im,norm"
     assert len(lines) == len(disk_sweep) + 1
+
+
+@pytest.mark.parametrize("spec", [measures.UniformMeasure(),
+                                  measures.DiracMeasure(0.1, 0.0)])
+def test_sweep_matches_probes(disk_basis_small, spec):
+    samples = nr.sweep(disk_basis_small, spec, [1e-4, 3e-3])
+    assert [(s.direction, s.epsilon) for s in samples] == [
+        (d, e) for d in nr.DIRECTIONS for e in (1e-4, 3e-3)]
+    for s in samples:
+        probe = nr.ProbeProfile(s.direction, s.epsilon)
+        assert s == nr.rayleigh_probe(probe, disk_basis_small, spec)

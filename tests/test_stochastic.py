@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from scipy.special import jv
 from scipy.stats import kstest
 
-from jumpspectra import geometry, measures, secular, stochastic as st
+from jumpspectra import _kernels, geometry, measures, secular, stochastic as st
+from jumpspectra._kernels import derive_seeds
 from jumpspectra.errors import RejectionEfficiencyError
 
 J01 = 2.404825557695773
@@ -32,17 +34,160 @@ def test_seed_determinism(disk, disk_basis, small_uniform_run):
                           again.restart_samples)
 
 
-def test_engine_agreement(disk, disk_basis, small_uniform_run):
-    run_np = st.simulate_occupation(SMALL, disk, measures.UniformMeasure(),
-                                    disk_basis, force_numpy=True)
-    assert np.array_equal(run_np.counts,
-                          st.simulate_occupation(
-                              SMALL, disk, measures.UniformMeasure(),
-                              disk_basis, force_numpy=True).counts)
-    l1 = float(np.sum(np.abs(small_uniform_run.normalized_density
-                             - run_np.normalized_density)
-                      * small_uniform_run.bin_areas))
-    assert l1 < 0.05        # engines may differ by trajectory-level ULPs
+# SHA-256 of (counts, restart samples, restarts/attempts/accepts) of the SMALL
+# walk, recorded on the per-step engine that the block engine replaced
+PINNED = {
+    "disk-uniform":
+        "0ee766066117f11b580aaebd6e0d872673b6b3e171e5a0a0c745eaad2abc0e56",
+    "disk-ground_state":
+        "ef59254c73df3fc0a5581d9d7ab2c9997b5dc88d907a0197c2979f807434cfa5",
+    "disk-dirac":
+        "5b381062c88a02788d6b4cd801688544a9881130bed62fa215e1a87dc31f7876",
+    "disk-circle":
+        "d6715c03dca80f4104ab77520063ee0054b613d02fa9e6f7601cb0535d9094dd",
+    "disk-density":
+        "51b71392acb142f9d6fdcf221babe7cef2c1ae6e69a9b74c0adcb5df06d2b7a4",
+    "rect-uniform":
+        "a7ced5abb55711c16ebec461d91529255dbcd2c008d54192d7609a8f16162ed8",
+    "rect-dirac":
+        "70015de675c61f3f8a04a97961b13e971659210ba03cb3beac6dbbec6fe1bc0c",
+    "rect-ground_state":
+        "f57a942ade0c0713a21db2a2df7cb54bff11ce14ad0efaf03273e51fc14a8e6a",
+    "rect-density":
+        "aa0f45f48279062377da1baf59ea2ee66e60a1e32066bab523c1c40d47ff313d",
+}
+
+
+@pytest.fixture(scope="module")
+def walk_domains(disk, disk_basis):
+    rect = geometry.rectangle(math.pi, 1.2337 * math.pi)
+    return {"disk": (disk, disk_basis),
+            "rect": (rect, geometry.build_basis(rect, 300.0))}
+
+
+def walk_case(name, walk_domains):
+    """Domain, basis and restart measure of a "domain-measure" case: restart
+    codes 0-3 and 5 on the disk, 2, 4 and 5 on the rectangle."""
+    where, kind = name.split("-")
+    domain, basis = walk_domains[where]
+    disk = where == "disk"
+    spec = {
+        "uniform": measures.UniformMeasure(),
+        "ground_state": measures.GroundStateMeasure(),
+        "dirac": measures.DiracMeasure(*((0.3, -0.2) if disk else (1.0, 2.0))),
+        "circle": measures.CircleMeasure(0.5),
+        "density": measures.DensityMeasure(
+            (lambda x, y: 1.0 + 0.5 * x) if disk
+            else (lambda x, y: 1.0 + 0.5 * np.cos(x))),
+    }[kind]
+    return domain, basis, spec
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_engine_pinned_digest(name, walk_domains):
+    domain, basis, spec = walk_case(name, walk_domains)
+    run = st.simulate_occupation(SMALL, domain, spec, basis)
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(run.counts, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(run.restart_samples,
+                                  dtype=np.float64).tobytes())
+    h.update(np.array([run.n_restarts, run.rejection_attempts,
+                       run.rejection_accepts], dtype=np.int64).tobytes())
+    assert h.hexdigest() == PINNED[name]
+
+
+def step_loop(seeds, n_steps, dt, btol, domain_code, d0, d1, code, r0, r1,
+              radial, grid, nx, ny, cap, start=None):
+    """The walk one step at a time over all paths: the reference the block
+    engine must reproduce bit for bit.  Also returns each step's positions."""
+    n = seeds.size
+    step = math.sqrt(2.0 * dt)
+    state = seeds.copy()
+    stats = np.zeros(3, dtype=np.int64)
+    x, y = np.empty(n), np.empty(n)
+
+    def restart(mask):
+        _kernels._np_restart(state, mask, code, r0, r1, domain_code, d0, d1,
+                             radial, grid, btol, stats, x, y)
+
+    if start is None:
+        restart(np.ones(n, dtype=bool))
+    else:
+        x[:], y[:] = start
+    hist = np.zeros(nx * ny, dtype=np.int64)
+    samples, positions = [], []
+    everyone = np.arange(n)
+    for _ in range(n_steps):
+        u1 = _kernels._np_uniform(state, everyone)
+        u2 = _kernels._np_uniform(state, everyone)
+        r = np.sqrt(-2.0 * np.log(u1))
+        xn = x + step * (r * np.cos(2.0 * math.pi * u2))
+        yn = y + step * (r * np.sin(2.0 * math.pi * u2))
+        if domain_code == 0:
+            exited = xn * xn + yn * yn >= (1.0 - btol) ** 2
+        else:
+            exited = ~((btol < xn) & (xn < d0 - btol)
+                       & (btol < yn) & (yn < d1 - btol))
+        bx = np.where(exited, x, 0.5 * (x + xn))
+        by = np.where(exited, y, 0.5 * (y + yn))
+        if hist.size:
+            if domain_code == 0:
+                ib = np.minimum((np.hypot(bx, by) * nx).astype(int), nx - 1)
+            else:
+                ib = (np.minimum((bx / d0 * nx).astype(int), nx - 1) * ny
+                      + np.minimum((by / d1 * ny).astype(int), ny - 1))
+            np.add.at(hist, ib, 1)
+        x[:] = np.where(exited, x, xn)
+        y[:] = np.where(exited, y, yn)
+        restart(exited)
+        samples += [(x[p], y[p]) for p in np.nonzero(exited)[0]]
+        positions.append((x.copy(), y.copy()))
+    stats[0] = len(samples)
+    return (hist, np.array(samples[:cap]).reshape(-1, 2), stats,
+            np.array(positions))
+
+
+@pytest.mark.parametrize("name, n_paths, n_steps, dt, cap", [
+    ("disk-ground_state", 40, 37, 1e-4, 100),     # one partial block
+    ("disk-uniform", 30, 150, 1e-3, 1000),        # not a multiple of K
+    ("rect-density", 1, 500, 1e-2, 1000),         # a single path
+    ("disk-circle", 200, 70, 1e-2, 5),            # cap falls inside a block
+    ("rect-uniform", 3000, 12, 1e-2, 10_000),     # wide block, row sums
+])
+def test_engine_matches_step_loop(name, n_paths, n_steps, dt, cap,
+                                  walk_domains):
+    domain, basis, spec = walk_case(name, walk_domains)
+    code, r0, r1, radial, grid = st._restart_setup(spec, domain, basis)
+    domain_code, d0, d1 = st._domain_codes(domain)
+    ny = 1 if domain_code == 0 else 5
+    args = (derive_seeds(9, n_paths), n_steps, dt,
+            st.WalkConfig(step_dt=dt).band(), domain_code, d0, d1, code, r0,
+            r1, radial, grid, 7, ny, cap)
+    hist, buf, stats = _kernels.run_walk(*args)
+    want_hist, want_buf, want_stats, _ = step_loop(*args)
+    assert stats[0] > 0
+    assert np.array_equal(hist, want_hist)
+    assert np.array_equal(buf[:len(want_buf)], want_buf)
+    assert np.array_equal(stats, want_stats)
+
+
+def test_engine_block_positions_match_step_loop(walk_domains):
+    # the decay diagnostic's path: a point start and per-step positions
+    domain, basis, spec = walk_case("disk-ground_state", walk_domains)
+    code, r0, r1, radial, grid = st._restart_setup(spec, domain, basis)
+    n_paths, n_steps, dt = 300, 230, 4e-3
+    start = (np.full(n_paths, 0.2), np.full(n_paths, -0.1))
+    args = (derive_seeds(4, n_paths), n_steps, dt,
+            st.WalkConfig(step_dt=dt).band(), 0, 0.0, 0.0, code, r0, r1,
+            radial, grid, 0, 0, 0)
+    blocks = []
+    _, _, stats = _kernels.run_walk(
+        *args, start=start,
+        on_block=lambda px, py: blocks.append(np.stack([px, py], axis=1)))
+    _, _, want_stats, want_pos = step_loop(*args, start=start)
+    assert want_stats[0] > n_paths
+    assert np.array_equal(np.concatenate(blocks), want_pos)
+    assert np.array_equal(stats, want_stats)
 
 
 def test_uniform_restart_distribution(small_uniform_run):
@@ -169,3 +314,4 @@ def test_decay_rate_diagnostic(disk, disk_basis):
                                   seed=13)
     target = geometry.bessel_zero(2, 1) ** 2
     assert abs(rate - target) / target < 0.25
+    assert rate == 28.69574461493086      # the per-step engine's value
