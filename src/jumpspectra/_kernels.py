@@ -14,10 +14,10 @@ is filled in (step, path) order, so the histogram, the restart buffer and
 the counters are bitwise identical to those of a per-step loop over all
 paths, whatever the block size.
 
-Restart codes: 0 uniform disk, 1 radial-table rejection on the disk,
-2 fixed point, 3 circle of radius r0, 4 uniform rectangle, 5 grid-table
-rejection over the domain bounding box.  Domain codes: 0 unit disk,
-1 rectangle (0,a) x (0,b).
+The domain object supplies the interior test, the uniform sampler and the
+occupation cells.  Restart codes: 0 uniform over the domain, 1 radial-table
+rejection on the disk, 2 fixed point, 3 circle of radius r0, 4 grid-table
+rejection over the domain bounding box.
 """
 
 from __future__ import annotations
@@ -74,6 +74,13 @@ def _np_uniform(state, idx):
     return _unit(state[idx])
 
 
+def _np_radial(table, rr):
+    pos = rr * (table.size - 1)
+    i = np.minimum(pos.astype(int), table.size - 2)
+    frac = pos - i
+    return table[i] * (1 - frac) + table[i + 1] * frac
+
+
 def _np_grid(table2d, fx, fy):
     nx, ny = table2d.shape
     px = fx * (nx - 1)
@@ -86,121 +93,66 @@ def _np_grid(table2d, fx, fy):
             + table2d[i, j + 1] * (1 - tx) * ty + table2d[i + 1, j + 1] * tx * ty)
 
 
-def _np_restart(state, mask, restart_code, r0, r1, domain_code, d0, d1,
+def _np_restart(state, mask, restart_code, r0, r1, domain,
                 radial_table, grid_table, btol, stats, x, y):
     pending = mask.copy()
     while np.any(pending):
         idx = np.nonzero(pending)[0]
-        if restart_code == 0:
-            u1 = _np_uniform(state, idx)
-            u2 = _np_uniform(state, idx)
-            rr = np.sqrt(u1)
-            px = rr * np.cos(2.0 * math.pi * u2)
-            py = rr * np.sin(2.0 * math.pi * u2)
-            placed = np.ones(idx.size, dtype=bool)
-        elif restart_code == 1:
-            u1 = _np_uniform(state, idx)
-            u2 = _np_uniform(state, idx)
-            u3 = _np_uniform(state, idx)
-            rr = np.sqrt(u1)
-            pos = rr * (radial_table.size - 1)
-            i = np.minimum(pos.astype(int), radial_table.size - 2)
-            frac = pos - i
-            ratio = radial_table[i] * (1 - frac) + radial_table[i + 1] * frac
-            stats[1] += idx.size
-            placed = u3 <= ratio
-            stats[2] += int(np.sum(placed))
-            px = rr * np.cos(2.0 * math.pi * u2)
-            py = rr * np.sin(2.0 * math.pi * u2)
-        elif restart_code == 2:
+        placed = np.ones(idx.size, dtype=bool)
+        if restart_code == 2:
             px = np.full(idx.size, r0)
             py = np.full(idx.size, r1)
-            placed = np.ones(idx.size, dtype=bool)
         elif restart_code == 3:
             u1 = _np_uniform(state, idx)
             px = r0 * np.cos(2.0 * math.pi * u1)
             py = r0 * np.sin(2.0 * math.pi * u1)
-            placed = np.ones(idx.size, dtype=bool)
-        elif restart_code == 4:
-            u1 = _np_uniform(state, idx)
-            u2 = _np_uniform(state, idx)
-            px = d0 * u1
-            py = d1 * u2
-            placed = np.ones(idx.size, dtype=bool)
         else:
             u1 = _np_uniform(state, idx)
             u2 = _np_uniform(state, idx)
-            u3 = _np_uniform(state, idx)
-            if domain_code == 0:
-                rr = np.sqrt(u1)
-                px = rr * np.cos(2.0 * math.pi * u2)
-                py = rr * np.sin(2.0 * math.pi * u2)
-                fx = 0.5 * (px + 1.0)
-                fy = 0.5 * (py + 1.0)
-            else:
-                px = d0 * u1
-                py = d1 * u2
-                fx = u1
-                fy = u2
-            stats[1] += idx.size
-            placed = u3 <= _np_grid(grid_table, fx, fy)
-            stats[2] += int(np.sum(placed))
-        if domain_code == 0:
-            inside = px * px + py * py < (1.0 - btol) ** 2
-        else:
-            inside = ((btol < px) & (px < d0 - btol)
-                      & (btol < py) & (py < d1 - btol))
-        ok = placed & inside
+            px, py, fx, fy = domain.uniform_point(u1, u2)
+            if restart_code != 0:
+                u3 = _np_uniform(state, idx)
+                if restart_code == 1:
+                    ratio = _np_radial(radial_table, np.sqrt(u1))
+                else:
+                    ratio = _np_grid(grid_table, fx, fy)
+                stats[1] += idx.size
+                placed = u3 <= ratio
+                stats[2] += int(np.sum(placed))
+        ok = placed & ~domain.outside(px, py, btol)
         done = idx[ok]
         x[done] = px[ok]
         y[done] = py[ok]
         pending[done] = False
 
 
-def run_walk(seeds, n_steps, dt, btol, domain_code, d0, d1,
-             restart_code, r0, r1, radial_table, grid_table,
-             hist_nx, hist_ny, restart_cap, start=None, on_block=None):
+def run_walk(seeds, n_steps, dt, btol, domain, restart_code, r0, r1,
+             radial_table, grid_table, n_bins, restart_cap, start=None,
+             on_block=None):
     """Walk every path ``n_steps`` steps; returns (hist, restart_buf, stats).
 
     ``stats`` holds the restart count, the rejection attempts and the
-    rejection accepts.  An empty histogram (``hist_nx * hist_ny == 0``)
-    skips the binning.  Paths start from the restart measure, or from the
-    ``start = (x, y)`` arrays when given.  ``on_block(px, py)``, when given,
-    receives after each block the (steps, paths) positions at the end of
-    every step of the block, restarts applied.
+    rejection accepts.  The histogram counts the domain's occupation cells
+    for ``n_bins``; ``n_bins = 0`` skips the binning.  Paths start from the
+    restart measure, or from the ``start = (x, y)`` arrays when given.
+    ``on_block(px, py)``, when given, receives after each block the
+    (steps, paths) positions at the end of every step of the block,
+    restarts applied.
     """
     n_paths = seeds.size
-    hist = np.zeros(hist_nx * hist_ny, dtype=np.int64)
+    hist = np.zeros(domain.n_cells(n_bins), dtype=np.int64)
     restart_buf = np.zeros((restart_cap, 2))
     stats = np.zeros(3, dtype=np.int64)
     if n_paths == 0:
         return hist, restart_buf, stats
     step = math.sqrt(2.0 * dt)
     state = seeds.copy()
-    if domain_code == 0:
-        lim = (1.0 - btol) ** 2
-
-        def exits(px, py):
-            return px * px + py * py >= lim
-
-        def bins(bx, by):
-            return np.minimum((np.hypot(bx, by) * hist_nx).astype(int),
-                              hist_nx - 1)
-    else:
-        def exits(px, py):
-            return ~((btol < px) & (px < d0 - btol)
-                     & (btol < py) & (py < d1 - btol))
-
-        def bins(bx, by):
-            ix = np.minimum((bx / d0 * hist_nx).astype(int), hist_nx - 1)
-            iy = np.minimum((by / d1 * hist_ny).astype(int), hist_ny - 1)
-            return ix * hist_ny + iy
 
     def restart(paths):
         mask = np.zeros(n_paths, dtype=bool)
         mask[paths] = True
-        _np_restart(state, mask, restart_code, r0, r1, domain_code, d0, d1,
-                    radial_table, grid_table, btol, stats, x, y)
+        _np_restart(state, mask, restart_code, r0, r1, domain, radial_table,
+                    grid_table, btol, stats, x, y)
 
     if start is None:
         x = np.empty(n_paths)
@@ -239,7 +191,7 @@ def run_walk(seeds, n_steps, dt, btol, domain_code, d0, d1,
             _running_sum(X)
             _running_sum(Y)
             rows = np.arange(m)[:, None]
-            out = exits(X[1:], Y[1:])
+            out = domain.outside(X[1:], Y[1:], btol)
             if rem.min() < m:
                 out &= rows < rem
             first = np.where(out, rows, m).min(axis=0)
@@ -253,8 +205,8 @@ def run_walk(seeds, n_steps, dt, btol, domain_code, d0, d1,
                 by = 0.5 * (Y[:-1] + Y[1:])
                 bx[first[hc], hc] = X[first[hc], hc]
                 by[first[hc], hc] = Y[first[hc], hc]
-                hist += np.bincount(bins(bx[live], by[live]),
-                                    minlength=hist.size)
+                cells = domain.bin_index(bx[live], by[live], n_bins)
+                hist += np.bincount(cells, minlength=hist.size)
             if whole:
                 # exited paths get their restart point below, and the rows
                 # past an exit are rewritten by the later passes

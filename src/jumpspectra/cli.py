@@ -79,7 +79,7 @@ def _build_domain(cfg: dict):
     raise ConfigError(f"domain.kind must be 'disk' or 'rectangle', got {kind!r}")
 
 
-def _load_density_grid(mcfg: dict, domain) -> np.ndarray:
+def _load_density_grid(mcfg: dict) -> np.ndarray:
     if "values" in mcfg:
         return np.asarray(mcfg["values"], dtype=float)
     path = mcfg.get("file")
@@ -142,14 +142,12 @@ def _build_measure(cfg: dict, domain, basis: BasisSet) -> ms.MeasureSpec:
         except KeyError as exc:
             raise ConfigError("dirac measure needs x0 and y0") from exc
     if variant == "circle":
-        if domain.kind != "disk":
-            raise ConfigError("circle measure is only defined on the disk")
         try:
             return ms.CircleMeasure(float(mcfg["r0"]), bm)
         except KeyError as exc:
             raise ConfigError("circle measure needs r0") from exc
     if variant == "density_grid":
-        grid = _load_density_grid(mcfg, domain)
+        grid = _load_density_grid(mcfg)
         return ms.DensityMeasure(ms.density_from_grid(grid, domain), bm)
     if variant == "perturbed":
         base_name = mcfg.get("base", "uniform")
@@ -171,10 +169,10 @@ def _walk_settings(cfg: dict, domain) -> tuple[st.WalkConfig, float]:
     if not isinstance(wcfg, dict):
         raise ConfigError("walk must be an object")
 
-    def read(key, default, kind, positive=True):
+    def read(key, default, convert, positive=True):
         value = wcfg.get(key, default)
         try:
-            out = kind(value)
+            out = convert(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"walk.{key}: bad value {value!r}") from exc
         if positive and not (math.isfinite(out) and out > 0):
@@ -216,13 +214,18 @@ def build_experiment(cfg: dict, out_dir: str | None = None) -> Experiment:
     if window[1] > cutoff - max(50.0, 0.05 * cutoff):
         raise ConfigError("window exceeds the cutoff safety margin")
     domain = _build_domain(merged)
-    _walk_settings(merged, domain)
+    walk, _ = _walk_settings(merged, domain)
     try:
         basis = build_basis(domain, cutoff)
         measure = _build_measure(merged, domain, basis)
         moments = ms.compute_moments(measure, basis)
     except JumpSpectraError as exc:
         raise ConfigError(str(exc)) from exc
+    if "simulate" in tasks:
+        try:
+            st.check_restart_clearance(walk.band(), domain, measure)
+        except ValueError as exc:
+            raise ConfigError(f"walk: {exc} {walk.band():g}") from exc
     series = sec.build_secular_series(basis, moments)
     out = out_dir or merged.get("output_dir", "out")
     os.makedirs(out, exist_ok=True)
@@ -242,6 +245,27 @@ def _write(path: str, text: str):
 
 def _verdict_row(name, verdict, detail=""):
     return {"name": name, "verdict": verdict, "detail": detail}
+
+
+def _guarded(rows: list, name: str, fn):
+    """``fn()``, or None with a verdict row for ``name`` when it raises an
+    undecidable or failing package error."""
+    try:
+        return fn()
+    except UndecidableError as exc:
+        rows.append(_verdict_row(name, "undecidable", str(exc)))
+    except JumpSpectraError as exc:
+        rows.append(_verdict_row(name, en.FAIL, f"{type(exc).__name__}: {exc}"))
+    return None
+
+
+def _exit_code(rows: list) -> int:
+    verdicts = [r["verdict"] for r in rows]
+    if en.FAIL in verdicts:
+        return EXIT_FAIL
+    if any(v in (en.INAPPLICABLE, "undecidable") for v in verdicts):
+        return EXIT_UNDECIDED
+    return EXIT_PASS
 
 
 def _task_spectrum(exp: Experiment, rows: list):
@@ -271,7 +295,7 @@ def _task_thm1(exp: Experiment, rows, rep):
     rows.append(_verdict_row("enclosure_thm1", res.verdict, res.detail))
 
 
-def _task_thm2(exp: Experiment, rows):
+def _task_thm2(exp: Experiment, rows, rep):
     cert = _need_cert(exp, rows, "enclosure_thm2")
     if cert is None:
         return
@@ -288,7 +312,7 @@ def _task_thm3(exp: Experiment, rows, rep):
     rows.append(_verdict_row("enclosure_thm3", res.verdict, res.detail))
 
 
-def _task_prop_real(exp: Experiment, rows):
+def _task_prop_real(exp: Experiment, rows, rep):
     cert = _need_cert(exp, rows, "prop_real")
     if cert is None:
         return
@@ -296,7 +320,7 @@ def _task_prop_real(exp: Experiment, rows):
     rows.append(_verdict_row("prop_real", res.verdict, res.detail))
 
 
-def _task_numrange(exp: Experiment, rows):
+def _task_numrange(exp: Experiment, rows, rep):
     eps = np.logspace(-4, -2, 9)
     samples = nr.sweep(exp.basis, exp.measure, eps)
     _write(os.path.join(exp.out_dir, "numrange_sweep.csv"),
@@ -315,7 +339,7 @@ def _task_numrange(exp: Experiment, rows):
     rows.append(_verdict_row("numrange", verdict, "; ".join(details)))
 
 
-def _task_simulate(exp: Experiment, rows):
+def _task_simulate(exp: Experiment, rows, rep):
     config, threshold = _walk_settings(exp.config, exp.domain)
     hist = st.simulate_occupation(config, exp.domain, exp.measure, exp.basis)
     pred = st.stationary_prediction(exp.series, hist)
@@ -330,7 +354,7 @@ def _task_simulate(exp: Experiment, rows):
                              f"{hist.rejection_attempts}"))
 
 
-def _task_figure1(exp: Experiment, rows):
+def _task_figure1(exp: Experiment, rows, rep):
     thresholds = tuple(float(t) for t in exp.config["thresholds"])
     curves = en.emit_matryoshka_curves(exp.basis, thresholds)
     _write(os.path.join(exp.out_dir, "enclosure_curves.csv"), curves.to_csv())
@@ -344,37 +368,24 @@ def _task_figure1(exp: Experiment, rows):
                              f"nesting on {F.size} grid points"))
 
 
+# the tasks after "spectrum", in TASKS order; each runner takes the
+# experiment, the verdict rows and the spectrum report (None if not built)
+_RUNNERS = {"enclosure_thm1": _task_thm1, "enclosure_thm2": _task_thm2,
+            "enclosure_thm3": _task_thm3, "prop_real": _task_prop_real,
+            "numrange": _task_numrange, "simulate": _task_simulate,
+            "figure1": _task_figure1}
+_READS_SPECTRUM = {"spectrum", "enclosure_thm1", "enclosure_thm3"}
+
+
 def run_experiment(exp: Experiment) -> tuple[int, dict]:
     rows: list = []
     tasks = exp.config["tasks"]
     rep = None
-
-    def guarded(name, fn):
-        try:
-            return fn()
-        except UndecidableError as exc:
-            rows.append(_verdict_row(name, "undecidable", str(exc)))
-        except JumpSpectraError as exc:
-            rows.append(_verdict_row(name, en.FAIL,
-                                     f"{type(exc).__name__}: {exc}"))
-        return None
-
-    if {"spectrum", "enclosure_thm1", "enclosure_thm3"} & set(tasks):
-        rep = guarded("spectrum", lambda: _task_spectrum(exp, rows))
-    if "enclosure_thm1" in tasks:
-        guarded("enclosure_thm1", lambda: _task_thm1(exp, rows, rep))
-    if "enclosure_thm2" in tasks:
-        guarded("enclosure_thm2", lambda: _task_thm2(exp, rows))
-    if "enclosure_thm3" in tasks:
-        guarded("enclosure_thm3", lambda: _task_thm3(exp, rows, rep))
-    if "prop_real" in tasks:
-        guarded("prop_real", lambda: _task_prop_real(exp, rows))
-    if "numrange" in tasks:
-        guarded("numrange", lambda: _task_numrange(exp, rows))
-    if "simulate" in tasks:
-        guarded("simulate", lambda: _task_simulate(exp, rows))
-    if "figure1" in tasks:
-        guarded("figure1", lambda: _task_figure1(exp, rows))
+    if _READS_SPECTRUM & set(tasks):
+        rep = _guarded(rows, "spectrum", lambda: _task_spectrum(exp, rows))
+    for name in TASKS[1:]:
+        if name in tasks:
+            _guarded(rows, name, lambda: _RUNNERS[name](exp, rows, rep))
 
     summary = {
         "version": CONFIG_VERSION,
@@ -384,12 +395,7 @@ def run_experiment(exp: Experiment) -> tuple[int, dict]:
     }
     _write(os.path.join(exp.out_dir, "summary.json"),
            json.dumps(summary, sort_keys=True, indent=2, default=str) + "\n")
-    verdicts = [r["verdict"] for r in rows]
-    if en.FAIL in verdicts:
-        return EXIT_FAIL, summary
-    if any(v in (en.INAPPLICABLE, "undecidable") for v in verdicts):
-        return EXIT_UNDECIDED, summary
-    return EXIT_PASS, summary
+    return _exit_code(rows), summary
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +413,8 @@ def verify_experiment(exp: Experiment, inject_fault: str | None = None) -> tuple
         raise ConfigError(f"unknown fault kind {inject_fault!r}")
 
     def row(name, fn, threshold, direction="<"):
-        try:
-            value = fn()
-        except UndecidableError as exc:
-            rows.append(_verdict_row(name, "undecidable", str(exc)))
-            return
-        except JumpSpectraError as exc:
-            rows.append(_verdict_row(name, en.FAIL,
-                                     f"{type(exc).__name__}: {exc}"))
+        value = _guarded(rows, name, fn)
+        if value is None:
             return
         ok = value < threshold if direction == "<" else value > threshold
         rows.append(_verdict_row(name, en.PASS if ok else en.FAIL,
@@ -467,14 +467,7 @@ def verify_experiment(exp: Experiment, inject_fault: str | None = None) -> tuple
             res = en.check_nested_enclosure(rep, cert, moments, exp.basis)
             rows.append(_verdict_row(res.name, res.verdict, res.detail))
 
-    verdicts = [r["verdict"] for r in rows]
-    if en.FAIL in verdicts:
-        code = EXIT_FAIL
-    elif any(v in (en.INAPPLICABLE, "undecidable") for v in verdicts):
-        code = EXIT_UNDECIDED
-    else:
-        code = EXIT_PASS
-    return code, rows
+    return _exit_code(rows), rows
 
 
 # ---------------------------------------------------------------------------

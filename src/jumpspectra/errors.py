@@ -45,6 +45,10 @@ class DomainMembershipError(JumpSpectraError):
     """Vector violates the measure-mean membership condition."""
 
 
+class MeasureError(JumpSpectraError, ValueError):
+    """Measure parameters outside their admissible range."""
+
+
 class UnsupportedMeasureError(JumpSpectraError):
     """Operation requires a measure with a square-integrable density."""
 

@@ -19,9 +19,9 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import (MassDeficitError, NegativeDensityError,
+from .errors import (MassDeficitError, MeasureError, NegativeDensityError,
                      UnsupportedMeasureError)
-from .geometry import BasisSet, DomainSpec
+from .geometry import BasisSet, Disk, Domain
 
 _MASS_TOL = 1e-9
 _POINTWISE_TOL = 1e-12
@@ -78,10 +78,10 @@ MeasureSpec = Union[UniformMeasure, GroundStateMeasure, DensityMeasure,
 
 def _validate_boundary_mass(spec: MeasureSpec):
     if not 0.0 <= spec.boundary_mass < 1.0:
-        raise ValueError("boundary_mass must lie in [0, 1)")
+        raise MeasureError("boundary_mass must lie in [0, 1)")
 
 
-def density_from_grid(values: np.ndarray, domain: DomainSpec) -> Callable:
+def density_from_grid(values: np.ndarray, domain: Domain) -> Callable:
     """Bilinear interpolant of density samples on a regular grid.
 
     ``values[i, j]`` is the density at the (i, j) lattice point of a uniform
@@ -89,11 +89,8 @@ def density_from_grid(values: np.ndarray, domain: DomainSpec) -> Callable:
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or min(values.shape) < 2:
-        raise ValueError("grid density must be a 2-D array with >= 2 points per axis")
-    if domain.kind == "disk":
-        x_lo, x_hi, y_lo, y_hi = -1.0, 1.0, -1.0, 1.0
-    else:
-        x_lo, x_hi, y_lo, y_hi = 0.0, domain.side_x, 0.0, domain.side_y
+        raise MeasureError("grid density must be a 2-D array with >= 2 points per axis")
+    x_lo, x_hi, y_lo, y_hi = domain.bounding_box
     nx, ny = values.shape
 
     def w(x, y):
@@ -144,17 +141,9 @@ def density_function(spec: MeasureSpec, basis: BasisSet) -> Callable | None:
 
 def density_values(spec: MeasureSpec, basis: BasisSet) -> np.ndarray | None:
     """Density at the quadrature nodes, or None for singular measures."""
+    w = density_function(spec, basis)
     rule = basis.quadrature
-    if isinstance(spec, UniformMeasure):
-        return np.full(rule.n_nodes, 1.0 / basis.domain.area)
-    if isinstance(spec, GroundStateMeasure):
-        return ground_state_density(basis)(rule.x, rule.y)
-    if isinstance(spec, DensityMeasure):
-        return np.asarray(spec.w(rule.x, rule.y), dtype=float)
-    if isinstance(spec, PerturbedMeasure):
-        base = density_values(spec.base, basis)
-        return base + np.asarray(spec.v(rule.x, rule.y), dtype=float)
-    return None
+    return None if w is None else np.asarray(w(rule.x, rule.y), dtype=float)
 
 
 def measure_integral(spec: MeasureSpec, basis: BasisSet, f: Callable) -> float:
@@ -194,34 +183,6 @@ class MeasureMoments:
                               self.heuristic_tail)
 
 
-def _moments_by_quadrature(values: np.ndarray, basis: BasisSet) -> np.ndarray:
-    """Moments of a node-sampled function against every basis mode.
-
-    The rectangle case uses the separable sine transform (two small matrix
-    products) so no dense mode matrix is ever materialised; the disk case
-    walks the modes in blocks.
-    """
-    rule = basis.quadrature
-    weighted = rule.w * values
-    if basis.domain.kind == "rectangle":
-        gx, _, gy, _ = rule.axes
-        a, b = basis.domain.side_x, basis.domain.side_y
-        grid = weighted.reshape(gx.size, gy.size)
-        m_max = max(m.label[0] for m in basis.modes)
-        n_max = max(m.label[1] for m in basis.modes)
-        sx = np.sin(np.outer(np.arange(1, m_max + 1), math.pi * gx / a))
-        sy = np.sin(np.outer(np.arange(1, n_max + 1), math.pi * gy / b))
-        table = (2.0 / math.sqrt(a * b)) * (sx @ grid @ sy.T)
-        return np.array([table[m.label[0] - 1, m.label[1] - 1]
-                         for m in basis.modes])
-    out = np.empty(len(basis))
-    block = 256
-    for lo in range(0, len(basis), block):
-        idx = range(lo, min(lo + block, len(basis)))
-        out[lo:lo + block] = basis.mode_rows(idx) @ weighted
-    return out
-
-
 def compute_moments(spec: MeasureSpec, basis: BasisSet) -> MeasureMoments:
     """Moment sequence ``<chi_n>_mu``, with mass and positivity validation."""
     _validate_boundary_mass(spec)
@@ -248,7 +209,7 @@ def compute_moments(spec: MeasureSpec, basis: BasisSet) -> MeasureMoments:
         mass = float(np.real(rule.integrate(w)))
         if abs(mass - 1.0) > _MASS_TOL:
             raise MassDeficitError(f"density mass {mass!r} deviates from 1")
-        moments = _moments_by_quadrature(w, basis)
+        moments = domain.moments(w, basis)
         l2 = float(np.sqrt(np.real(rule.integrate(w * w))))
     elif isinstance(spec, PerturbedMeasure):
         w = density_values(spec, basis)
@@ -260,13 +221,13 @@ def compute_moments(spec: MeasureSpec, basis: BasisSet) -> MeasureMoments:
         if abs(vmass) > _MASS_TOL:
             raise MassDeficitError(f"perturbation has nonzero mean {vmass!r}")
         base = compute_moments(spec.base, basis)
-        moments = base.moments + _moments_by_quadrature(vvals, basis)
+        moments = base.moments + domain.moments(vvals, basis)
         mass = 1.0
         l2 = float(np.sqrt(np.real(rule.integrate(w * w))))
         v_norm = float(np.sqrt(np.real(rule.integrate(vvals * vvals))))
     elif isinstance(spec, DiracMeasure):
         if domain.boundary_distance(spec.x0, spec.y0) < 1e-6:
-            raise ValueError("point mass must sit at least 1e-6 inside the domain")
+            raise MeasureError("point mass must sit at least 1e-6 inside the domain")
         px = np.array([spec.x0])
         py = np.array([spec.y0])
         moments = np.array([float(m.evaluate(px, py)[0]) for m in basis.modes])
@@ -274,10 +235,10 @@ def compute_moments(spec: MeasureSpec, basis: BasisSet) -> MeasureMoments:
         l2 = None
         heuristic = True
     elif isinstance(spec, CircleMeasure):
-        if domain.kind != "disk":
+        if not isinstance(domain, Disk):
             raise UnsupportedMeasureError("circle measures are defined on the disk only")
         if not 0.0 < spec.r0 < 1.0:
-            raise ValueError("circle radius must lie in (0, 1)")
+            raise MeasureError("circle radius must lie in (0, 1)")
         n = 1024
         theta = 2.0 * math.pi * np.arange(n) / n
         cx, cy = spec.r0 * np.cos(theta), spec.r0 * np.sin(theta)

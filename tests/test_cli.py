@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -72,6 +73,11 @@ def test_invalid_configs(tmp_path):
                                  "side_y": 2.0},
              measure={"variant": "circle", "r0": 0.5}),
         dict(DISK_SMALL, measure={"variant": "nope"}),
+        dict(DISK_SMALL, measure={"variant": "circle", "r0": 1.5}),
+        dict(DISK_SMALL, measure={"variant": "uniform", "boundary_mass": 1.0}),
+        dict(DISK_SMALL, measure={"variant": "dirac", "x0": 2.0, "y0": 0.0}),
+        dict(DISK_SMALL, measure={"variant": "density_grid",
+                                  "values": [1.0, 2.0]}),
     ]
     for i, cfg in enumerate(bad):
         path = write_config(tmp_path, cfg, f"bad{i}.json")
@@ -83,9 +89,14 @@ def test_invalid_configs(tmp_path):
     {"n_steps": -5}, {"boundary_tolerance": -0.01},
     {"boundary_tolerance": math.nan}, {"l1_threshold": 0.0},
     {"l1_threshold": math.inf}, {"step_dt": 10.0}, "fast",
+    # (walk, measure): the restart point or circle lies in the boundary band
+    ({"step_dt": 1e-3}, {"variant": "dirac", "x0": 0.99, "y0": 0.0}),
+    ({"step_dt": 1e-3}, {"variant": "circle", "r0": 0.99}),
 ])
 def test_invalid_walk_configs(tmp_path, capsys, walk):
-    cfg = dict(DISK_SMALL, tasks=["simulate"], walk=walk)
+    walk, measure = walk if isinstance(walk, tuple) \
+        else (walk, DISK_SMALL["measure"])
+    cfg = dict(DISK_SMALL, tasks=["simulate"], walk=walk, measure=measure)
     path = write_config(tmp_path, cfg)
     assert cli.main(["run", path, "--out", str(tmp_path / "out")]) \
         == cli.EXIT_CONFIG
@@ -213,3 +224,83 @@ def test_numrange_direction_labels(tmp_path):
     (row,) = summary["results"]
     labels = [part.split(":")[0] for part in row["detail"].split("; ")]
     assert labels == ["dir +1", "dir -1", "dir +i", "dir -i"]
+
+
+SHORT_WALK = {"step_dt": 1e-4, "n_steps": 2000, "n_paths": 200, "n_bins": 8,
+              "seed": 5, "l1_threshold": 0.5}
+OUTPUT_CONFIGS = {
+    "disk": dict(DISK_SMALL, tasks=["spectrum", "numrange", "simulate",
+                                    "figure1"], walk=SHORT_WALK),
+    "rect": dict(DISK_SMALL,
+                 domain={"kind": "rectangle", "side_x": math.pi,
+                         "side_y": 3.8757828567337283},
+                 measure={"variant": "perturbed", "base": "uniform",
+                          "v_modes": {"0": 0.7, "1": 0.4, "4": 0.5},
+                          "v_scale": 0.02},
+                 k=2, walk=SHORT_WALK,
+                 tasks=["spectrum", "enclosure_thm1", "enclosure_thm2",
+                        "enclosure_thm3", "prop_real", "numrange",
+                        "simulate"]),
+}
+# exit code and SHA-256 of every output file and of the printed rows
+PINNED_OUTPUT = {
+    ("disk", "run"): (cli.EXIT_PASS, {
+        "enclosure.svg":
+            "83637907f4ef4ef0277578bbe0e6cd61b9caeddccb007f8f42372b71590a06a7",
+        "enclosure_curves.csv":
+            "824f405f5c67839274717f4ac47c4fcaa8686cdd6387fe0fd77faee7370b5b8e",
+        "numrange_sweep.csv":
+            "b83797d0beb91ed27815c3cd238a2c1e12276b446ae056a63e412e168985716f",
+        "occupation.csv":
+            "d079e04246f906bb33e8937cb5f4be9001882d387398a3c42a2c99cfef43e7b5",
+        "spectrum.csv":
+            "4053a03ee3611930de6bb88610b7bdfe083363969312387c37179bd6f82e5fe8",
+        "spectrum.json":
+            "c1d76932adb8108648d2347f47a3bd82b9c066fb5d46033ff894d7d09626c644",
+        "stdout":
+            "95b63835a27dd9b75141fec0f7df0ff277745b2c6fb4cdf96fd4a30fe1bd9676",
+        "summary.json":
+            "423942e5b67d9f2f5bba272fd29f5e94a597e851b7890f8bbb458aa8a752e924",
+    }),
+    ("disk", "verify"): (cli.EXIT_PASS, {
+        "stdout":
+            "b4db637dfd022cead10099f0ca8cec35e4565642eee127a26e897a166748d014",
+    }),
+    # enclosure_thm3 is inapplicable to a uniform-base perturbation: exit 3
+    ("rect", "run"): (cli.EXIT_UNDECIDED, {
+        "numrange_sweep.csv":
+            "55477d6d7d37ca729a88dae89e0f8ac6eea22154b5c6fab74978dab9f8b9cca6",
+        "occupation.csv":
+            "98733fdfa8de35c76964c8005bb1c016910946ebf044a50cfce68fa7c8275bfa",
+        "spectrum.csv":
+            "d4800db7e6fefe129bceb5902d2f3371ebbd77f85b8c18fde7b95d71b9b1d952",
+        "spectrum.json":
+            "ad3be08c64615d440c77a62caa69ff5a5a4171f082a3d8ffa25141bbdbfae81b",
+        "stdout":
+            "5edd3c56e86bd252a18333b7024c8bedfdf181536efb852199fa35d32dc04c43",
+        "summary.json":
+            "ae011cf82457ff774fb11457eb565dab0654a2556c58a983f02d35ff69fa07ad",
+    }),
+    ("rect", "verify"): (cli.EXIT_PASS, {
+        "stdout":
+            "84a2daf0299939ab604823f20fa45cb28f5f7e1f966193376bd96671aa7e6e73",
+    }),
+}
+
+
+def output_digests(tmp_path, capsys, name, command):
+    path = write_config(tmp_path, OUTPUT_CONFIGS[name])
+    out = tmp_path / command
+    code = cli.main([command, path, "--out", str(out)])
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.iterdir())}
+    digests["stdout"] = hashlib.sha256(
+        capsys.readouterr().out.encode()).hexdigest()
+    return code, digests
+
+
+@pytest.mark.parametrize("name, command", sorted(PINNED_OUTPUT))
+def test_pinned_cli_output(tmp_path, capsys, name, command):
+    # refactors must leave every byte the CLI writes unchanged
+    assert output_digests(tmp_path, capsys, name, command) \
+        == PINNED_OUTPUT[name, command]

@@ -67,7 +67,7 @@ def walk_domains(disk, disk_basis):
 
 def walk_case(name, walk_domains):
     """Domain, basis and restart measure of a "domain-measure" case: restart
-    codes 0-3 and 5 on the disk, 2, 4 and 5 on the rectangle."""
+    codes 0-4 on the disk, 0, 2 and 4 on the rectangle."""
     where, kind = name.split("-")
     domain, basis = walk_domains[where]
     disk = where == "disk"
@@ -96,10 +96,15 @@ def test_engine_pinned_digest(name, walk_domains):
     assert h.hexdigest() == PINNED[name]
 
 
-def step_loop(seeds, n_steps, dt, btol, domain_code, d0, d1, code, r0, r1,
-              radial, grid, nx, ny, cap, start=None):
+def step_loop(seeds, n_steps, dt, btol, domain, code, r0, r1, radial, grid,
+              n_bins, cap, start=None):
     """The walk one step at a time over all paths: the reference the block
-    engine must reproduce bit for bit.  Also returns each step's positions."""
+    engine must reproduce bit for bit.  Also returns each step's positions.
+    Exits and bins use formulas of their own: radial bins on the disk,
+    n_bins x n_bins cells on the rectangle."""
+    disk = isinstance(domain, geometry.Disk)
+    nx, ny = n_bins, (1 if disk else n_bins)
+    d0, d1 = (None, None) if disk else (domain.side_x, domain.side_y)
     n = seeds.size
     step = math.sqrt(2.0 * dt)
     state = seeds.copy()
@@ -107,8 +112,8 @@ def step_loop(seeds, n_steps, dt, btol, domain_code, d0, d1, code, r0, r1,
     x, y = np.empty(n), np.empty(n)
 
     def restart(mask):
-        _kernels._np_restart(state, mask, code, r0, r1, domain_code, d0, d1,
-                             radial, grid, btol, stats, x, y)
+        _kernels._np_restart(state, mask, code, r0, r1, domain, radial, grid,
+                             btol, stats, x, y)
 
     if start is None:
         restart(np.ones(n, dtype=bool))
@@ -123,7 +128,7 @@ def step_loop(seeds, n_steps, dt, btol, domain_code, d0, d1, code, r0, r1,
         r = np.sqrt(-2.0 * np.log(u1))
         xn = x + step * (r * np.cos(2.0 * math.pi * u2))
         yn = y + step * (r * np.sin(2.0 * math.pi * u2))
-        if domain_code == 0:
+        if disk:
             exited = xn * xn + yn * yn >= (1.0 - btol) ** 2
         else:
             exited = ~((btol < xn) & (xn < d0 - btol)
@@ -131,7 +136,7 @@ def step_loop(seeds, n_steps, dt, btol, domain_code, d0, d1, code, r0, r1,
         bx = np.where(exited, x, 0.5 * (x + xn))
         by = np.where(exited, y, 0.5 * (y + yn))
         if hist.size:
-            if domain_code == 0:
+            if disk:
                 ib = np.minimum((np.hypot(bx, by) * nx).astype(int), nx - 1)
             else:
                 ib = (np.minimum((bx / d0 * nx).astype(int), nx - 1) * ny
@@ -158,11 +163,9 @@ def test_engine_matches_step_loop(name, n_paths, n_steps, dt, cap,
                                   walk_domains):
     domain, basis, spec = walk_case(name, walk_domains)
     code, r0, r1, radial, grid = st._restart_setup(spec, domain, basis)
-    domain_code, d0, d1 = st._domain_codes(domain)
-    ny = 1 if domain_code == 0 else 5
     args = (derive_seeds(9, n_paths), n_steps, dt,
-            st.WalkConfig(step_dt=dt).band(), domain_code, d0, d1, code, r0,
-            r1, radial, grid, 7, ny, cap)
+            st.WalkConfig(step_dt=dt).band(), domain, code, r0, r1, radial,
+            grid, 7, cap)
     hist, buf, stats = _kernels.run_walk(*args)
     want_hist, want_buf, want_stats, _ = step_loop(*args)
     assert stats[0] > 0
@@ -178,8 +181,8 @@ def test_engine_block_positions_match_step_loop(walk_domains):
     n_paths, n_steps, dt = 300, 230, 4e-3
     start = (np.full(n_paths, 0.2), np.full(n_paths, -0.1))
     args = (derive_seeds(4, n_paths), n_steps, dt,
-            st.WalkConfig(step_dt=dt).band(), 0, 0.0, 0.0, code, r0, r1,
-            radial, grid, 0, 0, 0)
+            st.WalkConfig(step_dt=dt).band(), domain, code, r0, r1, radial,
+            grid, 0, 0)
     blocks = []
     _, _, stats = _kernels.run_walk(
         *args, start=start,
