@@ -56,35 +56,75 @@ class Experiment:
     moments: ms.MeasureMoments
     series: sec.SecularSeries
     out_dir: str
+    k: int
+    thresholds: tuple[float, ...]
+    walk: st.WalkConfig
+    l1_threshold: float
 
 
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return cfg
+
+
+def _block(cfg: dict, name: str) -> dict:
+    block = cfg.get(name, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be an object")
+    return block
+
+
+def _read(block: dict, key: str, default, convert, positive=False, where=""):
+    """``convert`` of ``block[key]`` (``default`` when absent); a missing
+    value, a failed conversion or, with ``positive``, a value that is not
+    finite and positive is a ConfigError naming ``where + key``."""
+    value = block.get(key, default)
+    if value is None:
+        raise ConfigError(f"{where}{key} is missing")
+    try:
+        out = convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}{key}: bad value {value!r}") from exc
+    if positive and not (math.isfinite(out) and out > 0):
+        raise ConfigError(f"{where}{key} must be finite and positive, "
+                          f"got {value!r}")
+    return out
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
 
 
 def _build_domain(cfg: dict):
-    dom = cfg.get("domain", {})
+    dom = _block(cfg, "domain")
     kind = dom.get("kind")
     if kind == "disk":
         return unit_disk()
     if kind == "rectangle":
-        try:
-            return rectangle(float(dom["side_x"]), float(dom["side_y"]))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"domain: bad rectangle sides ({exc})") from exc
+        return rectangle(*(_read(dom, key, None, float, positive=True,
+                                 where="domain.")
+                           for key in ("side_x", "side_y")))
     raise ConfigError(f"domain.kind must be 'disk' or 'rectangle', got {kind!r}")
 
 
 def _load_density_grid(mcfg: dict) -> np.ndarray:
     if "values" in mcfg:
-        return np.asarray(mcfg["values"], dtype=float)
-    path = mcfg.get("file")
-    if path is None:
-        raise ConfigError("density_grid measure needs 'values' or 'file'")
+        return _read(mcfg, "values", None, lambda v: np.asarray(v, dtype=float),
+                     where="measure.")
+    path = _read(mcfg, "file", None, str, where="measure.")
+    try:
+        return _read_density_file(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"measure.file: cannot read {path!r} ({exc})") from exc
+
+
+def _read_density_file(path: str) -> np.ndarray:
     if path.endswith(".json"):
         with open(path) as fh:
             return np.asarray(json.load(fh), dtype=float)
@@ -129,23 +169,21 @@ def make_mode_perturbation(basis: BasisSet, coefficients: dict, scale: float):
 
 
 def _build_measure(cfg: dict, domain, basis: BasisSet) -> ms.MeasureSpec:
-    mcfg = cfg.get("measure", {})
+    mcfg = _block(cfg, "measure")
     variant = mcfg.get("variant")
-    bm = float(mcfg.get("boundary_mass", 0.0))
+
+    def read(key, default=None, convert=float):
+        return _read(mcfg, key, default, convert, where="measure.")
+
+    bm = read("boundary_mass", 0.0)
     if variant == "uniform":
         return ms.UniformMeasure(bm)
     if variant == "ground_state":
         return ms.GroundStateMeasure(bm)
     if variant == "dirac":
-        try:
-            return ms.DiracMeasure(float(mcfg["x0"]), float(mcfg["y0"]), bm)
-        except KeyError as exc:
-            raise ConfigError("dirac measure needs x0 and y0") from exc
+        return ms.DiracMeasure(read("x0"), read("y0"), bm)
     if variant == "circle":
-        try:
-            return ms.CircleMeasure(float(mcfg["r0"]), bm)
-        except KeyError as exc:
-            raise ConfigError("circle measure needs r0") from exc
+        return ms.CircleMeasure(read("r0"), bm)
     if variant == "density_grid":
         grid = _load_density_grid(mcfg)
         return ms.DensityMeasure(ms.density_from_grid(grid, domain), bm)
@@ -157,28 +195,19 @@ def _build_measure(cfg: dict, domain, basis: BasisSet) -> ms.MeasureSpec:
             base = ms.GroundStateMeasure()
         else:
             raise ConfigError(f"unknown perturbation base {base_name!r}")
-        v = make_mode_perturbation(basis, mcfg.get("v_modes", {}),
-                                   float(mcfg.get("v_scale", 1.0)))
+        modes = read("v_modes", {},
+                     lambda m: {int(i): float(c) for i, c in dict(m).items()})
+        v = make_mode_perturbation(basis, modes, read("v_scale", 1.0))
         return ms.PerturbedMeasure(base, v, bm)
     raise ConfigError(f"unknown measure variant {variant!r}")
 
 
 def _walk_settings(cfg: dict, domain) -> tuple[st.WalkConfig, float]:
     """Walk config and L1 threshold of the ``walk`` block, validated."""
-    wcfg = cfg.get("walk", {})
-    if not isinstance(wcfg, dict):
-        raise ConfigError("walk must be an object")
+    wcfg = _block(cfg, "walk")
 
     def read(key, default, convert, positive=True):
-        value = wcfg.get(key, default)
-        try:
-            out = convert(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"walk.{key}: bad value {value!r}") from exc
-        if positive and not (math.isfinite(out) and out > 0):
-            raise ConfigError(f"walk.{key} must be finite and positive, "
-                              f"got {value!r}")
-        return out
+        return _read(wcfg, key, default, convert, positive, where="walk.")
 
     tol = wcfg.get("boundary_tolerance")
     config = st.WalkConfig(
@@ -201,20 +230,22 @@ def build_experiment(cfg: dict, out_dir: str | None = None) -> Experiment:
     merged.update(cfg)
     if merged.get("version", CONFIG_VERSION) != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {merged.get('version')}")
-    tasks = merged.get("tasks", ["spectrum"])
+    tasks = _read(merged, "tasks", ["spectrum"], list)
     bad = [t for t in tasks if t not in TASKS]
     if bad:
         raise ConfigError(f"unknown tasks {bad}; valid: {list(TASKS)}")
     if not tasks:
         raise ConfigError("tasks must be nonempty")
-    window = [float(v) for v in merged["window"]]
+    window = list(_read(merged, "window", None, _floats))
     if len(window) != 4 or window[0] >= window[1] or window[2] >= window[3]:
         raise ConfigError(f"window must be [re_lo, re_hi, im_lo, im_hi], got {window}")
-    cutoff = float(merged["cutoff"])
+    cutoff = _read(merged, "cutoff", None, float, positive=True)
     if window[1] > cutoff - max(50.0, 0.05 * cutoff):
         raise ConfigError("window exceeds the cutoff safety margin")
+    k = _read(merged, "k", None, int, positive=True)
+    thresholds = _read(merged, "thresholds", None, _floats)
     domain = _build_domain(merged)
-    walk, _ = _walk_settings(merged, domain)
+    walk, l1_threshold = _walk_settings(merged, domain)
     try:
         basis = build_basis(domain, cutoff)
         measure = _build_measure(merged, domain, basis)
@@ -230,8 +261,9 @@ def build_experiment(cfg: dict, out_dir: str | None = None) -> Experiment:
     out = out_dir or merged.get("output_dir", "out")
     os.makedirs(out, exist_ok=True)
     merged["window"] = window
-    merged["tasks"] = list(tasks)
-    return Experiment(merged, domain, basis, measure, moments, series, out)
+    merged["tasks"] = tasks
+    return Experiment(merged, domain, basis, measure, moments, series, out,
+                      k, thresholds, walk, l1_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +314,14 @@ def _need_cert(exp: Experiment, rows, name):
         rows.append(_verdict_row(name, en.INAPPLICABLE,
                                  "measure is not a perturbation"))
         return None
-    return ms.check_hypothesis_v(exp.measure, exp.basis,
-                                 int(exp.config["k"]))
+    return ms.check_hypothesis_v(exp.measure, exp.basis, exp.k)
 
 
 def _task_thm1(exp: Experiment, rows, rep):
     cert = _need_cert(exp, rows, "enclosure_thm1")
     if cert is None or rep is None:
         return
-    res = en.check_halfplane_exclusion(rep, cert, int(exp.config["k"]),
-                                       exp.basis)
+    res = en.check_halfplane_exclusion(rep, cert, exp.k, exp.basis)
     rows.append(_verdict_row("enclosure_thm1", res.verdict, res.detail))
 
 
@@ -299,7 +329,7 @@ def _task_thm2(exp: Experiment, rows, rep):
     cert = _need_cert(exp, rows, "enclosure_thm2")
     if cert is None:
         return
-    res = en.check_interlacing(exp.series, cert, int(exp.config["k"]))
+    res = en.check_interlacing(exp.series, cert, exp.k)
     rows.append(_verdict_row("enclosure_thm2", res.verdict, res.detail
                              or str(res.intervals)))
 
@@ -340,28 +370,27 @@ def _task_numrange(exp: Experiment, rows, rep):
 
 
 def _task_simulate(exp: Experiment, rows, rep):
-    config, threshold = _walk_settings(exp.config, exp.domain)
-    hist = st.simulate_occupation(config, exp.domain, exp.measure, exp.basis)
+    hist = st.simulate_occupation(exp.walk, exp.domain, exp.measure, exp.basis)
     pred = st.stationary_prediction(exp.series, hist)
     dist = st.compare_stationary(hist, pred)
     _write(os.path.join(exp.out_dir, "occupation.csv"),
            st.histogram_to_csv(hist, pred))
     rows.append(_verdict_row("simulate",
-                             en.PASS if dist < threshold else en.FAIL,
-                             f"L1 distance {dist:.4f} (threshold {threshold}); "
+                             en.PASS if dist < exp.l1_threshold else en.FAIL,
+                             f"L1 distance {dist:.4f} "
+                             f"(threshold {exp.l1_threshold}); "
                              f"restarts {hist.n_restarts}; rejection "
                              f"acceptance {hist.rejection_accepts}/"
                              f"{hist.rejection_attempts}"))
 
 
 def _task_figure1(exp: Experiment, rows, rep):
-    thresholds = tuple(float(t) for t in exp.config["thresholds"])
-    curves = en.emit_matryoshka_curves(exp.basis, thresholds)
+    curves = en.emit_matryoshka_curves(exp.basis, exp.thresholds)
     _write(os.path.join(exp.out_dir, "enclosure_curves.csv"), curves.to_csv())
     _write(os.path.join(exp.out_dir, "enclosure.svg"),
            render_enclosure_svg(curves, exp.basis))
     F = curves.field_values
-    ordered = sorted(thresholds)
+    ordered = sorted(exp.thresholds)
     nested = all(np.all((F <= ordered[i]) <= (F <= ordered[i + 1]))
                  for i in range(len(ordered) - 1))
     rows.append(_verdict_row("figure1", en.PASS if nested else en.FAIL,
@@ -452,13 +481,11 @@ def verify_experiment(exp: Experiment, inject_fault: str | None = None) -> tuple
                              "nothing below the first Dirichlet eigenvalue"))
 
     if isinstance(exp.measure, ms.PerturbedMeasure):
-        cert = ms.check_hypothesis_v(exp.measure, exp.basis,
-                                     int(exp.config["k"]))
+        cert = ms.check_hypothesis_v(exp.measure, exp.basis, exp.k)
         if cert.base_kind == "uniform":
-            res1 = en.check_halfplane_exclusion(rep, cert,
-                                                int(exp.config["k"]), exp.basis)
+            res1 = en.check_halfplane_exclusion(rep, cert, exp.k, exp.basis)
             rows.append(_verdict_row(res1.name, res1.verdict, res1.detail))
-            res2 = en.check_interlacing(series, cert, int(exp.config["k"]))
+            res2 = en.check_interlacing(series, cert, exp.k)
             rows.append(_verdict_row(f"interlacing[k={res2.k}]", res2.verdict,
                                      res2.detail))
             res3 = en.bound_first_eigenvalue(series, cert, moments)
@@ -512,7 +539,9 @@ def main(argv=None) -> int:
                               "side_y": args.side_y},
                    "measure": {"variant": "uniform"},
                    "tasks": ["figure1"],
-                   "thresholds": [float(t) for t in args.thresholds.split(",")]}
+                   "thresholds": list(_read(
+                       vars(args), "thresholds", None,
+                       lambda v: _floats(v.split(",")), where="--"))}
             exp = build_experiment(cfg, args.out)
             code, _ = run_experiment(exp)
             return code

@@ -78,7 +78,11 @@ def spectral_distance(lam, basis: BasisSet):
     to that ray is a valid lower bound for their contribution.
     """
     lam = np.asarray(lam, dtype=complex)
-    d = np.min(np.abs(lam[..., None] - basis.eigenvalues), axis=-1)
+    # the spectrum is real and build_basis sorts ``basis.eigenvalues``
+    # ascending, so the nearest eigenvalue is one of the two around Re lam
+    e = basis.eigenvalues
+    i = np.clip(np.searchsorted(e, lam.real), 1, e.size - 1)
+    d = np.minimum(np.abs(lam - e[i - 1]), np.abs(lam - e[i]))
     return np.minimum(d, _ray_distance(lam.real, lam.imag, basis.cutoff))
 
 
@@ -248,17 +252,8 @@ def check_nested_enclosure(report: SpectrumReport,
 
 def ratio_field(basis: BasisSet, re_grid: np.ndarray, im_grid: np.ndarray):
     """Enclosure field on a grid, shape (len(re_grid), len(im_grid))."""
-    lam1 = basis.eigenvalues[0]
     RE, IM = np.meshgrid(re_grid, im_grid, indexing="ij")
-    lam = RE + 1j * IM
-    eigs = basis.eigenvalues
-    d = np.full(lam.shape, np.inf)
-    for chunk in range(0, eigs.size, 64):
-        sub = eigs[chunk:chunk + 64]
-        d = np.minimum(d, np.min(np.abs(lam[..., None] - sub[None, None, :]),
-                                 axis=-1))
-    d = np.minimum(d, _ray_distance(RE, IM, basis.cutoff))
-    return d / np.abs(lam1 - lam)
+    return matryoshka_ratio(RE + 1j * IM, basis)
 
 
 def _interp(p0, p1, f0, f1, level):
@@ -276,15 +271,18 @@ def marching_squares(field: np.ndarray, re_grid: np.ndarray,
     """
     nr, ni = field.shape
     segments = []
-    inside = field <= level
+    # nested lists of Python floats: faster to index in this loop, and the
+    # points print as plain floats
+    inside = (field <= level).tolist()
+    field, re_grid, im_grid = field.tolist(), re_grid.tolist(), im_grid.tolist()
     for i in range(nr - 1):
         for j in range(ni - 1):
-            c = (inside[i, j], inside[i + 1, j], inside[i + 1, j + 1],
-                 inside[i, j + 1])
+            c = (inside[i][j], inside[i + 1][j], inside[i + 1][j + 1],
+                 inside[i][j + 1])
             if all(c) or not any(c):
                 continue
-            f00, f10 = field[i, j], field[i + 1, j]
-            f11, f01 = field[i + 1, j + 1], field[i, j + 1]
+            f00, f10 = field[i][j], field[i + 1][j]
+            f11, f01 = field[i + 1][j + 1], field[i][j + 1]
             p00 = (re_grid[i], im_grid[j])
             p10 = (re_grid[i + 1], im_grid[j])
             p11 = (re_grid[i + 1], im_grid[j + 1])

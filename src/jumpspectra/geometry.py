@@ -374,7 +374,8 @@ class Disk:
         return out
 
     def cell_labels(self, edges, edges_y) -> list[str]:
-        return [f"{edges[b]!r},{edges[b + 1]!r}" for b in range(edges.size - 1)]
+        e = edges.tolist()
+        return [f"{lo!r},{hi!r}" for lo, hi in zip(e, e[1:])]
 
 
 @dataclass(frozen=True)
@@ -619,8 +620,9 @@ class Rectangle:
         return out
 
     def cell_labels(self, ex, ey) -> list[str]:
+        ex, ey = ex.tolist(), ey.tolist()
         return [f"({ex[i]!r};{ey[j]!r}),({ex[i + 1]!r};{ey[j + 1]!r})"
-                for i in range(ex.size - 1) for j in range(ey.size - 1)]
+                for i in range(len(ex) - 1) for j in range(len(ey) - 1)]
 
 
 Domain = Union[Disk, Rectangle]

@@ -138,11 +138,12 @@ def assemble_spectrum(series: SecularSeries, window,
     if im_hi > im_band:
         report = complex_roots_in(series, (re_lo, re_hi, im_band, im_hi))
         for r in report.complex_roots:
-            entries.append(SpectrumEntry(r.value, SECULAR_ROOT, 1, r.residual,
+            z = complex(r.value)
+            entries.append(SpectrumEntry(z, SECULAR_ROOT, 1, r.residual,
                                          "argument-principle zero"))
-            if -r.value.imag >= im_lo:
+            if -z.imag >= im_lo:
                 entries.append(SpectrumEntry(
-                    np.conj(r.value), SECULAR_ROOT, 1, r.residual,
+                    z.conjugate(), SECULAR_ROOT, 1, r.residual,
                     "conjugate of an argument-principle zero"))
 
     entries.extend(_classify_dirichlet(series, window))

@@ -165,8 +165,9 @@ def histogram_to_csv(hist: OccupationHistogram,
     pred = predicted_density if predicted_density is not None \
         else np.full(hist.counts.size, math.nan)
     cells = hist.domain.cell_labels(hist.bin_edges, hist.bin_edges_y)
-    for k, cell in enumerate(cells):
-        lines.append(f"{cell},{hist.normalized_density[k]!r},{pred[k]!r}")
+    for cell, empirical, predicted in zip(
+            cells, hist.normalized_density.tolist(), pred.tolist()):
+        lines.append(f"{cell},{empirical!r},{predicted!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -78,10 +78,34 @@ def test_invalid_configs(tmp_path):
         dict(DISK_SMALL, measure={"variant": "dirac", "x0": 2.0, "y0": 0.0}),
         dict(DISK_SMALL, measure={"variant": "density_grid",
                                   "values": [1.0, 2.0]}),
+        # values of the wrong type, or a missing density file
+        [DISK_SMALL],
+        dict(DISK_SMALL, tasks=5),
+        dict(DISK_SMALL, cutoff="abc"),
+        dict(DISK_SMALL, measure={"variant": "dirac", "x0": "abc", "y0": 0.0}),
+        dict(DISK_SMALL, measure={"variant": "uniform",
+                                  "boundary_mass": "abc"}),
+        dict(DISK_SMALL, window=["a", 1, 2, 3]),
+        dict(DISK_SMALL, k="abc"),
+        dict(DISK_SMALL, domain={"kind": "rectangle", "side_x": math.pi,
+                                 "side_y": 1.2337 * math.pi},
+             measure={"variant": "perturbed", "base": "uniform",
+                      "v_modes": {"0": 0.7, "1": 0.4, "4": 0.5},
+                      "v_scale": 0.02},
+             k=0, tasks=["enclosure_thm1", "enclosure_thm2"]),
+        dict(DISK_SMALL, thresholds=["x"], tasks=["figure1"]),
+        dict(DISK_SMALL, measure={"variant": "density_grid",
+                                  "file": str(tmp_path / "missing.csv")}),
+        dict(DISK_SMALL, measure={"variant": "density_grid",
+                                  "values": [["a", "b"], ["c", "d"]]}),
+        dict(DISK_SMALL, measure={"variant": "perturbed", "base": "uniform",
+                                  "v_modes": {"abc": 0.5}}),
     ]
     for i, cfg in enumerate(bad):
         path = write_config(tmp_path, cfg, f"bad{i}.json")
         assert cli.main(["run", path]) == cli.EXIT_CONFIG, cfg
+    assert cli.main(["figure1", "--thresholds", "x", "--out",
+                     str(tmp_path / "fig")]) == cli.EXIT_CONFIG
 
 
 @pytest.mark.parametrize("walk", [
@@ -248,11 +272,11 @@ PINNED_OUTPUT = {
         "enclosure.svg":
             "83637907f4ef4ef0277578bbe0e6cd61b9caeddccb007f8f42372b71590a06a7",
         "enclosure_curves.csv":
-            "824f405f5c67839274717f4ac47c4fcaa8686cdd6387fe0fd77faee7370b5b8e",
+            "b9457f307ba6d78dd155c56a22c183f6da5cec9651e3dd3f381d992f6c49643d",
         "numrange_sweep.csv":
             "b83797d0beb91ed27815c3cd238a2c1e12276b446ae056a63e412e168985716f",
         "occupation.csv":
-            "d079e04246f906bb33e8937cb5f4be9001882d387398a3c42a2c99cfef43e7b5",
+            "4c37624096b05f0081ae4ab30a7ef9affc8ec1f9c72017b0f917f79bd7a099d8",
         "spectrum.csv":
             "4053a03ee3611930de6bb88610b7bdfe083363969312387c37179bd6f82e5fe8",
         "spectrum.json":
@@ -271,7 +295,7 @@ PINNED_OUTPUT = {
         "numrange_sweep.csv":
             "55477d6d7d37ca729a88dae89e0f8ac6eea22154b5c6fab74978dab9f8b9cca6",
         "occupation.csv":
-            "98733fdfa8de35c76964c8005bb1c016910946ebf044a50cfce68fa7c8275bfa",
+            "192c27b7cf802eeb5c75e2f2831040515670e1d9a0ef7c9d1ca00c361dde1eca",
         "spectrum.csv":
             "d4800db7e6fefe129bceb5902d2f3371ebbd77f85b8c18fde7b95d71b9b1d952",
         "spectrum.json":
@@ -297,6 +321,24 @@ def output_digests(tmp_path, capsys, name, command):
     digests["stdout"] = hashlib.sha256(
         capsys.readouterr().out.encode()).hexdigest()
     return code, digests
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_CONFIGS))
+def test_csv_numbers_parse_as_floats(tmp_path, name):
+    # every number in the CSV outputs is a plain float literal; rectangle
+    # occupation cells are written "(x;y),(x;y)"
+    path = write_config(tmp_path, OUTPUT_CONFIGS[name])
+    cli.main(["run", path, "--out", str(tmp_path)])
+    written = [f for f in ("occupation.csv", "enclosure_curves.csv",
+                           "numrange_sweep.csv") if (tmp_path / f).exists()]
+    assert len(written) == (3 if name == "disk" else 2)
+    for f in written:
+        rows = (tmp_path / f).read_text().splitlines()[1:]
+        assert rows, f
+        for row in rows:
+            for field in row.split(","):
+                for number in field.strip("()").split(";"):
+                    float(number)
 
 
 @pytest.mark.parametrize("name, command", sorted(PINNED_OUTPUT))

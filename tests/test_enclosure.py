@@ -6,6 +6,7 @@ import pytest
 from jumpspectra import enclosure as en
 from jumpspectra import measures, secular, spectrum as sp
 from jumpspectra.cli import make_mode_perturbation
+from jumpspectra.geometry import build_basis
 from jumpspectra.svgfig import render_enclosure_svg
 
 
@@ -158,6 +159,54 @@ def test_nested_enclosure_gate(disk_basis):
     rep = sp.SpectrumReport((), (-1, 60, -15, 15), None, None)
     res = en.check_nested_enclosure(rep, cert, mom, disk_basis)
     assert res.verdict == en.INAPPLICABLE
+
+
+# --- enclosure field ------------------------------------------------------------
+
+def brute_force_distance(lam, basis):
+    # distance to every retained eigenvalue, then to the ray [cutoff, inf)
+    # that stands for the modes above the cutoff
+    d = np.full(lam.shape, np.inf)
+    for e in basis.eigenvalues:
+        d = np.minimum(d, np.abs(lam - e))
+    c = basis.cutoff
+    ray = np.where(lam.real >= c, np.abs(lam.imag),
+                   np.hypot(c - lam.real, lam.imag))
+    return np.minimum(d, ray)
+
+
+@pytest.mark.parametrize("name", ["disk", "rect"])
+@pytest.mark.parametrize("cutoff", [400.0, 2000.0])
+def test_field_matches_brute_force(name, cutoff, disk_basis, rect_basis):
+    basis = {"disk": disk_basis, "rect": rect_basis}[name]
+    if cutoff != basis.cutoff:
+        basis = build_basis(basis.domain, cutoff)
+    e, c = basis.eigenvalues, basis.cutoff
+    # the default figure-1 grid
+    re_grid, im_grid = np.linspace(0.0, 60.0, 600), np.linspace(-15.0, 15.0, 300)
+    RE, IM = np.meshgrid(re_grid, im_grid, indexing="ij")
+    grid = RE + 1j * IM
+    # left of lambda_1, on eigenvalues, between them, past the last one and
+    # beyond the cutoff, plus the first double eigenvalue (the disk has
+    # them, the incommensurate rectangle not); on and off the real axis
+    double = e[:-1][np.diff(e) == 0.0][:1]
+    assert double.size == (name == "disk")
+    re = np.concatenate([[-5.0, 0.0, e[0] - 1.0, e[0], e[1],
+                          0.5 * (e[1] + e[2]), e[-1], 0.5 * (e[-1] + c), c,
+                          c + 7.5, 2.0 * c], double])
+    im = np.array([0.0, -0.0, 1e-12, 0.5, -3.0, 15.0])
+    extra = (re[:, None] + 1j * im[None, :]).ravel()
+
+    ref_grid = brute_force_distance(grid, basis)
+    ref_extra = brute_force_distance(extra, basis)
+    assert np.array_equal(en.spectral_distance(grid, basis), ref_grid)
+    assert np.array_equal(en.spectral_distance(extra, basis), ref_extra)
+    assert np.array_equal(en.ratio_field(basis, re_grid, im_grid),
+                          ref_grid / np.abs(e[0] - grid))
+    with np.errstate(invalid="ignore"):     # 0 / 0 at lambda_1 itself
+        assert np.array_equal(en.matryoshka_ratio(extra, basis),
+                              ref_extra / np.abs(e[0] - extra),
+                              equal_nan=True)
 
 
 # --- curves -------------------------------------------------------------------

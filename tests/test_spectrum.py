@@ -68,6 +68,10 @@ def test_spectrum_invariants(disk_basis):
     for v in values:
         if abs(v.imag) < 1e-12 and abs(v) > 1e-12:
             assert v.real > lam1 - 1e-9
+    # nonreal entries are written as plain float literals
+    for row in rep.to_csv().splitlines()[1:]:
+        value_re, value_im, _, _, residual = row.split(",")
+        float(value_re), float(value_im), float(residual)
 
 
 def test_reality_obstruction_at_complex_root(disk_basis):
