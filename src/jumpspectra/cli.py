@@ -29,7 +29,8 @@ from . import resolvent as rv
 from . import secular as sec
 from . import spectrum as sp
 from . import stochastic as st
-from .errors import ConfigError, JumpSpectraError, UndecidableError
+from .errors import (ConfigError, GeometryError, JumpSpectraError,
+                     UndecidableError)
 from .geometry import BasisSet, build_basis, rectangle, unit_disk
 from .svgfig import render_enclosure_svg
 
@@ -352,7 +353,12 @@ def _task_prop_real(exp: Experiment, rows, rep):
 
 def _task_numrange(exp: Experiment, rows, rep):
     eps = np.logspace(-4, -2, 9)
-    samples = nr.sweep(exp.basis, exp.measure, eps)
+    try:
+        samples = nr.sweep(exp.basis, exp.measure, eps)
+    except GeometryError as exc:
+        # the trial states cannot be built for this measure and domain
+        rows.append(_verdict_row("numrange", en.INAPPLICABLE, str(exc)))
+        return
     _write(os.path.join(exp.out_dir, "numrange_sweep.csv"),
            nr.sweep_to_csv(samples))
     verdict = en.PASS

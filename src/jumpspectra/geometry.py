@@ -30,7 +30,6 @@ from typing import Callable, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import jn_zeros, jv
 
 from .errors import EmptyBasisError, EvaluationError, ResolutionError
 
@@ -39,12 +38,24 @@ CLUSTER_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# Bessel zeros
+# Bessel functions and zeros
 # ---------------------------------------------------------------------------
+
+def _special():
+    """``scipy.special``, imported on first use.  Only the disk needs
+    Bessel functions, so the rectangle path never loads scipy."""
+    import scipy.special
+    return scipy.special
+
+
+def jv(order, x):
+    """Bessel function of the first kind ``J_order(x)``."""
+    return _special().jv(order, x)
+
 
 @lru_cache(maxsize=None)
 def _jn_zeros_cached(order: int, count: int) -> tuple[float, ...]:
-    return tuple(jn_zeros(order, count))
+    return tuple(_special().jn_zeros(order, count))
 
 
 def bessel_zero(order: int, k: int) -> float:

@@ -117,7 +117,9 @@ def _bump_terms(basis: BasisSet, spec: MeasureSpec,
     theta, theta_grad_sq, rb = _bump(basis.domain, frac)
     theta_mass = measure_integral(spec, basis, theta)
     if abs(theta_mass) < 1e-12:
-        raise GeometryError("bump has negligible measure mean; move it")
+        raise GeometryError(
+            f"the measure puts negligible mass on the interior bump of radius "
+            f"{rb:g} around the incenter")
     rule = basis.quadrature
     theta_vals = theta(rule.x, rule.y) / theta_mass
     return _BumpTerms(

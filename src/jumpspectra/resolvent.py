@@ -152,56 +152,6 @@ def apply_adjoint_resolvent(lam: complex, vec: SpectralVector,
     return SpectralVector(rd - pairing * rdw / (lam * _mode_secular(series, lam)))
 
 
-def resum_pointwise(vec: SpectralVector, basis: BasisSet, x, y,
-                    average_levels: int = 0):
-    """Evaluate a coefficient vector at points by mode resummation.
-
-    With ``average_levels > 0`` the partial sums over eigenvalue clusters are
-    repeatedly pairwise-averaged, which accelerates the alternating tails
-    typical of pointwise Dirichlet-series data (plain truncation converges
-    only algebraically there).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    acc = np.full(x.shape, complex(vec.constant))
-    partials = []
-    for group in basis.clusters():
-        live = [i for i in group if vec.coeffs[i] != 0]
-        if not live:
-            continue
-        for i in live:
-            acc = acc + vec.coeffs[i] * basis.modes[i].evaluate(x, y)
-        partials.append(acc)
-    if not partials:
-        return acc
-    if average_levels <= 0:
-        return partials[-1]
-    out = np.asarray(partials)
-    for _ in range(min(average_levels, out.shape[0] - 1)):
-        out = 0.5 * (out[:-1] + out[1:])
-    return out[-1]
-
-
-def apply_adjoint_generator(vec: SpectralVector,
-                            series: SecularSeries) -> SpectralVector:
-    """Adjoint of the generator in the truncated model.
-
-    Dirichlet action minus the rank-one coupling of the total flux into the
-    density direction; the flux functional is normalised by the retained
-    mass of the density so that the model operator is the exact adjoint of
-    the model generator.
-    """
-    if series.moments.l2_density_norm is None:
-        raise UnsupportedMeasureError("the adjoint requires an L2 density")
-    basis = series.basis
-    g = flatten(vec, basis)
-    hg = basis.eigenvalues * g
-    w = series.moments.moments
-    mass = float(np.sum(w * basis.one_coeffs))
-    flux = complex(np.sum(hg * basis.one_coeffs))
-    return SpectralVector(hg - flux * w / mass)
-
-
 def adjoint_kernel_vector(series: SecularSeries) -> SpectralVector:
     """Kernel direction of the adjoint: Dirichlet solve of the density."""
     if series.moments.l2_density_norm is None:

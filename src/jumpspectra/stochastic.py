@@ -19,10 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import RejectionEfficiencyError, UnsupportedMeasureError
-from .geometry import BasisSet, Disk, Domain, bessel_zero
+from .geometry import BasisSet, Disk, Domain, bessel_zero, jv
 from ._kernels import derive_seeds, run_walk
 from .measures import (CircleMeasure, DiracMeasure, GroundStateMeasure,
                        MeasureSpec, UniformMeasure, density_function)

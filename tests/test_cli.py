@@ -250,6 +250,20 @@ def test_numrange_direction_labels(tmp_path):
     assert labels == ["dir +1", "dir -1", "dir +i", "dir -i"]
 
 
+def test_numrange_inapplicable_off_bump_point_mass(tmp_path):
+    # a valid point mass outside the probe's centred bump cannot normalise
+    # the trial states: inapplicable with the reason (exit 3), not a failure
+    cfg = dict(DISK_SMALL, tasks=["numrange"],
+               measure={"variant": "dirac", "x0": 0.3, "y0": -0.2})
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out)]) == cli.EXIT_UNDECIDED
+    summary = json.loads((out / "summary.json").read_text())
+    (row,) = summary["results"]
+    assert row["verdict"] == "inapplicable"
+    assert "negligible mass on the interior bump" in row["detail"]
+
+
 SHORT_WALK = {"step_dt": 1e-4, "n_steps": 2000, "n_paths": 200, "n_bins": 8,
               "seed": 5, "l1_threshold": 0.5}
 OUTPUT_CONFIGS = {

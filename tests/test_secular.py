@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 from scipy.special import jn_zeros
 
 from jumpspectra import measures, secular
@@ -146,6 +147,84 @@ def test_undecidable_gap(groundstate_disk):
     foggy = dataclasses.replace(groundstate_disk, tail_mass=1e9)
     with pytest.raises(UndecidableError):
         secular.real_roots_in(foggy, 31.0, 49.0)
+
+
+# --- the Brent port against scipy.optimize.brentq ----------------------------
+
+def _random_smooth(rng):
+    """One of four smooth families: cubic, tanh plus a ripple, exponential,
+    and a six-pole rational function shaped like the secular series."""
+    kind = rng.integers(4)
+    if kind == 0:
+        c = rng.standard_normal(3)
+        r = rng.uniform(-2, 2)
+        return lambda x: ((x - r) * (1 + c[0] ** 2 + c[1] ** 2 * x * x)
+                          + c[2] * (x - r) ** 3)
+    if kind == 1:
+        k, r = rng.uniform(0.1, 50), rng.uniform(-2, 2)
+        e, w = rng.uniform(0, 0.3), rng.uniform(0, 20)
+        return lambda x: math.tanh(k * (x - r)) + e * math.sin(w * x)
+    if kind == 2:
+        c = rng.uniform(0.1, 5)
+        return lambda x: math.exp(x) - c
+    poles = np.sort(rng.uniform(-3, 3, 6))
+    res = rng.uniform(0.1, 2, 6)
+    return lambda x: float(np.sum(res / (poles - x)))
+
+
+def test_brentq_matches_scipy_on_random_brackets():
+    rng = np.random.default_rng(20240817)
+    checked = 0
+    while checked < 2000:
+        f = _random_smooth(rng)
+        a, b = np.sort(rng.uniform(-3, 3, 2))
+        fa, fb = f(a), f(b)
+        if not (math.isfinite(fa) and math.isfinite(fb)) or fa * fb >= 0:
+            continue
+        xtol = 10.0 ** rng.uniform(-15, -1)
+        rtol = 8.9e-16 * 10.0 ** rng.uniform(0, 3)
+        expected = scipy_brentq(f, a, b, xtol=xtol, rtol=rtol)
+        got = secular.brentq(f, a, b, xtol=xtol, rtol=rtol)
+        assert got.hex() == expected.hex(), (a, b, xtol, rtol)
+        checked += 1
+
+
+@pytest.mark.parametrize("case", ["disk-uniform", "disk-dirac", "disk-circle",
+                                  "rect-uniform"])
+def test_brentq_matches_scipy_on_real_root_brackets(case, disk_basis,
+                                                    rect_basis, monkeypatch):
+    basis = rect_basis if case.startswith("rect") else disk_basis
+    spec = {"uniform": measures.UniformMeasure(),
+            "dirac": measures.DiracMeasure(0.3, -0.2),
+            "circle": measures.CircleMeasure(0.5)}[case.split("-")[1]]
+    series = secular.build_secular_series(
+        basis, measures.compute_moments(spec, basis))
+    port, brackets = secular.brentq, []
+
+    def both(f, a, b, **kw):
+        got = port(f, a, b, **kw)
+        assert got.hex() == scipy_brentq(f, a, b, **kw).hex(), (a, b, kw)
+        brackets.append((a, b))
+        return got
+
+    monkeypatch.setattr(secular, "brentq", both)
+    roots = secular.real_roots_in(series, -1.0, 1800.0)
+    assert len(brackets) == len(roots) > 0
+
+
+def test_brentq_raises_like_scipy():
+    cases = [
+        (lambda x: x * x + 1.0, -1.0, 1.0, {}, ValueError),    # same sign
+        (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, {},
+         ValueError),                                          # NaN value
+        (lambda x: x ** 3 - 2.0, 0.0, 2.0, {"maxiter": 2},
+         RuntimeError),                                        # no convergence
+    ]
+    for f, a, b, kw, exc in cases:
+        with pytest.raises(exc):
+            scipy_brentq(f, a, b, **kw)
+        with pytest.raises(exc):
+            secular.brentq(f, a, b, **kw)
 
 
 # --- complex roots -------------------------------------------------------------
