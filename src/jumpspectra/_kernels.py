@@ -15,9 +15,11 @@ the counters are bitwise identical to those of a per-step loop over all
 paths, whatever the block size.
 
 The domain object supplies the interior test, the uniform sampler and the
-occupation cells.  Restart codes: 0 uniform over the domain, 1 radial-table
-rejection on the disk, 2 fixed point, 3 circle of radius r0, 4 grid-table
-rejection over the domain bounding box.
+occupation cells.  The restart measure supplies a draw ``draw(state, idx) ->
+(px, py, placed)``: candidate restart points for the paths ``idx``, taking
+their uniforms from ``state``, and the accept mask of a rejection sampler,
+or None when every candidate stands.  A candidate in the boundary band is
+drawn again.
 """
 
 from __future__ import annotations
@@ -74,67 +76,92 @@ def _np_uniform(state, idx):
     return _unit(state[idx])
 
 
-def _np_radial(table, rr):
-    pos = rr * (table.size - 1)
-    i = np.minimum(pos.astype(int), table.size - 2)
-    frac = pos - i
-    return table[i] * (1 - frac) + table[i + 1] * frac
+def fixed_draw(x0, y0):
+    """Restarts at the point (x0, y0); no uniform is drawn."""
+    def draw(state, idx):
+        return np.full(idx.size, x0), np.full(idx.size, y0), None
+    return draw
 
 
-def _np_grid(table2d, fx, fy):
+def circle_draw(r0):
+    """Restarts uniform on the centred circle of radius r0: one uniform."""
+    def draw(state, idx):
+        u1 = _np_uniform(state, idx)
+        return (r0 * np.cos(2.0 * math.pi * u1),
+                r0 * np.sin(2.0 * math.pi * u1), None)
+    return draw
+
+
+def uniform_draw(domain, ratio=None):
+    """Restarts uniform over the domain from two uniforms.  With ``ratio``,
+    a third uniform accepts the point with probability ``ratio(u1, fx, fy)``
+    (``fx, fy`` its bounding-box fractions)."""
+    def draw(state, idx):
+        u1 = _np_uniform(state, idx)
+        u2 = _np_uniform(state, idx)
+        px, py, fx, fy = domain.uniform_point(u1, u2)
+        if ratio is None:
+            return px, py, None
+        u3 = _np_uniform(state, idx)
+        return px, py, u3 <= ratio(u1, fx, fy)
+    return draw
+
+
+def radial_ratio(table):
+    """Acceptance ratio of a uniform disk point: ``table`` over the radius
+    sqrt(u1) in [0, 1], linearly interpolated."""
+    def ratio(u1, fx, fy):
+        pos = np.sqrt(u1) * (table.size - 1)
+        i = np.minimum(pos.astype(int), table.size - 2)
+        frac = pos - i
+        return table[i] * (1 - frac) + table[i + 1] * frac
+    return ratio
+
+
+def grid_ratio(table2d):
+    """Acceptance ratio of a uniform point: ``table2d`` over the bounding
+    box fractions, bilinearly interpolated."""
     nx, ny = table2d.shape
-    px = fx * (nx - 1)
-    py = fy * (ny - 1)
-    i = np.minimum(px.astype(int), nx - 2)
-    j = np.minimum(py.astype(int), ny - 2)
-    tx = px - i
-    ty = py - j
-    return (table2d[i, j] * (1 - tx) * (1 - ty) + table2d[i + 1, j] * tx * (1 - ty)
-            + table2d[i, j + 1] * (1 - tx) * ty + table2d[i + 1, j + 1] * tx * ty)
+
+    def ratio(u1, fx, fy):
+        px = fx * (nx - 1)
+        py = fy * (ny - 1)
+        i = np.minimum(px.astype(int), nx - 2)
+        j = np.minimum(py.astype(int), ny - 2)
+        tx = px - i
+        ty = py - j
+        return (table2d[i, j] * (1 - tx) * (1 - ty)
+                + table2d[i + 1, j] * tx * (1 - ty)
+                + table2d[i, j + 1] * (1 - tx) * ty
+                + table2d[i + 1, j + 1] * tx * ty)
+    return ratio
 
 
-def _np_restart(state, mask, restart_code, r0, r1, domain,
-                radial_table, grid_table, btol, stats, x, y):
+def _np_restart(state, mask, draw, domain, btol, stats, x, y):
     pending = mask.copy()
     while np.any(pending):
         idx = np.nonzero(pending)[0]
-        placed = np.ones(idx.size, dtype=bool)
-        if restart_code == 2:
-            px = np.full(idx.size, r0)
-            py = np.full(idx.size, r1)
-        elif restart_code == 3:
-            u1 = _np_uniform(state, idx)
-            px = r0 * np.cos(2.0 * math.pi * u1)
-            py = r0 * np.sin(2.0 * math.pi * u1)
-        else:
-            u1 = _np_uniform(state, idx)
-            u2 = _np_uniform(state, idx)
-            px, py, fx, fy = domain.uniform_point(u1, u2)
-            if restart_code != 0:
-                u3 = _np_uniform(state, idx)
-                if restart_code == 1:
-                    ratio = _np_radial(radial_table, np.sqrt(u1))
-                else:
-                    ratio = _np_grid(grid_table, fx, fy)
-                stats[1] += idx.size
-                placed = u3 <= ratio
-                stats[2] += int(np.sum(placed))
-        ok = placed & ~domain.outside(px, py, btol)
+        px, py, placed = draw(state, idx)
+        ok = ~domain.outside(px, py, btol)
+        if placed is not None:
+            stats[1] += idx.size
+            stats[2] += int(np.sum(placed))
+            ok &= placed
         done = idx[ok]
         x[done] = px[ok]
         y[done] = py[ok]
         pending[done] = False
 
 
-def run_walk(seeds, n_steps, dt, btol, domain, restart_code, r0, r1,
-             radial_table, grid_table, n_bins, restart_cap, start=None,
-             on_block=None):
+def run_walk(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap,
+             start=None, on_block=None):
     """Walk every path ``n_steps`` steps; returns (hist, restart_buf, stats).
 
     ``stats`` holds the restart count, the rejection attempts and the
     rejection accepts.  The histogram counts the domain's occupation cells
-    for ``n_bins``; ``n_bins = 0`` skips the binning.  Paths start from the
-    restart measure, or from the ``start = (x, y)`` arrays when given.
+    for ``n_bins``; ``n_bins = 0`` skips the binning.  Paths start from
+    ``draw``, the restart measure's draw, or from the ``start = (x, y)``
+    arrays when given.
     ``on_block(px, py)``, when given, receives after each block the
     (steps, paths) positions at the end of every step of the block,
     restarts applied.
@@ -151,8 +178,7 @@ def run_walk(seeds, n_steps, dt, btol, domain, restart_code, r0, r1,
     def restart(paths):
         mask = np.zeros(n_paths, dtype=bool)
         mask[paths] = True
-        _np_restart(state, mask, restart_code, r0, r1, domain, radial_table,
-                    grid_table, btol, stats, x, y)
+        _np_restart(state, mask, draw, domain, btol, stats, x, y)
 
     if start is None:
         x = np.empty(n_paths)

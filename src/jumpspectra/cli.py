@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -139,11 +140,13 @@ def _read_density_file(path: str) -> np.ndarray:
             xs.append(x); ys.append(y); ws.append(w)
     ux = np.unique(np.asarray(xs))
     uy = np.unique(np.asarray(ys))
-    if ux.size * uy.size != len(ws):
-        raise ConfigError("density CSV does not form a complete lattice")
-    grid = np.empty((ux.size, uy.size))
     ix = np.searchsorted(ux, xs)
     iy = np.searchsorted(uy, ys)
+    # one row per lattice point: a repeated point would leave another unset
+    if len(ws) != ux.size * uy.size \
+            or np.unique(ix * uy.size + iy).size != len(ws):
+        raise ConfigError("density CSV does not form a complete lattice")
+    grid = np.empty((ux.size, uy.size))
     grid[ix, iy] = ws
     return grid
 
@@ -255,7 +258,7 @@ def build_experiment(cfg: dict, out_dir: str | None = None) -> Experiment:
         raise ConfigError(str(exc)) from exc
     if "simulate" in tasks:
         try:
-            st.check_restart_clearance(walk.band(), domain, measure)
+            measure.check_band(domain, walk.band())
         except ValueError as exc:
             raise ConfigError(f"walk: {exc} {walk.band():g}") from exc
     series = sec.build_secular_series(basis, moments)
@@ -310,45 +313,30 @@ def _task_spectrum(exp: Experiment, rows: list):
     return rep
 
 
-def _need_cert(exp: Experiment, rows, name):
+# the theorem tasks: each checks the admissibility certificate of a
+# perturbed measure with (experiment, certificate, spectrum report)
+_THEOREMS = {
+    "enclosure_thm1": lambda exp, cert, rep: en.check_halfplane_exclusion(
+        rep, cert, exp.k, exp.basis),
+    "enclosure_thm2": lambda exp, cert, rep: en.check_interlacing(
+        exp.series, cert, exp.k),
+    "enclosure_thm3": lambda exp, cert, rep: en.check_nested_enclosure(
+        rep, cert, exp.moments, exp.basis),
+    "prop_real": lambda exp, cert, rep: en.bound_first_eigenvalue(
+        exp.series, cert, exp.moments),
+}
+
+
+def _task_theorem(name: str, exp: Experiment, rows, rep):
     if not isinstance(exp.measure, ms.PerturbedMeasure):
         rows.append(_verdict_row(name, en.INAPPLICABLE,
                                  "measure is not a perturbation"))
-        return None
-    return ms.check_hypothesis_v(exp.measure, exp.basis, exp.k)
-
-
-def _task_thm1(exp: Experiment, rows, rep):
-    cert = _need_cert(exp, rows, "enclosure_thm1")
-    if cert is None or rep is None:
         return
-    res = en.check_halfplane_exclusion(rep, cert, exp.k, exp.basis)
-    rows.append(_verdict_row("enclosure_thm1", res.verdict, res.detail))
-
-
-def _task_thm2(exp: Experiment, rows, rep):
-    cert = _need_cert(exp, rows, "enclosure_thm2")
-    if cert is None:
+    cert = ms.check_hypothesis_v(exp.measure, exp.basis, exp.k)
+    if rep is None and name in _READS_SPECTRUM:
         return
-    res = en.check_interlacing(exp.series, cert, exp.k)
-    rows.append(_verdict_row("enclosure_thm2", res.verdict, res.detail
-                             or str(res.intervals)))
-
-
-def _task_thm3(exp: Experiment, rows, rep):
-    cert = _need_cert(exp, rows, "enclosure_thm3")
-    if cert is None or rep is None:
-        return
-    res = en.check_nested_enclosure(rep, cert, exp.moments, exp.basis)
-    rows.append(_verdict_row("enclosure_thm3", res.verdict, res.detail))
-
-
-def _task_prop_real(exp: Experiment, rows, rep):
-    cert = _need_cert(exp, rows, "prop_real")
-    if cert is None:
-        return
-    res = en.bound_first_eigenvalue(exp.series, cert, exp.moments)
-    rows.append(_verdict_row("prop_real", res.verdict, res.detail))
+    res = _THEOREMS[name](exp, cert, rep)
+    rows.append(_verdict_row(name, res.verdict, res.detail))
 
 
 def _task_numrange(exp: Experiment, rows, rep):
@@ -405,10 +393,9 @@ def _task_figure1(exp: Experiment, rows, rep):
 
 # the tasks after "spectrum", in TASKS order; each runner takes the
 # experiment, the verdict rows and the spectrum report (None if not built)
-_RUNNERS = {"enclosure_thm1": _task_thm1, "enclosure_thm2": _task_thm2,
-            "enclosure_thm3": _task_thm3, "prop_real": _task_prop_real,
-            "numrange": _task_numrange, "simulate": _task_simulate,
-            "figure1": _task_figure1}
+_RUNNERS = {name: functools.partial(_task_theorem, name) for name in _THEOREMS}
+_RUNNERS.update(numrange=_task_numrange, simulate=_task_simulate,
+                figure1=_task_figure1)
 _READS_SPECTRUM = {"spectrum", "enclosure_thm1", "enclosure_thm3"}
 
 
@@ -470,7 +457,7 @@ def verify_experiment(exp: Experiment, inject_fault: str | None = None) -> tuple
                                  "measure has no L2 density"))
 
     rep = sp.assemble_spectrum(series, exp.config["window"])
-    values = [e.value for e in rep.entries if e.certified]
+    values = rep.certified_values()
     conj_ok = all(any(abs(np.conj(v) - u) < 1e-8 * (1 + abs(v)) for u in values)
                   for v in values)
     rows.append(_verdict_row("conjugation_closure",

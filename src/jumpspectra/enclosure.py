@@ -46,10 +46,6 @@ class CheckResult:
     offenders: tuple = ()
     margin: float | None = None
 
-    @property
-    def failed(self) -> bool:
-        return self.verdict == FAIL
-
 
 # ---------------------------------------------------------------------------
 # region geometry
@@ -91,11 +87,6 @@ def matryoshka_ratio(lam, basis: BasisSet):
     lam = np.asarray(lam, dtype=complex)
     lam1 = basis.eigenvalues[0]
     return spectral_distance(lam, basis) / np.abs(lam1 - lam)
-
-
-def matryoshka_member(lam, basis: BasisSet, t: float):
-    """True where nonreal ``lam`` cannot be excluded at threshold ``t``."""
-    return matryoshka_ratio(lam, basis) <= t
 
 
 # ---------------------------------------------------------------------------

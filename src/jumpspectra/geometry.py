@@ -665,18 +665,6 @@ class BasisSet:
     def __len__(self) -> int:
         return len(self.modes)
 
-    def mode_matrix(self) -> np.ndarray:
-        """All mode values at all quadrature nodes, cached; (n_modes, n_nodes).
-
-        Large bases take the domain's ``mode_rows`` in blocks instead.
-        """
-        cached = getattr(self, "_mode_matrix", None)
-        if cached is not None:
-            return cached
-        rows = self.domain.mode_rows(self.modes, self.quadrature)
-        object.__setattr__(self, "_mode_matrix", rows)
-        return rows
-
     def clusters(self) -> list[tuple[int, ...]]:
         """Indices grouped by equal eigenvalue (tolerance 1e-9 * (1+lambda))."""
         groups: list[list[int]] = []

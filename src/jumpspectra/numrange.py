@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .geometry import BasisSet, layer_quadrature
-from .measures import (CircleMeasure, DiracMeasure, MeasureSpec,
-                       density_function, measure_integral)
+from .measures import MeasureSpec, measure_integral
 
 DIRECTIONS = (1.0 + 0j, -1.0 + 0j, 1j, -1j)
 DIRECTION_LABELS = {1.0: "+1", -1.0: "-1", 1j: "+i", -1j: "-i"}
@@ -142,14 +141,13 @@ def _layer_terms(basis: BasisSet, spec: MeasureSpec, eps: float,
 
     # measure mean of the layer profile; the bump mean is normalised to 1,
     # so <psi>_mu - 1 equals the error of the layer quadrature for b, which
-    # a finer rule measures
-    if isinstance(spec, (DiracMeasure, CircleMeasure)):
-        rho = (float(domain.boundary_distance(spec.x0, spec.y0))
-               if isinstance(spec, DiracMeasure) else 1.0 - spec.r0)
+    # a finer rule measures; a singular measure's mean is exact
+    w = spec.density(basis)
+    if w is None:
+        rho = spec.support_distance(domain)
         b_raw = math.sqrt(eps) * profile(rho / eps) if rho < eps else 0.0
         b_check = b_raw
     else:
-        w = density_function(spec, basis)
         b_raw = math.sqrt(eps) * float(np.sum(lw * g_vals * w(lx, ly)))
         lx2, ly2, lw2, ls2 = layer_quadrature(domain, eps, n_s=48, n_tan=384)
         b_check = math.sqrt(eps) * float(

@@ -35,10 +35,6 @@ class SpectralVector:
     coeffs: np.ndarray
     constant: complex = 0.0
 
-    @property
-    def n(self) -> int:
-        return self.coeffs.size
-
 
 def flatten(vec: SpectralVector, basis: BasisSet) -> np.ndarray:
     """Project the hybrid representation onto plain mode coefficients."""

@@ -62,11 +62,6 @@ class SecularSeries:
         lam = np.asarray(lam, dtype=complex)
         return np.sum(self.residues / (self.poles - lam[..., None]) ** 2, axis=-1)
 
-    def abs2_sum(self, lam):
-        """sum alpha_j / |pole_j - lam|^2 (the reality obstruction)."""
-        lam = complex(lam)
-        return float(np.sum(self.residues / np.abs(self.poles - lam) ** 2))
-
     def anchored_tail_bound(self, lam) -> float:
         """Error bound of the anchored value (tight for |lam| << cutoff)."""
         lam = complex(lam)

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import (ConditioningError, DegenerateEigenfunctionError,
                      DomainMembershipError)
 from .geometry import BasisSet
-from .measures import MeasureMoments
 from .resolvent import SpectralVector, flatten
 from .secular import SecularSeries, complex_roots_in, real_roots_in
 
@@ -172,9 +171,6 @@ class EigenFunction:
 
     def as_vector(self) -> SpectralVector:
         return SpectralVector(self.coeffs, self.constant)
-
-    def measure_mean(self, moments: MeasureMoments) -> complex:
-        return complex(np.sum(moments.moments * self.coeffs) + self.constant)
 
 
 def eigenfunction_at(lam: complex, series: SecularSeries,

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RejectionEfficiencyError, UnsupportedMeasureError
-from .geometry import BasisSet, Disk, Domain, bessel_zero, jv
+from .errors import RejectionEfficiencyError
+from .geometry import BasisSet, Domain
 from ._kernels import derive_seeds, run_walk
-from .measures import (CircleMeasure, DiracMeasure, GroundStateMeasure,
-                       MeasureSpec, UniformMeasure, density_function)
+from .measures import MeasureSpec
 
 _OVERSHOOT = 0.5826          # mean discrete-exit overshoot, units of sqrt(2 dt)
 
@@ -60,66 +59,17 @@ class OccupationHistogram:
     rejection_attempts: int = 0
     rejection_accepts: int = 0
 
-    def mass_check(self) -> float:
-        return float(np.sum(self.normalized_density * self.bin_areas))
-
-
-def _restart_setup(spec: MeasureSpec, domain: Domain,
-                   basis: BasisSet | None):
-    """Kernel code and tables for sampling the restart measure."""
-    radial = np.zeros(2)
-    grid = np.zeros((2, 2))
-    if isinstance(spec, UniformMeasure):
-        return 0, 0.0, 0.0, radial, grid
-    if isinstance(spec, GroundStateMeasure) and isinstance(domain, Disk):
-        j1 = bessel_zero(0, 1)
-        r = np.linspace(0.0, 1.0, 4097)
-        radial = np.clip(jv(0, j1 * r), 0.0, None)   # acceptance ratio, max 1 at 0
-        return 1, 0.0, 0.0, radial, grid
-    if isinstance(spec, DiracMeasure):
-        return 2, spec.x0, spec.y0, radial, grid
-    if isinstance(spec, CircleMeasure):
-        if not isinstance(domain, Disk):
-            raise UnsupportedMeasureError("circle restarts need the disk")
-        return 3, spec.r0, 0.0, radial, grid
-    # general density: grid-table rejection over the bounding box
-    if basis is None:
-        raise ValueError("density restarts need a basis for evaluation")
-    w = density_function(spec, basis)
-    if w is None:
-        raise UnsupportedMeasureError(f"cannot sample restarts from {spec!r}")
-    x_lo, x_hi, y_lo, y_hi = domain.bounding_box
-    n = 257
-    X, Y = np.meshgrid(np.linspace(x_lo, x_hi, n), np.linspace(y_lo, y_hi, n),
-                       indexing="ij")
-    vals = domain.mask_outside(X, Y, w(X, Y))
-    vmax = float(np.max(vals))
-    if vmax <= 0:
-        raise UnsupportedMeasureError("density table is identically zero")
-    return 4, 0.0, 0.0, radial, np.clip(vals / vmax, 0.0, 1.0)
-
-
-def check_restart_clearance(band: float, domain: Domain, spec: MeasureSpec):
-    """Reject a point or circle restart that lies in the boundary band,
-    where every restart would exit at once."""
-    if isinstance(spec, DiracMeasure) and \
-            domain.boundary_distance(spec.x0, spec.y0) <= band:
-        raise ValueError("restart point sits inside the boundary band")
-    if isinstance(spec, CircleMeasure) and spec.r0 >= 1.0 - band:
-        raise ValueError("restart circle sits inside the boundary band")
-
 
 def simulate_occupation(config: WalkConfig, domain: Domain,
                         spec: MeasureSpec,
                         basis: BasisSet | None = None) -> OccupationHistogram:
     """Run the walk ensemble and bin the time-weighted occupation."""
     band = config.band()
-    check_restart_clearance(band, domain, spec)
-    code, r0, r1, radial, grid = _restart_setup(spec, domain, basis)
+    spec.check_band(domain, band)
     seeds = derive_seeds(config.seed, config.n_paths)
     hist, restart_buf, stats = run_walk(
-        seeds, config.n_steps, config.step_dt, band, domain, code, r0, r1,
-        radial, grid, config.n_bins, config.restart_sample_cap)
+        seeds, config.n_steps, config.step_dt, band, domain,
+        spec.restart(domain, basis), config.n_bins, config.restart_sample_cap)
 
     if stats[1] > 0 and stats[2] < 0.01 * stats[1]:
         raise RejectionEfficiencyError(
@@ -185,15 +135,15 @@ def decay_rate_estimate(domain: Domain, spec: MeasureSpec,
     fits the log-gap to its long-run level.  Statistical noise dominates
     quickly; treat the result as a +-25% diagnostic, not a certificate.
     """
-    code, r0, r1, radial, grid = _restart_setup(spec, domain, basis)
+    band = _OVERSHOOT * math.sqrt(2.0 * dt)
+    spec.check_band(domain, band)
     parts = []
 
     def record(px, py):
         parts.append(np.mean(domain.inner_region(px, py), axis=1))
 
-    run_walk(derive_seeds(seed, n_paths), n_steps, dt,
-             _OVERSHOOT * math.sqrt(2.0 * dt), domain, code, r0, r1, radial,
-             grid, 0, 0,
+    run_walk(derive_seeds(seed, n_paths), n_steps, dt, band, domain,
+             spec.restart(domain, basis), 0, 0,
              start=(np.full(n_paths, float(start[0])),
                     np.full(n_paths, float(start[1]))),
              on_block=record)

@@ -74,7 +74,7 @@ def random_admissible_groundstate_v(basis, rng):
     rule = basis.quadrature
     vals = v(rule.x, rule.y)
     norm = math.sqrt(float(np.real(rule.integrate(vals ** 2))))
-    base = measures.ground_state_density(basis)(rule.x, rule.y)
+    base = measures.GroundStateMeasure().density(basis)(rule.x, rule.y)
     threshold = basis.domain.area ** -0.5
     scale = threshold * float(rng.uniform(0.3, 0.7)) / norm
     ratio = np.min(base + scale * vals)

@@ -229,6 +229,23 @@ def test_density_csv_file(tmp_path):
                      str(tmp_path / "out")]) == cli.EXIT_PASS
 
 
+def test_density_csv_repeated_point_rejected(tmp_path):
+    # nine rows over a 3 x 3 lattice, but (-1, -1) twice and (1, 1) never:
+    # the missing cell would be left unset
+    xs = np.linspace(-1, 1, 3)
+    points = [(x, y) for x in xs for y in xs][:-1] + [(-1.0, -1.0)]
+    csv_path = tmp_path / "w.csv"
+    csv_path.write_text("".join(f"{x},{y},{1.0 / math.pi}\n"
+                                for x, y in points))
+    with pytest.raises(cli.ConfigError, match="complete lattice"):
+        cli._read_density_file(str(csv_path))
+    cfg = dict(DISK_SMALL,
+               measure={"variant": "density_grid", "file": str(csv_path)})
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", path, "--out",
+                     str(tmp_path / "out")]) == cli.EXIT_CONFIG
+
+
 def test_cutoff_and_seed_overrides(tmp_path):
     path = write_config(tmp_path, DISK_SMALL)
     out = str(tmp_path / "out")

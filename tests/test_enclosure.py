@@ -45,8 +45,9 @@ def test_matryoshka_ratio_probe(disk_basis):
 def test_matryoshka_monotone_in_t(disk_basis):
     pts = np.array([10 + 2j, 15 + 1j, 30 + 4j, 50 + 0.5j])
     for t1, t2 in ((0.1, 0.2), (0.2, 0.4)):
-        m1 = en.matryoshka_member(pts, disk_basis, t1)
-        m2 = en.matryoshka_member(pts, disk_basis, t2)
+        # nonreal points the threshold-t enclosure cannot exclude
+        m1 = en.matryoshka_ratio(pts, disk_basis) <= t1
+        m2 = en.matryoshka_ratio(pts, disk_basis) <= t2
         assert np.all(m2 | ~m1)
 
 

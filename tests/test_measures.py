@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,12 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
-from jumpspectra import measures
+from jumpspectra import geometry, measures
 from jumpspectra.cli import make_mode_perturbation
 from jumpspectra.errors import (MassDeficitError, NegativeDensityError,
                                 UnsupportedMeasureError)
 
 J01 = 2.404825557695773
+
+
+def mode_matrix(basis):
+    """All mode values at all quadrature nodes; (n_modes, n_nodes)."""
+    return basis.domain.mode_rows(basis.modes, basis.quadrature)
 
 
 def test_uniform_moments(disk_basis):
@@ -30,10 +36,10 @@ def test_ground_state_moments(disk_basis):
 
 def test_ground_state_moment_against_quadrature(disk_basis):
     # the closed form delta_{n1}/(chi_1,1) agrees with explicit quadrature
-    w = measures.ground_state_density(disk_basis)
+    w = measures.GroundStateMeasure().density(disk_basis)
     rule = disk_basis.quadrature
     wv = w(rule.x, rule.y)
-    quad = disk_basis.mode_matrix() @ (rule.w * wv)
+    quad = mode_matrix(disk_basis) @ (rule.w * wv)
     mom = measures.compute_moments(measures.GroundStateMeasure(), disk_basis)
     assert np.abs(quad - mom.moments).max() < 1e-10
 
@@ -107,7 +113,7 @@ def test_moment_linearity(disk_basis, coefs):
     mom = measures.compute_moments(spec, disk_basis)
     base = measures.compute_moments(measures.UniformMeasure(), disk_basis)
     rule = disk_basis.quadrature
-    vmom = disk_basis.mode_matrix() @ (rule.w * v(rule.x, rule.y))
+    vmom = mode_matrix(disk_basis) @ (rule.w * v(rule.x, rule.y))
     assert np.abs(mom.moments - base.moments - vmom).max() < 1e-10
 
 
@@ -121,6 +127,76 @@ def test_measure_integral_variants(disk_basis):
     val_c = measures.measure_integral(measures.CircleMeasure(0.5),
                                       disk_basis, f)
     assert val_c == pytest.approx(0.75, rel=1e-12)
+
+
+# SHA-256 of the moments, the L2 norms and the measure integrals of both
+# torsion anchors, recorded before each variant owned its integral and moments
+PINNED = {
+    "disk-uniform":
+        "b9fca48ac3e4e756f557f71bee1dd9901e00b9d65dd532fe23813aeb81e39a05",
+    "disk-ground_state":
+        "d2a3d31c3b7c757c156ce2205fc132d7c4de1a85186bbd9db623a08ef1ca61f1",
+    "disk-density":
+        "3214e928e43f9927b0fa5857ea8a81984c3bd80238ff0bc8b211a7f6bb182896",
+    "disk-dirac":
+        "06c6eaf9eaa92d95e277a96ed4666835f64773593758f53978095236cc58db18",
+    "disk-circle":
+        "7e38a85f5bef96a406363927d2bf7c6861e1e2628071fe8a6e283adb7b45f42b",
+    "disk-perturbed_uniform":
+        "c3bcf1a816b178e8b935610599f2d8a15b8bdb2c7febb227c3b562c5c60fd9c6",
+    "disk-perturbed_ground_state":
+        "748e8771febac1ad58e63a14c7dd66f30c12a47aaa93d644862148fd33c101c8",
+    "rect-uniform":
+        "acec04c77cf73f8148220055aaa874b94dddcca99dcc5183371d7f4168fb05e0",
+    "rect-ground_state":
+        "bc6a90419862afdb9d0731f62f57ce5ec0464337e50d9133ccdcc32ac7e9822a",
+    "rect-density":
+        "b32492fabf502c0ccab9170b49da6c1b6466f58cc2b5818565f8f5a680dfc63c",
+    "rect-dirac":
+        "7fa609cc3be9a437b370c5b092ae39dfc7898c238fae6d25e99d293922e6f07a",
+    "rect-perturbed_uniform":
+        "facb9faced666feb9e821883fe40acd5332bda9b74025cacb12bf49b12b9c341",
+    "rect-perturbed_ground_state":
+        "90255b0f1c37cb54fef9d809abe11e4eeef2c3b793397f1d2c35e359e19a5a85",
+}
+
+
+def pinned_spec(name, basis):
+    """Restart measure of a "domain-variant" case on ``basis``."""
+    disk = name.startswith("disk")
+    area = basis.domain.area
+    return {
+        "uniform": measures.UniformMeasure(),
+        "ground_state": measures.GroundStateMeasure(),
+        "density": measures.DensityMeasure(
+            (lambda x, y: (1.0 + 0.5 * x) / area) if disk
+            else (lambda x, y: (1.0 + 0.5 * np.cos(x)) / area)),
+        "dirac": measures.DiracMeasure(*((0.3, -0.2) if disk else (1.0, 2.0))),
+        "circle": measures.CircleMeasure(0.5),
+        "perturbed_uniform": measures.PerturbedMeasure(
+            measures.UniformMeasure(), make_mode_perturbation(
+                basis, {0: 0.7, 1: 0.4, 4: 0.5}, 0.02)),
+        "perturbed_ground_state": measures.PerturbedMeasure(
+            measures.GroundStateMeasure(), make_mode_perturbation(
+                basis, {0: 0.5, 9: 0.5}, 0.05)),
+    }[name.split("-")[1]]
+
+
+def measure_digest(spec, basis):
+    mom = measures.compute_moments(spec, basis)
+    h = hashlib.sha256(
+        np.ascontiguousarray(mom.moments, dtype=np.float64).tobytes())
+    anchors = [measures.measure_integral(spec, basis, g(basis.domain))
+               for g in (geometry.torsion_function, geometry.torsion_second)]
+    h.update(repr((mom.l2_density_norm, mom.v_l2_norm, mom.heuristic_tail,
+                   *anchors)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_measure_pinned_digest(name, disk_basis, rect_basis):
+    basis = disk_basis if name.startswith("disk") else rect_basis
+    assert measure_digest(pinned_spec(name, basis), basis) == PINNED[name]
 
 
 def test_boundary_mass_validation(disk_basis):

@@ -12,6 +12,11 @@ from jumpspectra.errors import RejectionEfficiencyError
 
 J01 = 2.404825557695773
 
+
+def mass_check(hist):
+    return float(np.sum(hist.normalized_density * hist.bin_areas))
+
+
 SMALL = st.WalkConfig(step_dt=1e-4, n_steps=3000, n_paths=300, seed=11,
                       n_bins=16)
 
@@ -23,7 +28,7 @@ def small_uniform_run(disk, disk_basis):
 
 
 def test_histogram_mass(small_uniform_run):
-    assert small_uniform_run.mass_check() == pytest.approx(1.0, abs=1e-12)
+    assert mass_check(small_uniform_run) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_seed_determinism(disk, disk_basis, small_uniform_run):
@@ -66,8 +71,9 @@ def walk_domains(disk, disk_basis):
 
 
 def walk_case(name, walk_domains):
-    """Domain, basis and restart measure of a "domain-measure" case: restart
-    codes 0-4 on the disk, 0, 2 and 4 on the rectangle."""
+    """Domain, basis and restart measure of a "domain-measure" case: every
+    restart draw on the disk; uniform, point and grid-table on the
+    rectangle."""
     where, kind = name.split("-")
     domain, basis = walk_domains[where]
     disk = where == "disk"
@@ -96,8 +102,8 @@ def test_engine_pinned_digest(name, walk_domains):
     assert h.hexdigest() == PINNED[name]
 
 
-def step_loop(seeds, n_steps, dt, btol, domain, code, r0, r1, radial, grid,
-              n_bins, cap, start=None):
+def step_loop(seeds, n_steps, dt, btol, domain, draw, n_bins, cap,
+              start=None):
     """The walk one step at a time over all paths: the reference the block
     engine must reproduce bit for bit.  Also returns each step's positions.
     Exits and bins use formulas of their own: radial bins on the disk,
@@ -112,8 +118,7 @@ def step_loop(seeds, n_steps, dt, btol, domain, code, r0, r1, radial, grid,
     x, y = np.empty(n), np.empty(n)
 
     def restart(mask):
-        _kernels._np_restart(state, mask, code, r0, r1, domain, radial, grid,
-                             btol, stats, x, y)
+        _kernels._np_restart(state, mask, draw, domain, btol, stats, x, y)
 
     if start is None:
         restart(np.ones(n, dtype=bool))
@@ -162,10 +167,9 @@ def step_loop(seeds, n_steps, dt, btol, domain, code, r0, r1, radial, grid,
 def test_engine_matches_step_loop(name, n_paths, n_steps, dt, cap,
                                   walk_domains):
     domain, basis, spec = walk_case(name, walk_domains)
-    code, r0, r1, radial, grid = st._restart_setup(spec, domain, basis)
     args = (derive_seeds(9, n_paths), n_steps, dt,
-            st.WalkConfig(step_dt=dt).band(), domain, code, r0, r1, radial,
-            grid, 7, cap)
+            st.WalkConfig(step_dt=dt).band(), domain,
+            spec.restart(domain, basis), 7, cap)
     hist, buf, stats = _kernels.run_walk(*args)
     want_hist, want_buf, want_stats, _ = step_loop(*args)
     assert stats[0] > 0
@@ -177,12 +181,11 @@ def test_engine_matches_step_loop(name, n_paths, n_steps, dt, cap,
 def test_engine_block_positions_match_step_loop(walk_domains):
     # the decay diagnostic's path: a point start and per-step positions
     domain, basis, spec = walk_case("disk-ground_state", walk_domains)
-    code, r0, r1, radial, grid = st._restart_setup(spec, domain, basis)
     n_paths, n_steps, dt = 300, 230, 4e-3
     start = (np.full(n_paths, 0.2), np.full(n_paths, -0.1))
     args = (derive_seeds(4, n_paths), n_steps, dt,
-            st.WalkConfig(step_dt=dt).band(), domain, code, r0, r1, radial,
-            grid, 0, 0)
+            st.WalkConfig(step_dt=dt).band(), domain,
+            spec.restart(domain, basis), 0, 0)
     blocks = []
     _, _, stats = _kernels.run_walk(
         *args, start=start,
@@ -234,6 +237,13 @@ def test_restart_point_inside_band_rejected(disk, disk_basis):
                                disk_basis)
 
 
+def test_decay_restart_point_inside_band_rejected(disk):
+    # every restart would land in the band and be drawn again forever
+    with pytest.raises(ValueError):
+        st.decay_rate_estimate(disk, measures.DiracMeasure(0.999, 0.0),
+                               n_steps=50, n_paths=10, start=(0.99, 0.0))
+
+
 def test_stationary_prediction_uniform(disk_basis, uniform_disk,
                                        small_uniform_run):
     pred = st.stationary_prediction(uniform_disk, small_uniform_run)
@@ -268,7 +278,7 @@ def test_rectangle_simulation():
     cfg = st.WalkConfig(step_dt=1e-4, n_steps=4000, n_paths=400, seed=3,
                         n_bins=8)
     run = st.simulate_occupation(cfg, rect, measures.UniformMeasure(), basis)
-    assert run.mass_check() == pytest.approx(1.0, abs=1e-12)
+    assert mass_check(run) == pytest.approx(1.0, abs=1e-12)
     mom = measures.compute_moments(measures.UniformMeasure(), basis)
     series = secular.build_secular_series(basis, mom)
     pred = st.stationary_prediction(series, run)
