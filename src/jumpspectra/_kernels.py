@@ -14,6 +14,12 @@ is filled in (step, path) order, so the histogram, the restart buffer and
 the counters are bitwise identical to those of a per-step loop over all
 paths, whatever the block size.
 
+Since the streams are per path, the paths split into contiguous shards that
+walk apart: one in the calling process and the others in children made by
+``os.fork``, one shard per available CPU.  Histograms and counters are summed
+and the restart samples merged in (step, path) order, so the result has the
+same bits at any shard count.
+
 The domain object supplies the interior test, the uniform sampler and the
 occupation cells.  The restart measure supplies a draw ``draw(state, idx) ->
 (px, py, placed)``: candidate restart points for the paths ``idx``, taking
@@ -25,6 +31,9 @@ drawn again.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 
 import numpy as np
 
@@ -40,6 +49,7 @@ _U53 = 2.0 ** -53
 
 _BLOCK = 64                  # steps per block
 _BLOCK_CELLS = 1 << 16       # at most this many steps x paths per block
+_SHARD_CELLS = 1 << 20       # fewest steps x paths worth a fork (about 7 ms)
 
 
 def _mix(s):
@@ -153,6 +163,58 @@ def _np_restart(state, mask, draw, domain, btol, stats, x, y):
         pending[done] = False
 
 
+def _shard_count(n_paths, n_steps):
+    """Shards for a walk: one per CPU this process may run on, fewer when a
+    shard would walk fewer than ``_SHARD_CELLS`` steps x paths."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else 1
+    return max(1, min(cpus, n_paths, n_paths * n_steps // _SHARD_CELLS))
+
+
+def _fork(fn):
+    """Run ``fn()`` in a forked child; returns its pid and the read end of a
+    pipe that carries the pickled ``(ok, result or exception)``.  The child
+    always leaves by ``os._exit``, so no exit handler runs and no inherited
+    stdio buffer is flushed a second time."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(w)
+        return pid, os.fdopen(r, "rb")
+    status = 1
+    try:
+        os.close(r)
+        try:
+            outcome = (True, fn())
+        except BaseException as exc:
+            outcome = (False, exc)
+        try:
+            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        except Exception:                       # an exception that won't pickle
+            exc = outcome[1]
+            data = pickle.dumps((False, RuntimeError(
+                f"{type(exc).__name__}: {exc}")))
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _outcome(shard, status, data):
+    """The result a child shard sent, or its failure raised."""
+    if os.WIFSIGNALED(status):
+        raise RuntimeError(f"walk shard {shard} was killed by signal "
+                           f"{os.WTERMSIG(status)}")
+    if not data:
+        raise RuntimeError(f"walk shard {shard} exited with status "
+                           f"{os.waitstatus_to_exitcode(status)} and no result")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
+
+
 def run_walk(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap,
              start=None, on_block=None):
     """Walk every path ``n_steps`` steps; returns (hist, restart_buf, stats).
@@ -164,14 +226,67 @@ def run_walk(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap,
     arrays when given.
     ``on_block(px, py)``, when given, receives after each block the
     (steps, paths) positions at the end of every step of the block,
-    restarts applied.
+    restarts applied; the walk then stays in the calling process.
+
+    Otherwise the paths are split into contiguous shards (``_shard_count``);
+    shard 0 walks here and each other shard in a forked child, which
+    inherits ``draw`` and ``domain`` and pickles its result back.  A failure
+    in a child is raised here; on any failure every child is killed and
+    reaped.
     """
+    n_paths = seeds.size
+    n_shards = 1 if on_block is not None else _shard_count(n_paths, n_steps)
+    cut = [n_paths * i // n_shards for i in range(n_shards + 1)]
+
+    def shard(i):
+        paths = slice(cut[i], cut[i + 1])
+        begin = None if start is None else (np.asarray(start[0])[paths],
+                                            np.asarray(start[1])[paths])
+        return _walk_shard(seeds[paths], n_steps, dt, btol, domain, draw,
+                           n_bins, restart_cap, begin, on_block)
+
+    children = []
+    try:
+        for i in range(1, n_shards):
+            children.append(_fork(lambda i=i: shard(i)))
+        parts = [shard(0)]
+        for i, (pid, pipe) in enumerate(children, 1):
+            with pipe:
+                data = pipe.read()        # to EOF first: payloads outgrow a pipe
+            parts.append(_outcome(i, os.waitpid(pid, 0)[1], data))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            try:
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except ChildProcessError:     # reaped above
+                pass
+
+    hist = sum(p[0] for p in parts)
+    stats = sum(p[4] for p in parts)
+    points, steps, paths = (np.concatenate(v) for v in zip(
+        *((p[1], p[2], p[3] + lo) for p, lo in zip(parts, cut))))
+    order = np.lexsort((paths, steps))[:restart_cap]
+    restart_buf = np.zeros((restart_cap, 2))
+    restart_buf[:order.size] = points[order]
+    return hist, restart_buf, stats
+
+
+def _walk_shard(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap,
+                start, on_block):
+    """The walk of the paths ``seeds``; returns (hist, restart points, their
+    steps, their paths, stats) with the first ``restart_cap`` restarts in
+    (step, path) order, paths counted from the first of ``seeds``."""
     n_paths = seeds.size
     hist = np.zeros(domain.n_cells(n_bins), dtype=np.int64)
     restart_buf = np.zeros((restart_cap, 2))
+    restart_step = np.zeros(restart_cap, dtype=np.int64)
+    restart_path = np.zeros(restart_cap, dtype=np.int64)
     stats = np.zeros(3, dtype=np.int64)
     if n_paths == 0:
-        return hist, restart_buf, stats
+        return hist, restart_buf[:0], restart_step[:0], restart_path[:0], stats
     step = math.sqrt(2.0 * dt)
     state = seeds.copy()
 
@@ -259,9 +374,13 @@ def run_walk(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap,
 
         at, who, rx, ry = (np.concatenate(v) for v in zip(*events))
         order = np.lexsort((who, at))[:max(restart_cap - int(stats[0]), 0)]
-        restart_buf[stats[0]:stats[0] + order.size, 0] = rx[order]
-        restart_buf[stats[0]:stats[0] + order.size, 1] = ry[order]
+        kept = slice(stats[0], stats[0] + order.size)
+        restart_buf[kept, 0] = rx[order]
+        restart_buf[kept, 1] = ry[order]
+        restart_step[kept] = t0 + at[order]
+        restart_path[kept] = who[order]
         stats[0] += at.size
         if on_block is not None:
             on_block(bpx, bpy)
-    return hist, restart_buf, stats
+    n = min(int(stats[0]), restart_cap)
+    return hist, restart_buf[:n], restart_step[:n], restart_path[:n], stats

@@ -475,17 +475,13 @@ def verify_experiment(exp: Experiment, inject_fault: str | None = None) -> tuple
 
     if isinstance(exp.measure, ms.PerturbedMeasure):
         cert = ms.check_hypothesis_v(exp.measure, exp.basis, exp.k)
-        if cert.base_kind == "uniform":
-            res1 = en.check_halfplane_exclusion(rep, cert, exp.k, exp.basis)
-            rows.append(_verdict_row(res1.name, res1.verdict, res1.detail))
-            res2 = en.check_interlacing(series, cert, exp.k)
-            rows.append(_verdict_row(f"interlacing[k={res2.k}]", res2.verdict,
-                                     res2.detail))
-            res3 = en.bound_first_eigenvalue(series, cert, moments)
-            rows.append(_verdict_row(res3.name, res3.verdict, res3.detail))
-        else:
-            res = en.check_nested_enclosure(rep, cert, moments, exp.basis)
-            rows.append(_verdict_row(res.name, res.verdict, res.detail))
+        names = (("enclosure_thm1", "enclosure_thm2", "prop_real")
+                 if cert.base_kind == "uniform" else ("enclosure_thm3",))
+        for name in names:
+            res = _THEOREMS[name](exp, cert, rep)
+            label = f"interlacing[k={res.k}]" if name == "enclosure_thm2" \
+                else res.name
+            rows.append(_verdict_row(label, res.verdict, res.detail))
 
     return _exit_code(rows), rows
 

@@ -1,5 +1,6 @@
 """scipy stays off the import path: only the disk's Bessel functions load
-``scipy.special``, and nothing loads ``scipy.optimize``.
+``scipy.special``, and nothing loads ``scipy.optimize``.  The walk forks its
+shards with ``os.fork``, so no process pool is imported either.
 
 Each case runs in a fresh interpreter, since this test session has scipy
 imported already.
@@ -44,11 +45,11 @@ DISK = {
 }
 
 
-def scipy_modules_after(code: str) -> list:
-    """Names of the ``scipy*`` modules loaded after ``code`` runs in a
-    fresh interpreter."""
+def modules_after(code: str, top: str) -> list:
+    """Names of the modules under the top-level package ``top`` loaded after
+    ``code`` runs in a fresh interpreter."""
     script = (code + "\nimport sys, json\nprint(json.dumps(sorted("
-              "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+              f"m for m in sys.modules if m.split('.')[0] == {top!r})))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
@@ -70,11 +71,17 @@ def cli_script(tmp_path, cfg, commands) -> str:
 
 
 def test_import_loads_no_scipy():
-    assert scipy_modules_after("import jumpspectra.cli") == []
+    assert modules_after("import jumpspectra.cli", "scipy") == []
+
+
+@pytest.mark.parametrize("top", ["multiprocessing", "concurrent"])
+def test_import_loads_no_process_pool(top):
+    assert modules_after("import jumpspectra.cli", top) == []
 
 
 def test_rectangle_run_and_verify_load_no_scipy(tmp_path):
-    loaded = scipy_modules_after(cli_script(tmp_path, RECT, ["run", "verify"]))
+    loaded = modules_after(cli_script(tmp_path, RECT, ["run", "verify"]),
+                           "scipy")
     assert loaded == []
     # the ops really ran: every task wrote its verdict
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
@@ -83,6 +90,6 @@ def test_rectangle_run_and_verify_load_no_scipy(tmp_path):
 
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_disk_loads_special_only(tmp_path, command):
-    loaded = scipy_modules_after(cli_script(tmp_path, DISK, [command]))
+    loaded = modules_after(cli_script(tmp_path, DISK, [command]), "scipy")
     assert "scipy.special" in loaded
     assert not [m for m in loaded if m.startswith("scipy.optimize")]

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -157,25 +160,127 @@ def step_loop(seeds, n_steps, dt, btol, domain, draw, n_bins, cap,
             np.array(positions))
 
 
-@pytest.mark.parametrize("name, n_paths, n_steps, dt, cap", [
+@pytest.fixture
+def force_shards(monkeypatch):
+    """``force_shards(k)`` splits every later walk into ``k`` shards, or one
+    per path when there are fewer paths."""
+    def force(k):
+        monkeypatch.setattr(_kernels, "_shard_count",
+                            lambda n_paths, n_steps: min(k, n_paths))
+    return force
+
+
+ENGINE_CASES = [
     ("disk-ground_state", 40, 37, 1e-4, 100),     # one partial block
     ("disk-uniform", 30, 150, 1e-3, 1000),        # not a multiple of K
     ("rect-density", 1, 500, 1e-2, 1000),         # a single path
     ("disk-circle", 200, 70, 1e-2, 5),            # cap falls inside a block
     ("rect-uniform", 3000, 12, 1e-2, 10_000),     # wide block, row sums
-])
-def test_engine_matches_step_loop(name, n_paths, n_steps, dt, cap,
-                                  walk_domains):
+]
+
+
+def engine_params():
+    """Each case at 1, 2 and 3 shards (200 / 3 splits unevenly)."""
+    for case in ENGINE_CASES:
+        name = "-".join(map(str, case))
+        for k in (1, 2, 3):
+            yield pytest.param(*case, k,
+                               id=name if k == 1 else f"{name}-{k}shards")
+
+
+@pytest.mark.parametrize("name, n_paths, n_steps, dt, cap, shards",
+                         engine_params())
+def test_engine_matches_step_loop(name, n_paths, n_steps, dt, cap, shards,
+                                  force_shards, walk_domains):
     domain, basis, spec = walk_case(name, walk_domains)
     args = (derive_seeds(9, n_paths), n_steps, dt,
             st.WalkConfig(step_dt=dt).band(), domain,
             spec.restart(domain, basis), 7, cap)
+    force_shards(shards)
     hist, buf, stats = _kernels.run_walk(*args)
     want_hist, want_buf, want_stats, _ = step_loop(*args)
     assert stats[0] > 0
     assert np.array_equal(hist, want_hist)
     assert np.array_equal(buf[:len(want_buf)], want_buf)
+    assert not buf[len(want_buf):].any()
     assert np.array_equal(stats, want_stats)
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3])
+def test_engine_from_start_matches_step_loop(shards, force_shards,
+                                             walk_domains):
+    # every path starts elsewhere, so a start array sliced wrong shows
+    domain, basis, spec = walk_case("disk-dirac", walk_domains)
+    n_paths, n_steps, dt = 100, 90, 1e-2
+    start = (np.linspace(-0.5, 0.5, n_paths), np.linspace(0.3, -0.3, n_paths))
+    args = (derive_seeds(6, n_paths), n_steps, dt,
+            st.WalkConfig(step_dt=dt).band(), domain,
+            spec.restart(domain, basis), 7, 500)
+    force_shards(shards)
+    hist, buf, stats = _kernels.run_walk(*args, start=start)
+    want_hist, want_buf, want_stats, _ = step_loop(*args, start=start)
+    assert np.array_equal(hist, want_hist)
+    assert np.array_equal(buf[:len(want_buf)], want_buf)
+    assert np.array_equal(stats, want_stats)
+
+
+def walk_with_draw_failing(walk_domains, in_parent, in_child):
+    """A 2-shard walk whose restart draw calls ``in_parent()`` in this
+    process and ``in_child()`` in the forked shard."""
+    domain, basis, spec = walk_case("disk-uniform", walk_domains)
+    draw = spec.restart(domain, basis)
+    parent = os.getpid()
+
+    def failing(state, idx):
+        (in_parent if os.getpid() == parent else in_child)()
+        return draw(state, idx)
+
+    _kernels.run_walk(derive_seeds(2, 20), 50, 1e-3, 0.05, domain, failing,
+                      7, 100)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_shard_exception_reraised(force_shards, walk_domains):
+    force_shards(2)
+
+    def fail():
+        raise ValueError("draw failed in the shard")
+
+    with pytest.raises(ValueError, match="^draw failed in the shard$"):
+        walk_with_draw_failing(walk_domains, lambda: None, fail)
+    assert_no_child_left()
+
+
+def test_shard_killed_by_signal(force_shards, walk_domains):
+    force_shards(2)
+    with pytest.raises(RuntimeError, match="walk shard 1 was killed"):
+        walk_with_draw_failing(walk_domains, lambda: None,
+                               lambda: os.kill(os.getpid(), signal.SIGKILL))
+    assert_no_child_left()
+
+
+def test_parent_failure_kills_shards(force_shards, walk_domains):
+    # the child's first draw sleeps a minute; the parent's failure must end it
+    force_shards(2)
+    slept = []
+
+    def fail():
+        raise KeyError("parent")
+
+    def hang():
+        if not slept:
+            slept.append(True)
+            time.sleep(60)
+
+    began = time.monotonic()
+    with pytest.raises(KeyError):
+        walk_with_draw_failing(walk_domains, fail, hang)
+    assert time.monotonic() - began < 30
+    assert_no_child_left()
 
 
 def test_engine_block_positions_match_step_loop(walk_domains):
