@@ -37,6 +37,8 @@ import signal
 
 import numpy as np
 
+from .errors import RejectionEfficiencyError
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -50,6 +52,8 @@ _U53 = 2.0 ** -53
 _BLOCK = 64                  # steps per block
 _BLOCK_CELLS = 1 << 16       # at most this many steps x paths per block
 _SHARD_CELLS = 1 << 20       # fewest steps x paths worth a fork (about 7 ms)
+_MIN_ACCEPTANCE = 0.01       # floor on rejection accepts / attempts
+_FLOOR_ATTEMPTS = 10_000     # attempts a shard makes before the floor applies
 
 
 def _mix(s):
@@ -147,6 +151,15 @@ def grid_ratio(table2d):
     return ratio
 
 
+def check_acceptance(attempts, accepts):
+    """Raise ``RejectionEfficiencyError`` when the rejection sampler accepted
+    fewer than ``_MIN_ACCEPTANCE`` of its attempts."""
+    if attempts > 0 and accepts < _MIN_ACCEPTANCE * attempts:
+        raise RejectionEfficiencyError(
+            f"rejection acceptance {accepts}/{attempts} fell below "
+            f"{_MIN_ACCEPTANCE:.0%}")
+
+
 def _np_restart(state, mask, draw, domain, btol, stats, x, y):
     pending = mask.copy()
     while np.any(pending):
@@ -156,6 +169,8 @@ def _np_restart(state, mask, draw, domain, btol, stats, x, y):
         if placed is not None:
             stats[1] += idx.size
             stats[2] += int(np.sum(placed))
+            if stats[1] >= _FLOOR_ATTEMPTS:
+                check_acceptance(int(stats[1]), int(stats[2]))
             ok &= placed
         done = idx[ok]
         x[done] = px[ok]
@@ -346,8 +361,11 @@ def _walk_shard(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap,
                 by = 0.5 * (Y[:-1] + Y[1:])
                 bx[first[hc], hc] = X[first[hc], hc]
                 by[first[hc], hc] = Y[first[hc], hc]
-                cells = domain.bin_index(bx[live], by[live], n_bins)
-                hist += np.bincount(cells, minlength=hist.size)
+                # rows past an exit go to the dropped cell hist.size
+                cells = np.where(live, domain.bin_index(bx, by, n_bins),
+                                 hist.size)
+                hist += np.bincount(cells.ravel(),
+                                    minlength=hist.size + 1)[:-1]
             if whole:
                 # exited paths get their restart point below, and the rows
                 # past an exit are rewritten by the later passes

@@ -247,90 +247,117 @@ def ratio_field(basis: BasisSet, re_grid: np.ndarray, im_grid: np.ndarray):
     return matryoshka_ratio(RE + 1j * IM, basis)
 
 
-def _interp(p0, p1, f0, f1, level):
-    t = (level - f0) / (f1 - f0)
-    return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
+# Cell (i, j) has corners (i, j), (i+1, j), (i+1, j+1), (i, j+1), bits 1, 2,
+# 4, 8 of its case, and edges coded 0-3 in the order b, l, r, t in which a
+# segment names its ends: bottom (i, j)-(i+1, j), left (i, j)-(i, j+1),
+# right (i+1, j)-(i+1, j+1) and top (i, j+1)-(i+1, j+1).  Per code: the
+# offset of the edge's first node from (i, j), and whether the edge runs
+# along the imaginary axis.
+_EDGE_DI = np.array([0, 0, 1, 0])
+_EDGE_DJ = np.array([0, 0, 0, 1])
+_EDGE_UP = np.array([0, 1, 1, 0])
+
+
+def _segment_table():
+    """The segments of each case as pairs of edge codes, indexed by
+    2 * case + same, where ``same`` says that the cell centre lies on the
+    side of corner (i, j); only the saddle cases 5 and 10 depend on it."""
+    b, l, r, t = range(4)
+    table = np.zeros((32, 2, 2), dtype=np.intp)
+    count = np.zeros(32, dtype=np.intp)
+    for case in range(16):
+        c0, c1, c2, c3 = ((case >> k) & 1 for k in range(4))
+        edges = [e for e, crossed in ((b, c0 != c1), (l, c0 != c3),
+                                      (r, c1 != c2), (t, c3 != c2)) if crossed]
+        for same in (0, 1):
+            if len(edges) == 4:
+                segments = [(l, b), (t, r)] if same else [(l, t), (b, r)]
+            else:
+                segments = [edges] if edges else []
+            row = 2 * case + same
+            count[row] = len(segments)
+            if segments:
+                table[row, :len(segments)] = segments
+    return table, count
+
+
+_SEGMENTS, _SEGMENT_COUNT = _segment_table()
 
 
 def marching_squares(field: np.ndarray, re_grid: np.ndarray,
                      im_grid: np.ndarray, level: float):
     """Level-set polylines of ``field`` (indexed [i_re, i_im]) at ``level``.
 
-    Plain 16-case marching squares with linear interpolation; the two
-    ambiguous saddle cases are split by the cell-centre value.  Segments are
-    chained into polylines; output is deterministic.
+    Plain 16-case marching squares with linear interpolation (Lorensen &
+    Cline 1987), over all cells at once; the two ambiguous saddle cases are
+    split by the cell-centre value.  Segments come in raster order of their
+    cells.  Each crossing is interpolated once per grid edge, and segments
+    chain on the ids of their edges, or of the grid node a crossing hits
+    exactly.  Output is deterministic.
     """
-    nr, ni = field.shape
-    segments = []
-    # nested lists of Python floats: faster to index in this loop, and the
-    # points print as plain floats
-    inside = (field <= level).tolist()
-    field, re_grid, im_grid = field.tolist(), re_grid.tolist(), im_grid.tolist()
-    for i in range(nr - 1):
-        for j in range(ni - 1):
-            c = (inside[i][j], inside[i + 1][j], inside[i + 1][j + 1],
-                 inside[i][j + 1])
-            if all(c) or not any(c):
-                continue
-            f00, f10 = field[i][j], field[i + 1][j]
-            f11, f01 = field[i + 1][j + 1], field[i][j + 1]
-            p00 = (re_grid[i], im_grid[j])
-            p10 = (re_grid[i + 1], im_grid[j])
-            p11 = (re_grid[i + 1], im_grid[j + 1])
-            p01 = (re_grid[i], im_grid[j + 1])
-            # edge crossings: bottom, right, top, left
-            pts = {}
-            if c[0] != c[1]:
-                pts["b"] = _interp(p00, p10, f00, f10, level)
-            if c[1] != c[2]:
-                pts["r"] = _interp(p10, p11, f10, f11, level)
-            if c[3] != c[2]:
-                pts["t"] = _interp(p01, p11, f01, f11, level)
-            if c[0] != c[3]:
-                pts["l"] = _interp(p00, p01, f00, f01, level)
-            keys = sorted(pts)
-            if len(keys) == 2:
-                segments.append((pts[keys[0]], pts[keys[1]]))
-            elif len(keys) == 4:
-                centre = 0.25 * (f00 + f10 + f11 + f01)
-                if (centre <= level) == c[0]:
-                    segments.append((pts["l"], pts["b"]))
-                    segments.append((pts["t"], pts["r"]))
-                else:
-                    segments.append((pts["l"], pts["t"]))
-                    segments.append((pts["b"], pts["r"]))
-    return _chain_segments(segments)
+    ni = field.shape[1]
+    inside = field <= level
+    c = inside.view(np.uint8)
+    case = c[:-1, :-1] | c[1:, :-1] << 1 | c[1:, 1:] << 2 | c[:-1, 1:] << 3
+    ci, cj = np.nonzero((case != 0) & (case != 15))
+    if ci.size == 0:
+        return []
+    centre = 0.25 * (field[ci, cj] + field[ci + 1, cj] + field[ci + 1, cj + 1]
+                     + field[ci, cj + 1])
+    row = 2 * case[ci, cj] + ((centre <= level) == inside[ci, cj])
+    n_seg = _SEGMENT_COUNT[row]
+    edge = _SEGMENTS[row][np.arange(2) < n_seg[:, None]].ravel()
+    i0 = np.repeat(ci, 2 * n_seg) + _EDGE_DI[edge]
+    j0 = np.repeat(cj, 2 * n_seg) + _EDGE_DJ[edge]
+    # ids: 3n for grid node n, 3n + 1 and 3n + 2 for the edges from node n
+    # along the real and the imaginary axis
+    edge_ids, which = np.unique(3 * (i0 * ni + j0) + 1 + _EDGE_UP[edge],
+                                return_inverse=True)
+    node0, up = np.divmod(edge_ids - 1, 3)
+    i0, j0 = np.divmod(node0, ni)
+    i1, j1 = i0 + 1 - up, j0 + up
+    f0 = field[i0, j0]
+    t = (level - f0) / (field[i1, j1] - f0)
+    x = re_grid[i0] + t * (re_grid[i1] - re_grid[i0])
+    y = im_grid[j0] + t * (im_grid[j1] - im_grid[j0])
+    # a crossing on a grid node takes the node's id, which all its edges share
+    ids = np.where(t == 0, 3 * node0, np.where(t == 1, 3 * (i1 * ni + j1),
+                                                edge_ids))
+    points = list(zip(x[which].tolist(), y[which].tolist()))
+    return _chain_segments(np.unique(ids[which], return_inverse=True)[1],
+                           points)
 
 
-def _chain_segments(segments):
-    def key(p):
-        return (round(p[0], 9), round(p[1], 9))
+def _chain_segments(node, points):
+    """Polylines through the segments (``points[2s]``, ``points[2s + 1]``),
+    whose ends lie on the nodes ``node[2s]``, ``node[2s + 1]`` (0 .. k-1).
 
-    adjacency: dict = {}
-    for a, b in segments:
-        adjacency.setdefault(key(a), []).append((a, b))
-        adjacency.setdefault(key(b), []).append((b, a))
-    used = set()
+    Each segment not yet used starts a line, which grows from its tail by
+    the first unused segment at the tail node, in segment order; lines are
+    sorted by their first point.
+    """
+    order = np.argsort(node, kind="stable")
+    first = np.searchsorted(node[order], np.arange(node.max() + 2)).tolist()
+    order, node = order.tolist(), node.tolist()
+    used = [False] * (len(node) // 2)
     polylines = []
-    for a, b in segments:
-        if (key(a), key(b)) in used or (key(b), key(a)) in used:
+    for s in range(len(used)):
+        if used[s]:
             continue
-        line = [a, b]
-        used.add((key(a), key(b)))
-        grew = True
-        while grew:
-            grew = False
-            tail = key(line[-1])
-            for start, end in adjacency.get(tail, []):
-                pair = (key(start), key(end))
-                if pair in used or (pair[1], pair[0]) in used:
-                    continue
-                line.append(end)
-                used.add(pair)
-                grew = True
+        used[s] = True
+        line = [points[2 * s], points[2 * s + 1]]
+        tail = node[2 * s + 1]
+        while True:
+            for end in order[first[tail]:first[tail + 1]]:
+                if not used[end >> 1]:
+                    break
+            else:
                 break
+            used[end >> 1] = True
+            line.append(points[end ^ 1])
+            tail = node[end ^ 1]
         polylines.append(line)
-    polylines.sort(key=lambda ln: (ln[0][0], ln[0][1]))
+    polylines.sort(key=lambda ln: ln[0])
     return polylines
 
 

@@ -361,7 +361,15 @@ class Disk:
         return n_bins
 
     def bin_index(self, bx, by, n_bins: int):
-        return np.minimum((np.hypot(bx, by) * n_bins).astype(int), n_bins - 1)
+        """Annulus of each point: the cells of ``hypot(bx, by) * n_bins``.
+        ``sqrt(bx * bx + by * by)`` differs from ``hypot`` by a few ulp, so
+        their floors differ only within 1e-9 of a cell edge, where ``hypot``
+        decides."""
+        s = np.sqrt(bx * bx + by * by) * n_bins
+        near = np.abs(s - np.rint(s)) < 1e-9
+        if near.any():
+            s[near] = np.hypot(bx[near], by[near]) * n_bins
+        return np.minimum(s.astype(int), n_bins - 1)
 
     def occupation_cells(self, n_bins: int):
         """Radial edges, no y-edges, and the annulus areas."""

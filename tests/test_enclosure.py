@@ -1,9 +1,15 @@
+import hashlib
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from jumpspectra import enclosure as en
+from jumpspectra import cli, enclosure as en
 from jumpspectra import measures, secular, spectrum as sp
 from jumpspectra.cli import make_mode_perturbation
 from jumpspectra.geometry import build_basis
@@ -282,3 +288,213 @@ def test_curves_csv(disk_curves):
     header, first = text.split("\n", 2)[:2]
     assert header == "threshold,curve_id,re,im"
     assert len(first.split(",")) == 4
+
+
+# --- marching squares -----------------------------------------------------------
+# The per-cell loop that the case table replaced, kept as the reference.  It
+# chains segments on coordinates rounded to 9 decimals, which is exact
+# unless two crossings lie within about 1e-9 of each other.
+
+def _interp(p0, p1, f0, f1, level):
+    t = (level - f0) / (f1 - f0)
+    return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
+
+
+def loop_segments(field, re_grid, im_grid, level):
+    nr, ni = field.shape
+    segments = []
+    inside = (field <= level).tolist()
+    field, re_grid, im_grid = field.tolist(), re_grid.tolist(), im_grid.tolist()
+    for i in range(nr - 1):
+        for j in range(ni - 1):
+            c = (inside[i][j], inside[i + 1][j], inside[i + 1][j + 1],
+                 inside[i][j + 1])
+            if all(c) or not any(c):
+                continue
+            f00, f10 = field[i][j], field[i + 1][j]
+            f11, f01 = field[i + 1][j + 1], field[i][j + 1]
+            p00 = (re_grid[i], im_grid[j])
+            p10 = (re_grid[i + 1], im_grid[j])
+            p11 = (re_grid[i + 1], im_grid[j + 1])
+            p01 = (re_grid[i], im_grid[j + 1])
+            # edge crossings: bottom, right, top, left
+            pts = {}
+            if c[0] != c[1]:
+                pts["b"] = _interp(p00, p10, f00, f10, level)
+            if c[1] != c[2]:
+                pts["r"] = _interp(p10, p11, f10, f11, level)
+            if c[3] != c[2]:
+                pts["t"] = _interp(p01, p11, f01, f11, level)
+            if c[0] != c[3]:
+                pts["l"] = _interp(p00, p01, f00, f01, level)
+            keys = sorted(pts)
+            if len(keys) == 2:
+                segments.append((pts[keys[0]], pts[keys[1]]))
+            elif len(keys) == 4:
+                centre = 0.25 * (f00 + f10 + f11 + f01)
+                if (centre <= level) == c[0]:
+                    segments.append((pts["l"], pts["b"]))
+                    segments.append((pts["t"], pts["r"]))
+                else:
+                    segments.append((pts["l"], pts["t"]))
+                    segments.append((pts["b"], pts["r"]))
+    return segments
+
+
+def loop_chain(segments):
+    def key(p):
+        return (round(p[0], 9), round(p[1], 9))
+
+    adjacency: dict = {}
+    for a, b in segments:
+        adjacency.setdefault(key(a), []).append((a, b))
+        adjacency.setdefault(key(b), []).append((b, a))
+    used = set()
+    polylines = []
+    for a, b in segments:
+        if (key(a), key(b)) in used or (key(b), key(a)) in used:
+            continue
+        line = [a, b]
+        used.add((key(a), key(b)))
+        grew = True
+        while grew:
+            grew = False
+            tail = key(line[-1])
+            for start, end in adjacency.get(tail, []):
+                pair = (key(start), key(end))
+                if pair in used or (pair[1], pair[0]) in used:
+                    continue
+                line.append(end)
+                used.add(pair)
+                grew = True
+                break
+        polylines.append(line)
+    polylines.sort(key=lambda ln: (ln[0][0], ln[0][1]))
+    return polylines
+
+
+def loop_marching_squares(field, re_grid, im_grid, level):
+    return loop_chain(loop_segments(field, re_grid, im_grid, level))
+
+
+def drawn_segments(polylines):
+    """The segments of polylines, as a multiset of sorted point pairs."""
+    return Counter(tuple(sorted(pair)) for line in polylines
+                   for pair in zip(line, line[1:]))
+
+
+@st.composite
+def crossing_fields(draw):
+    """A field on a non-uniform grid whose values lie 0.01 to 10 from the
+    level, so every crossing lies 2.5e-5 or more of a cell from its nodes
+    and the reference's rounded keys are exact."""
+    nr, ni = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    level = draw(st.floats(-2.0, 2.0))
+    size = arrays(np.float64, (nr, ni), elements=st.floats(0.01, 10.0))
+    above = draw(arrays(np.bool_, (nr, ni)))
+    field = np.where(above, level + draw(size), level - draw(size))
+    gaps = st.floats(0.05, 3.0)
+    re_grid = draw(st.floats(-10.0, 10.0)) + np.cumsum(
+        draw(arrays(np.float64, nr, elements=gaps)))
+    im_grid = draw(st.floats(-10.0, 10.0)) + np.cumsum(
+        draw(arrays(np.float64, ni, elements=gaps)))
+    return field, re_grid, im_grid, level
+
+
+# saddles: corners (0, 0) and (1, 1) inside with the centre in, then out;
+# corners (1, 0) and (0, 1) inside with the centre out, then in
+SADDLES = [np.array([[-1.0, 1.0], [1.0, -3.0]]),
+           np.array([[-1.0, 3.0], [3.0, -1.0]]),
+           np.array([[1.0, -1.0], [-1.0, 3.0]]),
+           np.array([[1.0, -3.0], [-3.0, 1.0]])]
+# a field all inside and one all outside the level 0
+FLAT = [np.full((3, 4), -1.0), np.full((3, 4), 1.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(crossing_fields())
+@example((SADDLES[0], np.array([0.0, 1.0]), np.array([0.0, 2.0]), 0.0))
+@example((SADDLES[1], np.array([0.0, 1.0]), np.array([0.0, 2.0]), 0.0))
+@example((SADDLES[2], np.array([0.0, 1.0]), np.array([0.0, 2.0]), 0.0))
+@example((SADDLES[3], np.array([0.0, 1.0]), np.array([0.0, 2.0]), 0.0))
+@example((FLAT[0], np.arange(3.0), np.arange(4.0), 0.0))
+@example((FLAT[1], np.arange(3.0), np.arange(4.0), 0.0))
+def test_marching_squares_matches_loop(case):
+    field, re_grid, im_grid, level = case
+    assert repr(en.marching_squares(field, re_grid, im_grid, level)) \
+        == repr(loop_marching_squares(field, re_grid, im_grid, level))
+
+
+# the centre joins the left crossing to the bottom one when it lies on the
+# side of corner (0, 0), else to the top one
+JOIN_BOTTOM = [[(0.0, 1.0), (0.5, 0.0)], [(0.25, 2.0), (1.0, 0.5)]]
+JOIN_TOP = [[(0.0, 0.5), (0.75, 2.0)], [(0.25, 0.0), (1.0, 1.5)]]
+
+
+@pytest.mark.parametrize("field, lines", zip(
+    SADDLES, [JOIN_BOTTOM, JOIN_TOP, JOIN_BOTTOM, JOIN_TOP]))
+def test_saddle_split_by_centre(field, lines):
+    assert en.marching_squares(field, np.array([0.0, 1.0]),
+                               np.array([0.0, 2.0]), 0.0) == lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(2, 5), st.integers(2, 5)),
+              elements=st.sampled_from([0.0, 1.0, 2.0])))
+@example(np.array([[2.0, 1.0], [1.0, 2.0]]))
+def test_grid_values_on_the_level_keep_every_segment(field):
+    # crossings on grid nodes chain on the node; every emitted segment lies
+    # in exactly one polyline (on integer grids all crossings are exact)
+    re_grid = np.arange(field.shape[0], dtype=float)
+    im_grid = np.arange(field.shape[1], dtype=float)
+    emitted = Counter(tuple(sorted(s))
+                      for s in loop_segments(field, re_grid, im_grid, 1.0))
+    lines = en.marching_squares(field, re_grid, im_grid, 1.0)
+    assert drawn_segments(lines) == emitted
+
+
+def test_rounded_keys_lost_a_saddle_segment():
+    # a saddle whose four crossings sit on the two inside nodes emits the
+    # diagonal twice; the rounded-key chaining kept it once
+    field = np.array([[2.0, 1.0], [1.0, 2.0]])
+    grid = np.array([0.0, 1.0])
+    assert loop_marching_squares(field, grid, grid, 1.0) \
+        == [[(0.0, 1.0), (1.0, 0.0)]]
+    assert en.marching_squares(field, grid, grid, 1.0) \
+        == [[(0.0, 1.0), (1.0, 0.0), (0.0, 1.0)]]
+
+
+POINT_MASS = {"version": 1, "domain": {"kind": "disk"},
+              "measure": {"variant": "dirac", "x0": 0.034052165372859565,
+                          "y0": -0.010954638066593792},
+              "cutoff": 2000.0, "tasks": ["figure1"]}
+# SHA-256 of the figure-1 files as the per-cell loop wrote them
+PINNED_FIGURES = {
+    "rectangle": {
+        "enclosure_curves.csv":
+            "1f8d6b0b0a83c374afa106ac29c22bffc5250444a2036d2cb7a07175c1b674d5",
+        "enclosure.svg":
+            "5a3c7f39673caeeb6c0ea6ccfff1b6c2d9a5433870966ec2611aacd8a59ceb53",
+    },
+    "point_mass": {
+        "enclosure_curves.csv":
+            "b9457f307ba6d78dd155c56a22c183f6da5cec9651e3dd3f381d992f6c49643d",
+        "enclosure.svg":
+            "83637907f4ef4ef0277578bbe0e6cd61b9caeddccb007f8f42372b71590a06a7",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FIGURES))
+def test_figure1_pinned_digests(tmp_path, name):
+    out = tmp_path / "out"
+    if name == "rectangle":
+        argv = ["figure1", "--domain", "rectangle",
+                "--side-y", "3.8757828567337283"]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(POINT_MASS))
+        argv = ["run", str(config)]
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_PASS
+    assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+            for f in PINNED_FIGURES[name]} == PINNED_FIGURES[name]

@@ -330,3 +330,25 @@ def test_gauss_legendre_cache_read_only():
     nodes, weights = geometry._gl_nodes(48, 1.0, 3.0)
     assert np.array_equal(nodes, 1.0 + (t_ref + 1.0))
     assert np.array_equal(weights, w_ref)
+
+
+@pytest.mark.parametrize("n_bins", [1, 3, 7, 10, 24, 49, 100, 1000])
+def test_disk_bin_index_matches_hypot(disk, n_bins):
+    # at every annulus edge k / n_bins and one ulp either side, along the
+    # axes, the diagonal and a 3-4-5 direction, the sqrt radius with its
+    # hypot fallback bins like hypot itself
+    edges = np.arange(n_bins + 1) / n_bins
+    r = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                        np.nextafter(edges, np.inf)])
+    directions = [(1.0, 0.0), (0.0, -1.0), (0.6, 0.8), (-0.8, 0.6),
+                  (math.sqrt(0.5), math.sqrt(0.5))]
+    bx = np.concatenate([r * c for c, s in directions])
+    by = np.concatenate([r * s for c, s in directions])
+    rng = np.random.default_rng(n_bins)
+    bx = np.concatenate([bx, rng.uniform(-1.0, 1.0, 1000)])
+    by = np.concatenate([by, rng.uniform(-1.0, 1.0, 1000)])
+    want = np.minimum((np.hypot(bx, by) * n_bins).astype(int), n_bins - 1)
+    assert np.array_equal(disk.bin_index(bx, by, n_bins), want)
+    assert np.array_equal(
+        disk.bin_index(bx.reshape(-1, 5), by.reshape(-1, 5), n_bins),
+        want.reshape(-1, 5))

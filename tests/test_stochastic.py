@@ -410,6 +410,65 @@ def test_rejection_efficiency_guard(disk, disk_basis):
         st.simulate_occupation(cfg, disk, spec, disk_basis)
 
 
+def attempts_in(error):
+    return int(str(error.value).split("/")[1].split()[0])
+
+
+def test_rejection_floor_stops_the_shard(disk, disk_basis):
+    # the spot of test_rejection_efficiency_guard places a path about once
+    # in 10^4 attempts; the floor stops the walk from 10^4 attempts on, not
+    # after the 206,775 attempts the whole walk makes
+    def spike(x, y):
+        r2 = (x - 0.2) ** 2 + y ** 2
+        return np.where(r2 < 1e-4, 1.0 / (math.pi * 1e-4), 0.0)
+
+    cfg = st.WalkConfig(step_dt=1e-4, n_steps=50, n_paths=20, seed=1)
+    with pytest.raises(RejectionEfficiencyError) as error:
+        st.simulate_occupation(cfg, disk, measures.DensityMeasure(spike),
+                               disk_basis)
+    assert _kernels._FLOOR_ATTEMPTS <= attempts_in(error) \
+        < _kernels._FLOOR_ATTEMPTS + cfg.n_paths
+
+
+def test_rejection_floor_after_a_short_walk(disk, disk_basis):
+    # a spot of radius 0.06 accepts about 0.5% of the attempts; the walk
+    # makes fewer than 10^4, so the check after the walk raises
+    def spot(x, y):
+        r2 = (x - 0.2) ** 2 + y ** 2
+        return np.where(r2 < 0.06 ** 2, 1.0 / (math.pi * 0.06 ** 2), 0.0)
+
+    cfg = st.WalkConfig(step_dt=1e-4, n_steps=50, n_paths=20, seed=1)
+    with pytest.raises(RejectionEfficiencyError) as error:
+        st.simulate_occupation(cfg, disk, measures.DensityMeasure(spot),
+                               disk_basis)
+    assert attempts_in(error) < _kernels._FLOOR_ATTEMPTS
+
+
+def test_check_acceptance():
+    _kernels.check_acceptance(0, 0)
+    _kernels.check_acceptance(100, 1)
+    with pytest.raises(RejectionEfficiencyError,
+                       match="^rejection acceptance 0/100 fell below 1%$"):
+        _kernels.check_acceptance(100, 0)
+
+
+def test_shard_rejection_floor_reraised(force_shards, disk):
+    # the child shard's draw never accepts: its 10 paths trip the floor at
+    # exactly 10^4 attempts, and the caller raises the same error type
+    force_shards(2)
+    parent = os.getpid()
+
+    def draw(state, idx):
+        at = np.zeros(idx.size)
+        return at, at.copy(), np.full(idx.size, os.getpid() == parent)
+
+    with pytest.raises(RejectionEfficiencyError,
+                       match="^rejection acceptance 0/10000 fell below 1%$"):
+        _kernels.run_walk(derive_seeds(2, 20), 50, 1e-3, 0.05, disk, draw,
+                          7, 100)
+    assert_no_child_left()
+
+
 @pytest.mark.slow
 def test_dt_halving_consistency(disk, disk_basis, uniform_disk):
     base = st.WalkConfig(step_dt=2e-4, n_steps=4000, n_paths=1500, seed=7,

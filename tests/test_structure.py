@@ -1,6 +1,7 @@
 """The restart measure is one abstraction: the walk and the boundary-layer
 probes ask the measure, never test its class, and the walk kernel takes the
-measure's draw instead of a restart code."""
+measure's draw instead of a restart code.  Marching squares works on whole
+arrays, not cell by cell."""
 
 import ast
 import inspect
@@ -59,3 +60,15 @@ def test_kernel_has_no_restart_code():
                 and any(isinstance(side, ast.Constant)
                         and type(side.value) is int
                         for side in (node.left, *node.comparators))]
+
+
+def test_marching_squares_has_no_cell_loop():
+    # the case table treats every cell at once; a loop over range(...)
+    # would walk the grid cell by cell again
+    function = next(node for node in ast.walk(parse("enclosure.py"))
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "marching_squares")
+    loops = [node.iter for node in ast.walk(function)
+             if isinstance(node, (ast.For, ast.comprehension))]
+    assert not [it for it in loops if isinstance(it, ast.Call)
+                and isinstance(it.func, ast.Name) and it.func.id == "range"]
