@@ -9,16 +9,16 @@ block are running sums over the steps, which add left to right, so each
 equals the per-step update ``x + step * z`` bit for bit.  One reduction over
 the block finds each path's first exit; only exited paths advance their
 counters to the exit, restart from the measure and finish the block in a
-shrinking inner pass.  Histogram counts are integers and the restart buffer
-is filled in (step, path) order, so the histogram, the restart buffer and
-the counters are bitwise identical to those of a per-step loop over all
-paths, whatever the block size.
+shrinking inner pass.  Histogram and region counts are integers and the
+restart samples are sorted into (step, path) order, so the histogram, the
+region counts, the samples and the counters are bitwise identical to those
+of a per-step loop over all paths, whatever the block size.
 
 Since the streams are per path, the paths split into contiguous shards that
 walk apart: one in the calling process and the others in children made by
-``os.fork``, one shard per available CPU.  Histograms and counters are summed
-and the restart samples merged in (step, path) order, so the result has the
-same bits at any shard count.
+``os.fork``, one shard per available CPU.  Histograms, region counts and
+counters are summed and the restart samples sorted once, so the result has
+the same bits at any shard count.
 
 The domain object supplies the interior test, the uniform sampler and the
 occupation cells.  The restart measure supplies a draw ``draw(state, idx) ->
@@ -231,26 +231,27 @@ def _outcome(shard, status, data):
 
 
 def run_walk(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap,
-             start=None, on_block=None):
-    """Walk every path ``n_steps`` steps; returns (hist, restart_buf, stats).
+             start=None, region=None):
+    """Walk every path ``n_steps`` steps; returns (hist, samples, stats,
+    inside).
 
-    ``stats`` holds the restart count, the rejection attempts and the
-    rejection accepts.  The histogram counts the domain's occupation cells
-    for ``n_bins``; ``n_bins = 0`` skips the binning.  Paths start from
+    ``samples`` holds the first ``restart_cap`` restart points in (step,
+    path) order, and ``stats`` the restart count, the rejection attempts and
+    the rejection accepts.  The histogram counts the domain's occupation
+    cells for ``n_bins``; ``n_bins = 0`` skips the binning.  Paths start from
     ``draw``, the restart measure's draw, or from the ``start = (x, y)``
-    arrays when given.
-    ``on_block(px, py)``, when given, receives after each block the
-    (steps, paths) positions at the end of every step of the block,
-    restarts applied; the walk then stays in the calling process.
+    arrays when given.  ``inside[t]`` counts the paths whose position at the
+    end of step t, restarts applied, satisfies ``region(px, py)``; it is
+    empty when ``region`` is None.
 
-    Otherwise the paths are split into contiguous shards (``_shard_count``);
-    shard 0 walks here and each other shard in a forked child, which
-    inherits ``draw`` and ``domain`` and pickles its result back.  A failure
-    in a child is raised here; on any failure every child is killed and
-    reaped.
+    The paths are split into contiguous shards (``_shard_count``); shard 0
+    walks here and each other shard in a forked child, which inherits
+    ``draw``, ``domain`` and ``region`` and pickles its result back.  A
+    failure in a child is raised here; on any failure every child is killed
+    and reaped.
     """
     n_paths = seeds.size
-    n_shards = 1 if on_block is not None else _shard_count(n_paths, n_steps)
+    n_shards = _shard_count(n_paths, n_steps)
     cut = [n_paths * i // n_shards for i in range(n_shards + 1)]
 
     def shard(i):
@@ -258,7 +259,7 @@ def run_walk(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap,
         begin = None if start is None else (np.asarray(start[0])[paths],
                                             np.asarray(start[1])[paths])
         return _walk_shard(seeds[paths], n_steps, dt, btol, domain, draw,
-                           n_bins, restart_cap, begin, on_block)
+                           n_bins, restart_cap, begin, region)
 
     children = []
     try:
@@ -279,29 +280,26 @@ def run_walk(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap,
             except ChildProcessError:     # reaped above
                 pass
 
-    hist = sum(p[0] for p in parts)
-    stats = sum(p[4] for p in parts)
+    hist, stats, inside = (sum(p[k] for p in parts) for k in (0, 4, 5))
     points, steps, paths = (np.concatenate(v) for v in zip(
         *((p[1], p[2], p[3] + lo) for p, lo in zip(parts, cut))))
     order = np.lexsort((paths, steps))[:restart_cap]
-    restart_buf = np.zeros((restart_cap, 2))
-    restart_buf[:order.size] = points[order]
-    return hist, restart_buf, stats
+    return hist, points[order], stats, inside
 
 
 def _walk_shard(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap,
-                start, on_block):
+                start, region):
     """The walk of the paths ``seeds``; returns (hist, restart points, their
-    steps, their paths, stats) with the first ``restart_cap`` restarts in
-    (step, path) order, paths counted from the first of ``seeds``."""
+    steps, their paths, stats, inside).  The restarts, unsorted, are those
+    of the blocks up to the one that reaches ``restart_cap`` restarts, which
+    hold the first ``restart_cap`` of them; paths count from the first of
+    ``seeds``."""
     n_paths = seeds.size
     hist = np.zeros(domain.n_cells(n_bins), dtype=np.int64)
-    restart_buf = np.zeros((restart_cap, 2))
-    restart_step = np.zeros(restart_cap, dtype=np.int64)
-    restart_path = np.zeros(restart_cap, dtype=np.int64)
     stats = np.zeros(3, dtype=np.int64)
-    if n_paths == 0:
-        return hist, restart_buf[:0], restart_step[:0], restart_path[:0], stats
+    inside = np.zeros(0 if region is None else n_steps, dtype=np.int64)
+    # (steps, paths, x, y) of kept restarts, from an empty entry
+    events = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),) * 2]
     step = math.sqrt(2.0 * dt)
     state = seeds.copy()
 
@@ -318,16 +316,13 @@ def _walk_shard(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap,
         x = np.array(start[0], dtype=float)
         y = np.array(start[1], dtype=float)
 
-    block = max(1, min(_BLOCK, _BLOCK_CELLS // n_paths))
+    block = max(1, min(_BLOCK, _BLOCK_CELLS // max(n_paths, 1)))
     # the draws of step i are 2i + 1 (radius) and 2i + 2 (angle)
     offsets = np.arange(1, 2 * block + 1, dtype=np.uint64) * _GOLDEN
     off_r, off_a = offsets[0::2].copy(), offsets[1::2].copy()
     for t0 in range(0, n_steps, block):
         k = min(block, n_steps - t0)
-        if on_block is not None:
-            bpx = np.empty((k, n_paths))
-            bpy = np.empty((k, n_paths))
-        events = []
+        keep = stats[0] < restart_cap            # block not past the cap
         act = np.arange(n_paths)                 # paths still in the block
         beg = np.zeros(n_paths, dtype=np.intp)   # their block-local step
         whole = True                             # all paths from step 0
@@ -367,38 +362,26 @@ def _walk_shard(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap,
                 hist += np.bincount(cells.ravel(),
                                     minlength=hist.size + 1)[:-1]
             if whole:
-                # exited paths get their restart point below, and the rows
-                # past an exit are rewritten by the later passes
+                # exited paths get their restart point below
                 x[:], y[:] = X[m], Y[m]
-                if on_block is not None:
-                    bpx[:], bpy[:] = X[1:], Y[1:]
             else:
                 cols = np.arange(act.size)
                 x[act], y[act] = X[used, cols], Y[used, cols]
-                if on_block is not None:
-                    ri, ci = np.nonzero(live)
-                    bpx[beg[ci] + ri, act[ci]] = X[ri + 1, ci]
-                    bpy[beg[ci] + ri, act[ci]] = Y[ri + 1, ci]
             state[sel] += (2 * used).astype(np.uint64) * _GOLDEN
             gone = act[hc]
             restart(gone)
             at = beg[hc] + first[hc]
-            events.append((at, gone, x[gone], y[gone]))
-            if on_block is not None:
-                bpx[at, gone] = x[gone]
-                bpy[at, gone] = y[gone]
+            stats[0] += at.size
+            if keep:
+                events.append((t0 + at, gone, x[gone], y[gone]))
+            if region is not None:
+                # an exit step ends at the restart point
+                X[first[hc] + 1, hc] = x[gone]
+                Y[first[hc] + 1, hc] = y[gone]
+                ends = (beg + rows)[live & region(X[1:], Y[1:])]
+                inside[t0:t0 + k] += np.bincount(ends, minlength=k)
             more = at + 1 < k
             act, beg, whole = gone[more], at[more] + 1, False
 
-        at, who, rx, ry = (np.concatenate(v) for v in zip(*events))
-        order = np.lexsort((who, at))[:max(restart_cap - int(stats[0]), 0)]
-        kept = slice(stats[0], stats[0] + order.size)
-        restart_buf[kept, 0] = rx[order]
-        restart_buf[kept, 1] = ry[order]
-        restart_step[kept] = t0 + at[order]
-        restart_path[kept] = who[order]
-        stats[0] += at.size
-        if on_block is not None:
-            on_block(bpx, bpy)
-    n = min(int(stats[0]), restart_cap)
-    return hist, restart_buf[:n], restart_step[:n], restart_path[:n], stats
+    steps, paths, rx, ry = (np.concatenate(v) for v in zip(*events))
+    return hist, np.column_stack((rx, ry)), steps, paths, stats, inside

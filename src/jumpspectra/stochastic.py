@@ -25,6 +25,7 @@ from ._kernels import check_acceptance, derive_seeds, run_walk
 from .measures import MeasureSpec
 
 _OVERSHOOT = 0.5826          # mean discrete-exit overshoot, units of sqrt(2 dt)
+_RESTART_SAMPLE_CAP = 32_768  # restart points kept, the first in (step, path)
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,6 @@ class WalkConfig:
     seed: int = 20240817
     boundary_tolerance: float | None = None     # default: overshoot correction
     n_bins: int = 24
-    restart_sample_cap: int = 32_768
 
     def band(self) -> float:
         if self.boundary_tolerance is not None:
@@ -59,26 +59,31 @@ class OccupationHistogram:
     rejection_accepts: int = 0
 
 
+def _walk(config: WalkConfig, domain: Domain, spec: MeasureSpec,
+          basis: BasisSet | None, start=None, region=None):
+    """``run_walk`` under ``config`` from the measure's restarts, between
+    the band check and the whole walk's acceptance check."""
+    band = config.band()
+    spec.check_band(domain, band)
+    out = run_walk(derive_seeds(config.seed, config.n_paths), config.n_steps,
+                   config.step_dt, band, domain, spec.restart(domain, basis),
+                   config.n_bins, _RESTART_SAMPLE_CAP, start, region)
+    stats = out[2]
+    # a shard checks the floor itself only from _FLOOR_ATTEMPTS attempts on
+    check_acceptance(int(stats[1]), int(stats[2]))
+    return out
+
+
 def simulate_occupation(config: WalkConfig, domain: Domain,
                         spec: MeasureSpec,
                         basis: BasisSet | None = None) -> OccupationHistogram:
     """Run the walk ensemble and bin the time-weighted occupation."""
-    band = config.band()
-    spec.check_band(domain, band)
-    seeds = derive_seeds(config.seed, config.n_paths)
-    hist, restart_buf, stats = run_walk(
-        seeds, config.n_steps, config.step_dt, band, domain,
-        spec.restart(domain, basis), config.n_bins, config.restart_sample_cap)
-
-    # a shard checks the floor itself only from _FLOOR_ATTEMPTS attempts on
-    check_acceptance(int(stats[1]), int(stats[2]))
-
+    hist, samples, stats, _ = _walk(config, domain, spec, basis)
     edges, edges_y, areas = domain.occupation_cells(config.n_bins)
     density = hist / float(np.sum(hist)) / areas
-    n_rec = int(min(stats[0], config.restart_sample_cap))
     return OccupationHistogram(domain, config, edges, edges_y, hist, density,
-                               areas, restart_buf[:n_rec].copy(), int(stats[0]),
-                               False, int(stats[1]), int(stats[2]))
+                               areas, samples, int(stats[0]), False,
+                               int(stats[1]), int(stats[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -133,19 +138,13 @@ def decay_rate_estimate(domain: Domain, spec: MeasureSpec,
     fits the log-gap to its long-run level.  Statistical noise dominates
     quickly; treat the result as a +-25% diagnostic, not a certificate.
     """
-    band = _OVERSHOOT * math.sqrt(2.0 * dt)
-    spec.check_band(domain, band)
-    parts = []
-
-    def record(px, py):
-        parts.append(np.mean(domain.inner_region(px, py), axis=1))
-
-    run_walk(derive_seeds(seed, n_paths), n_steps, dt, band, domain,
-             spec.restart(domain, basis), 0, 0,
-             start=(np.full(n_paths, float(start[0])),
-                    np.full(n_paths, float(start[1]))),
-             on_block=record)
-    series = np.concatenate(parts)
+    config = WalkConfig(step_dt=dt, n_steps=n_steps, n_paths=n_paths,
+                        seed=seed, n_bins=0)
+    inside = _walk(config, domain, spec, basis,
+                   start=(np.full(n_paths, float(start[0])),
+                          np.full(n_paths, float(start[1]))),
+                   region=domain.inner_region)[3]
+    series = inside / n_paths
     t = dt * np.arange(1, n_steps + 1)
     tail = series[int(0.7 * n_steps):].mean()
     gap = series - tail

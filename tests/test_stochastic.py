@@ -197,13 +197,13 @@ def test_engine_matches_step_loop(name, n_paths, n_steps, dt, cap, shards,
             st.WalkConfig(step_dt=dt).band(), domain,
             spec.restart(domain, basis), 7, cap)
     force_shards(shards)
-    hist, buf, stats = _kernels.run_walk(*args)
+    hist, buf, stats, inside = _kernels.run_walk(*args)
     want_hist, want_buf, want_stats, _ = step_loop(*args)
     assert stats[0] > 0
     assert np.array_equal(hist, want_hist)
-    assert np.array_equal(buf[:len(want_buf)], want_buf)
-    assert not buf[len(want_buf):].any()
+    assert np.array_equal(buf, want_buf)
     assert np.array_equal(stats, want_stats)
+    assert inside.size == 0
 
 
 @pytest.mark.parametrize("shards", [1, 2, 3])
@@ -217,10 +217,10 @@ def test_engine_from_start_matches_step_loop(shards, force_shards,
             st.WalkConfig(step_dt=dt).band(), domain,
             spec.restart(domain, basis), 7, 500)
     force_shards(shards)
-    hist, buf, stats = _kernels.run_walk(*args, start=start)
+    hist, buf, stats, _ = _kernels.run_walk(*args, start=start)
     want_hist, want_buf, want_stats, _ = step_loop(*args, start=start)
     assert np.array_equal(hist, want_hist)
-    assert np.array_equal(buf[:len(want_buf)], want_buf)
+    assert np.array_equal(buf, want_buf)
     assert np.array_equal(stats, want_stats)
 
 
@@ -283,21 +283,41 @@ def test_parent_failure_kills_shards(force_shards, walk_domains):
     assert_no_child_left()
 
 
-def test_engine_block_positions_match_step_loop(walk_domains):
-    # the decay diagnostic's path: a point start and per-step positions
-    domain, basis, spec = walk_case("disk-ground_state", walk_domains)
-    n_paths, n_steps, dt = 300, 230, 4e-3
-    start = (np.full(n_paths, 0.2), np.full(n_paths, -0.1))
+REGION_CASES = [
+    ("disk-ground_state", 300, 230, 4e-3, 0, 0, (0.2, -0.1)),  # decay's use
+    ("rect-uniform", 200, 150, 1e-2, 7, 100, None),             # from draws
+]
+
+
+def region_params():
+    for case in REGION_CASES:
+        for k in (1, 2, 3):
+            yield pytest.param(*case, k, id=f"{case[0]}-{k}shards")
+
+
+@pytest.mark.parametrize("name, n_paths, n_steps, dt, n_bins, cap, point, "
+                         "shards", region_params())
+def test_engine_region_counts_match_step_loop(name, n_paths, n_steps, dt,
+                                              n_bins, cap, point, shards,
+                                              force_shards, walk_domains):
+    # per-step counts of the paths in the inner region, restarts applied
+    domain, basis, spec = walk_case(name, walk_domains)
+    start = None if point is None else (np.full(n_paths, point[0]),
+                                        np.full(n_paths, point[1]))
     args = (derive_seeds(4, n_paths), n_steps, dt,
             st.WalkConfig(step_dt=dt).band(), domain,
-            spec.restart(domain, basis), 0, 0)
-    blocks = []
-    _, _, stats = _kernels.run_walk(
-        *args, start=start,
-        on_block=lambda px, py: blocks.append(np.stack([px, py], axis=1)))
-    _, _, want_stats, want_pos = step_loop(*args, start=start)
+            spec.restart(domain, basis), n_bins, cap)
+    force_shards(shards)
+    hist, buf, stats, inside = _kernels.run_walk(
+        *args, start=start, region=domain.inner_region)
+    want_hist, want_buf, want_stats, want_pos = step_loop(*args, start=start)
+    want = domain.inner_region(want_pos[:, 0], want_pos[:, 1]).sum(axis=1)
     assert want_stats[0] > n_paths
-    assert np.array_equal(np.concatenate(blocks), want_pos)
+    assert 0 < want.min() and want.max() < n_paths
+    assert inside.dtype == np.int64
+    assert np.array_equal(inside, want)
+    assert np.array_equal(hist, want_hist)
+    assert np.array_equal(buf, want_buf)
     assert np.array_equal(stats, want_stats)
 
 
@@ -347,6 +367,20 @@ def test_decay_restart_point_inside_band_rejected(disk):
     with pytest.raises(ValueError):
         st.decay_rate_estimate(disk, measures.DiracMeasure(0.999, 0.0),
                                n_steps=50, n_paths=10, start=(0.99, 0.0))
+
+
+def test_decay_rejection_floor(disk, disk_basis_small):
+    # the spot accepts 19 of 6007 attempts; the diagnostic must say so
+    # rather than fail its fit
+    def spot(x, y):
+        r2 = (x - 0.2) ** 2 + y ** 2
+        return np.where(r2 < 0.06 ** 2, 1.0 / (math.pi * 0.06 ** 2), 0.0)
+
+    with pytest.raises(RejectionEfficiencyError,
+                       match="^rejection acceptance 19/6007 fell below 1%$"):
+        st.decay_rate_estimate(disk, measures.DensityMeasure(spot),
+                               disk_basis_small, dt=1e-3, n_steps=60,
+                               n_paths=20, start=(0.9, 0.0))
 
 
 def test_stationary_prediction_uniform(disk_basis, uniform_disk,

@@ -1,7 +1,7 @@
 """The restart measure is one abstraction: the walk and the boundary-layer
 probes ask the measure, never test its class, and the walk kernel takes the
-measure's draw instead of a restart code.  Marching squares works on whole
-arrays, not cell by cell."""
+measure's draw instead of a restart code.  Every walk takes the kernel's one
+sharded path.  Marching squares works on whole arrays, not cell by cell."""
 
 import ast
 import inspect
@@ -50,7 +50,7 @@ def test_kernel_has_no_restart_code():
     assert not [name for name in names if "code" in name]
     assert list(inspect.signature(_kernels.run_walk).parameters) == [
         "seeds", "n_steps", "dt", "btol", "domain", "draw", "n_bins",
-        "restart_cap", "start", "on_block"]
+        "restart_cap", "start", "region"]
     # the restart loop compares nothing with an integer literal
     restart = next(node for node in ast.walk(tree)
                    if isinstance(node, ast.FunctionDef)
@@ -60,6 +60,18 @@ def test_kernel_has_no_restart_code():
                 and any(isinstance(side, ast.Constant)
                         and type(side.value) is int
                         for side in (node.left, *node.comparators))]
+
+
+def test_one_walk_path():
+    # every walk shards the same way: no per-block callback in the kernel,
+    # and one call into it from the stochastic layer
+    with open(os.path.join(SRC, "_kernels.py")) as fh:
+        assert "on_block" not in fh.read()
+    calls = [node for node in ast.walk(parse("stochastic.py"))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             == "run_walk"]
+    assert len(calls) == 1
 
 
 def test_marching_squares_has_no_cell_loop():
