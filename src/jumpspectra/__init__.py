@@ -2,8 +2,9 @@
 boundary restarts: closed-form Dirichlet bases, secular-series root finding,
 resolvent algebra, enclosure certificates and Monte Carlo cross-validation."""
 
-from .geometry import (BasisSet, Disk, Mode, Rectangle, bessel_zero,
-                       build_basis, quadrature_integral, rectangle, unit_disk)
+from .bessel import bessel_zero
+from .geometry import (BasisSet, Disk, Mode, Rectangle, build_basis,
+                       quadrature_integral, rectangle, unit_disk)
 from .measures import (AdmissibilityCertificate, CircleMeasure, DensityMeasure,
                        DiracMeasure, GroundStateMeasure, MeasureMoments,
                        PerturbedMeasure, UniformMeasure, check_hypothesis_v,

@@ -50,7 +50,11 @@ _ONE = np.uint64(1)
 _U53 = 2.0 ** -53
 
 _BLOCK = 64                  # steps per block
-_BLOCK_CELLS = 1 << 16       # at most this many steps x paths per block
+# At most this many steps x paths per block.  A block's float64 arrays
+# (128 KB) then stay near glibc's default mmap threshold, so most are reused
+# from the heap instead of mapped and faulted in afresh every block; at
+# 1 << 16 the seed-1 disk walk took about 2.5 times the minor page faults.
+_BLOCK_CELLS = 1 << 14
 _SHARD_CELLS = 1 << 20       # fewest steps x paths worth a fork (about 7 ms)
 _MIN_ACCEPTANCE = 0.01       # floor on rejection accepts / attempts
 _FLOOR_ATTEMPTS = 10_000     # attempts a shard makes before the floor applies

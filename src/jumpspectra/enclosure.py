@@ -143,13 +143,16 @@ def check_interlacing(series: SecularSeries,
         return InterlacingCertificate(k, (), cert.margin, INAPPLICABLE,
                                       f"fewer than {k} active poles")
     basis = series.basis
-    # each of the first k active poles must be a simple Dirichlet eigenvalue
+    means = basis.cluster_means()
+    multiple = np.array([len(group) > 1 for group in basis.clusters()])
+    # each of the first k active poles must be a simple Dirichlet eigenvalue;
+    # the clusters within the tolerance lie in the window around it
     for i in range(k):
         pole = series.poles[i]
-        size = sum(1 for group in basis.clusters()
-                   if abs(np.mean(basis.eigenvalues[list(group)]) - pole)
-                   <= 1e-9 * (1 + pole) and len(group) > 1)
-        if size:
+        tol = 1e-9 * (1 + pole)
+        lo, hi = np.searchsorted(means, [pole - tol, pole + tol])
+        near = slice(max(lo - 1, 0), hi + 1)
+        if np.any((np.abs(means[near] - pole) <= tol) & multiple[near]):
             return InterlacingCertificate(
                 k, (), cert.margin, INAPPLICABLE,
                 f"active pole {i + 1} at {pole:.6g} is degenerate")
@@ -332,31 +335,37 @@ def _chain_segments(node, points):
     """Polylines through the segments (``points[2s]``, ``points[2s + 1]``),
     whose ends lie on the nodes ``node[2s]``, ``node[2s + 1]`` (0 .. k-1).
 
-    Each segment not yet used starts a line, which grows from its tail by
-    the first unused segment at the tail node, in segment order; lines are
-    sorted by their first point.
+    Each segment not yet used starts a line, which grows from its tail and
+    then from its head, each time by the first unused segment at the end
+    node, in segment order; lines are sorted by their first point.  So a
+    curve comes out whole whichever of its segments starts it.
     """
     order = np.argsort(node, kind="stable")
     first = np.searchsorted(node[order], np.arange(node.max() + 2)).tolist()
     order, node = order.tolist(), node.tolist()
     used = [False] * (len(node) // 2)
+
+    def grow(at):
+        """Points of the unused segments chained on from node ``at``."""
+        out = []
+        while True:
+            for end in order[first[at]:first[at + 1]]:
+                if not used[end >> 1]:
+                    break
+            else:
+                return out
+            used[end >> 1] = True
+            out.append(points[end ^ 1])
+            at = node[end ^ 1]
+
     polylines = []
     for s in range(len(used)):
         if used[s]:
             continue
         used[s] = True
-        line = [points[2 * s], points[2 * s + 1]]
-        tail = node[2 * s + 1]
-        while True:
-            for end in order[first[tail]:first[tail + 1]]:
-                if not used[end >> 1]:
-                    break
-            else:
-                break
-            used[end >> 1] = True
-            line.append(points[end ^ 1])
-            tail = node[end ^ 1]
-        polylines.append(line)
+        tail = grow(node[2 * s + 1])
+        head = grow(node[2 * s])
+        polylines.append(head[::-1] + [points[2 * s], points[2 * s + 1]] + tail)
     polylines.sort(key=lambda ln: ln[0])
     return polylines
 

@@ -71,3 +71,7 @@ class RejectionEfficiencyError(JumpSpectraError):
 
 class ConfigError(JumpSpectraError):
     """Experiment configuration failed validation."""
+
+
+class BesselZeroError(JumpSpectraError):
+    """A refined Bessel zero left its bracket, or the zeros do not interlace."""

@@ -25,48 +25,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .bessel import bessel_zeros, jv
 from .errors import EmptyBasisError, EvaluationError, ResolutionError
 
 # Clustering tolerance for grouping equal eigenvalues, relative to 1 + lambda.
 CLUSTER_RTOL = 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Bessel functions and zeros
-# ---------------------------------------------------------------------------
-
-def _special():
-    """``scipy.special``, imported on first use.  Only the disk needs
-    Bessel functions, so the rectangle path never loads scipy."""
-    import scipy.special
-    return scipy.special
-
-
-def jv(order, x):
-    """Bessel function of the first kind ``J_order(x)``."""
-    return _special().jv(order, x)
-
-
-@lru_cache(maxsize=None)
-def _jn_zeros_cached(order: int, count: int) -> tuple[float, ...]:
-    return tuple(_special().jn_zeros(order, count))
-
-
-def bessel_zero(order: int, k: int) -> float:
-    """k-th positive zero of J_order, k >= 1."""
-    if k < 1:
-        raise ValueError("zero index k must be >= 1")
-    # grow the cached table in chunks so repeated queries stay cheap
-    count = 8
-    while count < k:
-        count *= 2
-    return _jn_zeros_cached(order, max(count, k))[k - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +107,8 @@ class Mode:
     params: tuple = field(repr=False)
 
     def evaluate(self, x, y):
-        return self.domain.mode_value(self, np.asarray(x, dtype=float),
-                                      np.asarray(y, dtype=float))
+        return self.domain.mode_values((self,), np.asarray(x, dtype=float),
+                                       np.asarray(y, dtype=float))[0]
 
     def gradient(self, x, y):
         """Cartesian gradient, for quadrature of Dirichlet forms.
@@ -221,21 +190,15 @@ class Disk:
                               np.asarray(y, dtype=float))
 
     def modes(self, cutoff: float) -> list:
-        jmax = math.sqrt(cutoff)
+        orders, index, zeros = bessel_zeros(math.sqrt(cutoff))
+        # the radial norm keeps the sign of J_1(j_{0,k})
+        norms = (np.where(orders == 0, math.sqrt(math.pi),
+                          math.sqrt(math.pi / 2.0)) * jv(orders + 1, zeros))
         out = []
-        m = 0
-        while bessel_zero(m, 1) <= jmax:
-            k = 1
-            while (j := bessel_zero(m, k)) <= jmax:
-                if m == 0:
-                    norm = math.sqrt(math.pi) * jv(1, j)        # signed
-                    out.append((j * j, (0, k, "rad"), (0, j, norm)))
-                else:
-                    norm = math.sqrt(math.pi / 2.0) * jv(m + 1, j)
-                    out.append((j * j, (m, k, "cos"), (m, j, norm)))
-                    out.append((j * j, (m, k, "sin"), (m, j, norm)))
-                k += 1
-            m += 1
+        for m, k, j, norm in zip(orders.tolist(), index.tolist(),
+                                 zeros.tolist(), norms.tolist()):
+            for kind in ("rad",) if m == 0 else ("cos", "sin"):
+                out.append((j * j, (m, k, kind), (m, j, norm)))
         return out
 
     def mean_coefficient(self, params) -> float:
@@ -245,15 +208,27 @@ class Disk:
         # integral J0(j r) r dr = J1(j)/j; the signed normalisation cancels J1
         return 2.0 * math.sqrt(math.pi) / j
 
-    def mode_value(self, mode: Mode, x, y):
-        m, j, norm = mode.params
-        r = np.hypot(x, y)
-        rad = jv(m, j * r) / norm
-        if m == 0:
-            return rad
-        theta = np.arctan2(y, x)
-        ang = np.cos(m * theta) if mode.label[2] == "cos" else np.sin(m * theta)
-        return rad * ang
+    @staticmethod
+    def _radial(modes, r):
+        """``J_m(j r) / norm`` of every mode (rows) at the radii ``r``, in
+        one Bessel call."""
+        m, j, norm = (np.array(p) for p in zip(*(mode.params for mode in modes)))
+        e = (slice(None),) + (None,) * np.ndim(r)
+        return jv(m[e], j[e] * r) / norm[e]
+
+    @staticmethod
+    def _angular(modes, theta):
+        """``cos(m theta)`` or ``sin(m theta)`` of every mode (rows); 1 for
+        the radial modes."""
+        e = (slice(None),) + (None,) * np.ndim(theta)
+        m = np.array([mode.params[0] for mode in modes])[e]
+        sine = np.array([mode.label[2] == "sin" for mode in modes])[e]
+        return np.where(sine, np.sin(m * theta), np.cos(m * theta))
+
+    def mode_values(self, modes, x, y):
+        """Values of ``modes`` at the points ``(x, y)``, one row per mode."""
+        return (self._radial(modes, np.hypot(x, y))
+                * self._angular(modes, np.arctan2(y, x)))
 
     def mode_gradient(self, mode: Mode, x, y):
         m, j, norm = mode.params
@@ -262,8 +237,9 @@ class Disk:
         if m == 0:
             drad = -j * jv(1, j * r) / norm
             return (drad * np.cos(theta), drad * np.sin(theta))
-        rad = jv(m, j * r) / norm
-        drad = j * 0.5 * (jv(m - 1, j * r) - jv(m + 1, j * r)) / norm
+        below, at, above = jv(np.array([m - 1, m, m + 1])[:, None], j * r)
+        rad = at / norm
+        drad = j * 0.5 * (below - above) / norm
         if mode.label[2] == "cos":
             ang, dang = np.cos(m * theta), -m * np.sin(m * theta)
         else:
@@ -298,17 +274,9 @@ class Disk:
         """Values of ``modes`` at every node: O(n_modes (n_r + n_theta))
         Bessel and trig evaluations on the tensor rule."""
         r, _, theta = rule.axes
-        rows = np.empty((len(modes), rule.n_nodes))
-        for k, mode in enumerate(modes):
-            m, j, norm = mode.params
-            rad = jv(m, j * r) / norm
-            if m == 0:
-                rows[k] = np.repeat(rad, theta.size)
-            else:
-                ang = (np.cos(m * theta) if mode.label[2] == "cos"
-                       else np.sin(m * theta))
-                rows[k] = np.outer(rad, ang).ravel()
-        return rows
+        rows = (self._radial(modes, r)[:, :, None]
+                * self._angular(modes, theta)[:, None, :])
+        return rows.reshape(len(modes), rule.n_nodes)
 
     def moments(self, values, basis: BasisSet) -> np.ndarray:
         """Moments of node-sampled ``values`` against every basis mode,
@@ -380,17 +348,13 @@ class Disk:
         """Integral of ``sum_n coeffs_n chi_n`` over each annulus, by a radial
         Gauss rule; angular modes average out."""
         t, wt = _leggauss(16)
-        out = np.empty(edges.size - 1)
-        radial = [(i, m) for i, m in enumerate(basis.modes) if m.label[0] == 0]
-        for b in range(edges.size - 1):
-            lo, hi = edges[b], edges[b + 1]
-            r = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
-            wr = 0.5 * (hi - lo) * wt
-            vals = np.zeros_like(r)
-            for i, m in radial:
-                vals += coeffs[i] * m.evaluate(r, np.zeros_like(r))
-            out[b] = 2.0 * math.pi * float(np.sum(wr * r * vals))
-        return out
+        lo, hi = edges[:-1, None], edges[1:, None]
+        r = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t          # (bin, node)
+        wr = 0.5 * (hi - lo) * wt
+        radial = [i for i, m in enumerate(basis.modes) if m.label[0] == 0]
+        vals = np.tensordot(coeffs[radial],
+                            self._radial([basis.modes[i] for i in radial], r), 1)
+        return 2.0 * math.pi * np.sum(wr * r * vals, axis=1)
 
     def cell_labels(self, edges, edges_y) -> list[str]:
         e = edges.tolist()
@@ -439,8 +403,10 @@ class Rectangle:
         a, b = self.side_x, self.side_y
         return 8.0 * math.sqrt(a * b) / (math.pi ** 2 * m * n)
 
-    def mode_value(self, mode: Mode, x, y):
-        m, n = mode.params
+    def mode_values(self, modes, x, y):
+        """Values of ``modes`` at the points ``(x, y)``, one row per mode."""
+        e = (slice(None),) + (None,) * np.broadcast(x, y).ndim
+        m, n = (np.array(p)[e] for p in zip(*(mode.params for mode in modes)))
         a, b = self.side_x, self.side_y
         return (2.0 / math.sqrt(a * b)
                 * np.sin(m * math.pi * x / a)
@@ -673,15 +639,26 @@ class BasisSet:
     def __len__(self) -> int:
         return len(self.modes)
 
-    def clusters(self) -> list[tuple[int, ...]]:
-        """Indices grouped by equal eigenvalue (tolerance 1e-9 * (1+lambda))."""
+    @cached_property
+    def _cluster_table(self):
         groups: list[list[int]] = []
         for i, lam in enumerate(self.eigenvalues):
             if groups and lam - self.eigenvalues[groups[-1][0]] <= CLUSTER_RTOL * (1.0 + lam):
                 groups[-1].append(i)
             else:
                 groups.append([i])
-        return [tuple(g) for g in groups]
+        means = np.array([np.mean(self.eigenvalues[g]) for g in groups])
+        means.flags.writeable = False
+        return tuple(tuple(g) for g in groups), means
+
+    def clusters(self) -> tuple[tuple[int, ...], ...]:
+        """Indices grouped by equal eigenvalue (tolerance 1e-9 * (1+lambda)),
+        computed once per basis."""
+        return self._cluster_table[0]
+
+    def cluster_means(self) -> np.ndarray:
+        """Mean eigenvalue of each cluster, ascending (read-only)."""
+        return self._cluster_table[1]
 
 
 def build_basis(domain: Domain, cutoff: float,

@@ -29,7 +29,8 @@ from ._kernels import (circle_draw, fixed_draw, grid_ratio, radial_ratio,
                        uniform_draw)
 from .errors import (MassDeficitError, MeasureError, NegativeDensityError,
                      UnsupportedMeasureError)
-from .geometry import BasisSet, Disk, Domain, bessel_zero, jv
+from .bessel import bessel_zero, jv
+from .geometry import BasisSet, Disk, Domain
 
 _MASS_TOL = 1e-9
 _POINTWISE_TOL = 1e-12
@@ -218,10 +219,9 @@ class DiracMeasure(_Variant):
     def moments(self, basis: BasisSet) -> MeasureMoments:
         if self.support_distance(basis.domain) < 1e-6:
             raise MeasureError("point mass must sit at least 1e-6 inside the domain")
-        px = np.array([self.x0])
-        py = np.array([self.y0])
-        return MeasureMoments(self, basis, np.array(
-            [float(m.evaluate(px, py)[0]) for m in basis.modes]), None)
+        values = basis.domain.mode_values(basis.modes, np.array([self.x0]),
+                                          np.array([self.y0]))
+        return MeasureMoments(self, basis, values[:, 0], None)
 
     def restart(self, domain: Domain, basis: BasisSet | None):
         return fixed_draw(self.x0, self.y0)
@@ -255,9 +255,8 @@ class CircleMeasure(_Variant):
             raise UnsupportedMeasureError("circle measures are defined on the disk only")
         if not 0.0 < self.r0 < 1.0:
             raise MeasureError("circle radius must lie in (0, 1)")
-        cx, cy = self._points(1024)
-        return MeasureMoments(self, basis, np.array(
-            [float(np.mean(m.evaluate(cx, cy))) for m in basis.modes]), None)
+        values = basis.domain.mode_values(basis.modes, *self._points(1024))
+        return MeasureMoments(self, basis, np.mean(values, axis=1), None)
 
     def restart(self, domain: Domain, basis: BasisSet | None):
         if not isinstance(domain, Disk):

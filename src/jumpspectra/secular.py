@@ -102,11 +102,9 @@ def build_secular_series(basis: BasisSet, moments: MeasureMoments,
                          inert_tol: float = INERT_TOL) -> SecularSeries:
     """Aggregate residues over eigenvalue clusters and compute tail anchors."""
     alpha = basis.one_coeffs * moments.moments
-    clusters = basis.clusters()
     pole_vals, pole_res, inert = [], [], []
     warnings = []
-    for group in clusters:
-        lam = float(np.mean(basis.eigenvalues[list(group)]))
+    for group, lam in zip(basis.clusters(), basis.cluster_means().tolist()):
         res = float(np.sum(alpha[list(group)]))
         if abs(res) <= inert_tol:
             inert.append(lam)

@@ -92,8 +92,7 @@ def _classify_dirichlet(series: SecularSeries, window):
     basis = series.basis
     re_lo, re_hi = window[0], window[1]
     entries = []
-    for group in basis.clusters():
-        lam = float(np.mean(basis.eigenvalues[list(group)]))
+    for group, lam in zip(basis.clusters(), basis.cluster_means().tolist()):
         if lam < re_lo or lam > re_hi:
             continue
         mvec = series.moments.moments[list(group)]

@@ -301,17 +301,17 @@ OUTPUT_CONFIGS = {
 PINNED_OUTPUT = {
     ("disk", "run"): (cli.EXIT_PASS, {
         "enclosure.svg":
-            "83637907f4ef4ef0277578bbe0e6cd61b9caeddccb007f8f42372b71590a06a7",
+            "3163e1f4967ad835a76584d697bbf74ad63f693212f7d5a0cb242bca589eb597",
         "enclosure_curves.csv":
-            "b9457f307ba6d78dd155c56a22c183f6da5cec9651e3dd3f381d992f6c49643d",
+            "d38c54924b7c7f8c69964e5fe729dfe4967624f2def433195a3c195a6cc3d65c",
         "numrange_sweep.csv":
             "b83797d0beb91ed27815c3cd238a2c1e12276b446ae056a63e412e168985716f",
         "occupation.csv":
-            "4c37624096b05f0081ae4ab30a7ef9affc8ec1f9c72017b0f917f79bd7a099d8",
+            "11af830a9a357b468b21bce151a0ea4740838e2ca17ef0ece5bef407ab8d3438",
         "spectrum.csv":
-            "4053a03ee3611930de6bb88610b7bdfe083363969312387c37179bd6f82e5fe8",
+            "3ea095e790c00b98bf297299b4d4bcac8305bd30467a695d22750d82f57f6af9",
         "spectrum.json":
-            "c1d76932adb8108648d2347f47a3bd82b9c066fb5d46033ff894d7d09626c644",
+            "ec14bfccd61cc75a21a07e89600ecfc868b02aecade1f807a1857bddf838f3b1",
         "stdout":
             "95b63835a27dd9b75141fec0f7df0ff277745b2c6fb4cdf96fd4a30fe1bd9676",
         "summary.json":
@@ -319,7 +319,7 @@ PINNED_OUTPUT = {
     }),
     ("disk", "verify"): (cli.EXIT_PASS, {
         "stdout":
-            "b4db637dfd022cead10099f0ca8cec35e4565642eee127a26e897a166748d014",
+            "6f071c1ffd240ccee721211ce21650232b48878cd3b3aa987fc8515a3f50a76d",
     }),
     # enclosure_thm3 is inapplicable to a uniform-base perturbation: exit 3
     ("rect", "run"): (cli.EXIT_UNDECIDED, {

@@ -356,18 +356,22 @@ def loop_chain(segments):
             continue
         line = [a, b]
         used.add((key(a), key(b)))
-        grew = True
-        while grew:
-            grew = False
-            tail = key(line[-1])
-            for start, end in adjacency.get(tail, []):
-                pair = (key(start), key(end))
-                if pair in used or (pair[1], pair[0]) in used:
-                    continue
-                line.append(end)
-                used.add(pair)
-                grew = True
-                break
+        for at_head in (False, True):          # grow the tail, then the head
+            grew = True
+            while grew:
+                grew = False
+                tip = key(line[0] if at_head else line[-1])
+                for start, end in adjacency.get(tip, []):
+                    pair = (key(start), key(end))
+                    if pair in used or (pair[1], pair[0]) in used:
+                        continue
+                    if at_head:
+                        line.insert(0, end)
+                    else:
+                        line.append(end)
+                    used.add(pair)
+                    grew = True
+                    break
         polylines.append(line)
     polylines.sort(key=lambda ln: (ln[0][0], ln[0][1]))
     return polylines
@@ -464,23 +468,42 @@ def test_rounded_keys_lost_a_saddle_segment():
         == [[(0.0, 1.0), (1.0, 0.0), (0.0, 1.0)]]
 
 
+@pytest.mark.parametrize("centre", [1.0, 2.0])
+def test_circle_is_one_polyline(centre):
+    # the level set of the distance to (centre, 0): a whole circle must close
+    # on itself, and an arc clipped by the grid's right edge, whose first
+    # segment in raster order lies mid-arc, must still come out as one line
+    re_grid = np.linspace(0.0, 2.0, 41)
+    im_grid = np.linspace(-1.3, 1.3, 53)
+    radius = 0.7071
+    field = np.hypot(re_grid[:, None] - centre, im_grid[None, :])
+    (line,) = en.marching_squares(field, re_grid, im_grid, radius)
+    pts = np.array(line)
+    assert np.abs(np.hypot(pts[:, 0] - centre, pts[:, 1]) - radius).max() < 2e-3
+    if centre == 1.0:
+        assert line[0] == line[-1]
+    else:
+        ends = sorted([line[0], line[-1]])
+        assert ends == pytest.approx([(2.0, -radius), (2.0, radius)], abs=1e-12)
+
+
 POINT_MASS = {"version": 1, "domain": {"kind": "disk"},
               "measure": {"variant": "dirac", "x0": 0.034052165372859565,
                           "y0": -0.010954638066593792},
               "cutoff": 2000.0, "tasks": ["figure1"]}
-# SHA-256 of the figure-1 files as the per-cell loop wrote them
+# SHA-256 of the figure-1 files, each level curve one polyline
 PINNED_FIGURES = {
     "rectangle": {
         "enclosure_curves.csv":
-            "1f8d6b0b0a83c374afa106ac29c22bffc5250444a2036d2cb7a07175c1b674d5",
+            "c4e8a5ce7a5db3995673be781d46f7651bb01410417778b4688edec4faf63955",
         "enclosure.svg":
-            "5a3c7f39673caeeb6c0ea6ccfff1b6c2d9a5433870966ec2611aacd8a59ceb53",
+            "b34d48b125c67a9457ef821c3704fef3029cc5d0215d1721651198ffc803e8a3",
     },
     "point_mass": {
         "enclosure_curves.csv":
-            "b9457f307ba6d78dd155c56a22c183f6da5cec9651e3dd3f381d992f6c49643d",
+            "d38c54924b7c7f8c69964e5fe729dfe4967624f2def433195a3c195a6cc3d65c",
         "enclosure.svg":
-            "83637907f4ef4ef0277578bbe0e6cd61b9caeddccb007f8f42372b71590a06a7",
+            "3163e1f4967ad835a76584d697bbf74ad63f693212f7d5a0cb242bca589eb597",
     },
 }
 

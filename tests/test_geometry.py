@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jumpspectra import geometry
+from jumpspectra import bessel, geometry
 from jumpspectra.errors import (EmptyBasisError, EvaluationError,
                                 ResolutionError)
 
@@ -46,7 +46,7 @@ def test_bessel_zero_values():
     assert ORACLE_ZEROS[(1, 1)] == pytest.approx(3.831705970207512, rel=1e-13)
     assert ORACLE_ZEROS[(0, 2)] == pytest.approx(5.520078110286311, rel=1e-13)
     for (m, k), val in ORACLE_ZEROS.items():
-        assert geometry.bessel_zero(m, k) == pytest.approx(val, rel=1e-12)
+        assert bessel.bessel_zero(m, k) == pytest.approx(val, rel=1e-12)
 
 
 def test_bessel_zero_mcmahon_asymptotic():
@@ -54,19 +54,19 @@ def test_bessel_zero_mcmahon_asymptotic():
     for k in (20, 40):
         beta = (k - 0.25) * math.pi
         approx = beta + 1.0 / (8 * beta)
-        assert geometry.bessel_zero(0, k) == pytest.approx(approx, abs=1e-4)
+        assert bessel.bessel_zero(0, k) == pytest.approx(approx, abs=1e-4)
 
 
 def test_bessel_zero_interlacing():
     for m in range(6):
         for k in range(1, 6):
-            assert geometry.bessel_zero(m, k) < geometry.bessel_zero(m + 1, k)
-            assert geometry.bessel_zero(m + 1, k) < geometry.bessel_zero(m, k + 1)
+            assert bessel.bessel_zero(m, k) < bessel.bessel_zero(m + 1, k)
+            assert bessel.bessel_zero(m + 1, k) < bessel.bessel_zero(m, k + 1)
 
 
 def test_bessel_zero_bad_index():
     with pytest.raises(ValueError):
-        geometry.bessel_zero(0, 0)
+        bessel.bessel_zero(0, 0)
 
 
 # --- domains ----------------------------------------------------------------

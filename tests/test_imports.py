@@ -1,5 +1,5 @@
-"""scipy stays off the import path: only the disk's Bessel functions load
-``scipy.special``, and nothing loads ``scipy.optimize``.  The walk forks its
+"""scipy stays off the import path: the disk's Bessel functions and zeros
+are the package's own, so no op loads any scipy module.  The walk forks its
 shards with ``os.fork``, so no process pool is imported either.
 
 Each case runs in a fresh interpreter, since this test session has scipy
@@ -88,8 +88,19 @@ def test_rectangle_run_and_verify_load_no_scipy(tmp_path):
     assert [r["name"] for r in summary["results"]] == RECT["tasks"]
 
 
+POINT_MASS = dict(DISK, measure={"variant": "dirac", "x0": 0.03, "y0": -0.01},
+                  tasks=["spectrum", "numrange", "figure1"])
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
-def test_disk_loads_special_only(tmp_path, command):
-    loaded = modules_after(cli_script(tmp_path, DISK, [command]), "scipy")
-    assert "scipy.special" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.optimize")]
+def test_disk_run_and_verify_load_no_scipy(tmp_path, command):
+    code = ""
+    for name, cfg in (("ground", DISK), ("point", POINT_MASS)):
+        (tmp_path / name).mkdir()
+        code += cli_script(tmp_path / name, cfg, [command])
+    assert modules_after(code, "scipy") == []
+    if command == "run":      # the ops really ran: every task has a verdict
+        for name, cfg in (("ground", DISK), ("point", POINT_MASS)):
+            summary = json.loads(
+                (tmp_path / name / "run" / "summary.json").read_text())
+            assert [r["name"] for r in summary["results"]] == cfg["tasks"]

@@ -133,19 +133,19 @@ def test_measure_integral_variants(disk_basis):
 # torsion anchors, recorded before each variant owned its integral and moments
 PINNED = {
     "disk-uniform":
-        "b9fca48ac3e4e756f557f71bee1dd9901e00b9d65dd532fe23813aeb81e39a05",
+        "2fbb28d619956fcbda80850c973f5c9225afdd21184bad9796fa3dc812236136",
     "disk-ground_state":
-        "d2a3d31c3b7c757c156ce2205fc132d7c4de1a85186bbd9db623a08ef1ca61f1",
+        "b37324bc526442fe62174604f71b58dd2867f51ac22c7a552b8336ed51e024c2",
     "disk-density":
-        "3214e928e43f9927b0fa5857ea8a81984c3bd80238ff0bc8b211a7f6bb182896",
+        "0636e48e6dfa9ede74b01944ae706cf71b3fd55d4846cde10c8e6212430ee262",
     "disk-dirac":
-        "06c6eaf9eaa92d95e277a96ed4666835f64773593758f53978095236cc58db18",
+        "c6647c5fe965d8c9ae7e3e2b3b87df19a2de0932b9695458253995568e498ec8",
     "disk-circle":
-        "7e38a85f5bef96a406363927d2bf7c6861e1e2628071fe8a6e283adb7b45f42b",
+        "582959e13be2effad389a76f188f90a47a0848a0ddb9594bf15040451a2fde74",
     "disk-perturbed_uniform":
-        "c3bcf1a816b178e8b935610599f2d8a15b8bdb2c7febb227c3b562c5c60fd9c6",
+        "8bdf82c0f4c492a6a09834e71aec1d71ab850cc8aea24ab07e910a707f4a6b15",
     "disk-perturbed_ground_state":
-        "748e8771febac1ad58e63a14c7dd66f30c12a47aaa93d644862148fd33c101c8",
+        "072b609b3bf8817f06d9ab742ff8eb048f2349a7b868642145b6dcc2461d9153",
     "rect-uniform":
         "acec04c77cf73f8148220055aaa874b94dddcca99dcc5183371d7f4168fb05e0",
     "rect-ground_state":
