@@ -14,6 +14,18 @@ restart samples are sorted into (step, path) order, so the histogram, the
 region counts, the samples and the counters are bitwise identical to those
 of a per-step loop over all paths, whatever the block size.
 
+A shard allocates its pass buffers once: counter states, a shift temporary,
+radii and angles (reused for the step midpoints) and positions.  A pass of
+m steps over n paths writes into the first m x n of each, through ``out=``
+and in-place ufuncs that keep the order of every float operation, so each
+value keeps its bits.
+
+The counters also let a restart draw several rejection rounds at once: round
+j of a path's candidates takes its uniforms from ``state + j u gamma``, with
+``u`` the uniforms one candidate takes.  Each path keeps its first accepted
+candidate and advances its counter by the rounds it used, which gives the
+bits, counters and counts of drawing one round at a time.
+
 Since the streams are per path, the paths split into contiguous shards that
 walk apart: one in the calling process and the others in children made by
 ``os.fork``, one shard per available CPU.  Histograms, region counts and
@@ -25,7 +37,8 @@ occupation cells.  The restart measure supplies a draw ``draw(state, idx) ->
 (px, py, placed)``: candidate restart points for the paths ``idx``, taking
 their uniforms from ``state``, and the accept mask of a rejection sampler,
 or None when every candidate stands.  A candidate in the boundary band is
-drawn again.
+drawn again.  ``draw.uniforms`` is the number of uniforms one candidate
+takes from its stream.
 """
 
 from __future__ import annotations
@@ -50,25 +63,38 @@ _ONE = np.uint64(1)
 _U53 = 2.0 ** -53
 
 _BLOCK = 64                  # steps per block
-# At most this many steps x paths per block.  A block's float64 arrays
-# (128 KB) then stay near glibc's default mmap threshold, so most are reused
-# from the heap instead of mapped and faulted in afresh every block; at
-# 1 << 16 the seed-1 disk walk took about 2.5 times the minor page faults.
+# At most this many steps x paths per block.  The shard's buffers are made
+# once, but the interior test, the binning and the exit search still make
+# their temporaries every pass; at 1 << 14 these (at most 128 KB) stay under
+# glibc's default mmap threshold and come from the heap, while at 1 << 16
+# they are mapped and faulted in afresh and the seed-1 disk walk makes
+# several times the minor page faults for no clear gain in time.
 _BLOCK_CELLS = 1 << 14
 _SHARD_CELLS = 1 << 20       # fewest steps x paths worth a fork (about 7 ms)
 _MIN_ACCEPTANCE = 0.01       # floor on rejection accepts / attempts
 _FLOOR_ATTEMPTS = 10_000     # attempts a shard makes before the floor applies
+_ROUNDS = 4                  # rejection rounds drawn at once per pending path
 
 
-def _mix(s):
-    z = (s ^ (s >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    return z ^ (z >> _S31)
+def _mix(s, tmp):
+    """splitmix64's output mix of the states ``s``, in place; ``tmp`` is a
+    temporary of the same shape."""
+    for shift, factor in ((_S30, _MIX1), (_S27, _MIX2)):
+        np.right_shift(s, shift, out=tmp)
+        s ^= tmp
+        s *= factor
+    np.right_shift(s, _S31, out=tmp)
+    s ^= tmp
+    return s
 
 
-def _unit(s):
-    """Uniform on (0, 1] from advanced splitmix64 states."""
-    return ((_mix(s) >> _S11) + _ONE).astype(np.float64) * _U53
+def _unit(s, tmp, out):
+    """Uniforms on (0, 1] from advanced splitmix64 states ``s``, written to
+    ``out``; ``s`` and ``tmp`` are overwritten."""
+    _mix(s, tmp)
+    s >>= _S11
+    s += _ONE
+    return np.multiply(s, _U53, out=out)
 
 
 def _running_sum(P):
@@ -86,18 +112,21 @@ def _running_sum(P):
 def derive_seeds(seed: int, n_paths: int) -> np.ndarray:
     """Independent splitmix64 stream states, one per path."""
     root = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    return _mix(root + np.arange(1, n_paths + 1, dtype=np.uint64) * _GOLDEN)
+    s = root + np.arange(1, n_paths + 1, dtype=np.uint64) * _GOLDEN
+    return _mix(s, np.empty_like(s))
 
 
 def _np_uniform(state, idx):
     state[idx] += _GOLDEN
-    return _unit(state[idx])
+    s = state[idx]
+    return _unit(s, np.empty_like(s), np.empty(s.shape))
 
 
 def fixed_draw(x0, y0):
     """Restarts at the point (x0, y0); no uniform is drawn."""
     def draw(state, idx):
         return np.full(idx.size, x0), np.full(idx.size, y0), None
+    draw.uniforms = 0
     return draw
 
 
@@ -107,6 +136,7 @@ def circle_draw(r0):
         u1 = _np_uniform(state, idx)
         return (r0 * np.cos(2.0 * math.pi * u1),
                 r0 * np.sin(2.0 * math.pi * u1), None)
+    draw.uniforms = 1
     return draw
 
 
@@ -122,6 +152,7 @@ def uniform_draw(domain, ratio=None):
             return px, py, None
         u3 = _np_uniform(state, idx)
         return px, py, u3 <= ratio(u1, fx, fy)
+    draw.uniforms = 2 if ratio is None else 3
     return draw
 
 
@@ -164,22 +195,44 @@ def check_acceptance(attempts, accepts):
             f"{_MIN_ACCEPTANCE:.0%}")
 
 
-def _np_restart(state, mask, draw, domain, btol, stats, x, y):
-    pending = mask.copy()
-    while np.any(pending):
-        idx = np.nonzero(pending)[0]
-        px, py, placed = draw(state, idx)
+def _np_restart(state, idx, draw, domain, btol, stats, x, y):
+    """Restart the paths ``idx`` from ``draw``, advancing their counters.
+
+    Every pending path draws ``_ROUNDS`` candidates at once; those of round
+    j take their uniforms from ``state + j u gamma``, where ``u`` is the
+    count one candidate takes (``draw.uniforms``).  A path keeps its first
+    candidate that is accepted and off the band, and its counter advances
+    by the rounds it used, so the points, counters and counts are those of
+    drawing one round at a time.  Attempts and accepts count the rounds
+    used, and the acceptance floor is checked after each of them."""
+    # j u gamma for j = 0 .. _ROUNDS, as arrays, which wrap without a warning
+    offset = np.arange(_ROUNDS + 1, dtype=np.uint64) * (
+        np.array([draw.uniforms], dtype=np.uint64) * _GOLDEN)
+    rounds = np.arange(_ROUNDS)[:, None]
+    while idx.size:
+        n = idx.size
+        cand = (state[idx] + offset[:_ROUNDS, None]).ravel()
+        px, py, placed = draw(cand, np.arange(cand.size))
         ok = ~domain.outside(px, py, btol)
         if placed is not None:
-            stats[1] += idx.size
-            stats[2] += int(np.sum(placed))
-            if stats[1] >= _FLOOR_ATTEMPTS:
-                check_acceptance(int(stats[1]), int(stats[2]))
             ok &= placed
-        done = idx[ok]
-        x[done] = px[ok]
-        y[done] = py[ok]
-        pending[done] = False
+        first = np.where(ok.reshape(_ROUNDS, n), rounds, _ROUNDS).min(axis=0)
+        used = np.minimum(first + 1, _ROUNDS)
+        if placed is not None:
+            live = rounds < used                  # still pending in round j
+            tried = live.sum(axis=1).tolist()
+            took = (live & placed.reshape(_ROUNDS, n)).sum(axis=1).tolist()
+            for attempts, accepts in zip(tried, took):
+                stats[1] += attempts
+                stats[2] += accepts
+                if stats[1] >= _FLOOR_ATTEMPTS:
+                    check_acceptance(int(stats[1]), int(stats[2]))
+        state[idx] += offset[used]
+        hit = np.nonzero(first < _ROUNDS)[0]
+        at = first[hit] * n + hit
+        x[idx[hit]] = px[at]
+        y[idx[hit]] = py[at]
+        idx = idx[first == _ROUNDS]
 
 
 def _shard_count(n_paths, n_steps):
@@ -307,15 +360,10 @@ def _walk_shard(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap,
     step = math.sqrt(2.0 * dt)
     state = seeds.copy()
 
-    def restart(paths):
-        mask = np.zeros(n_paths, dtype=bool)
-        mask[paths] = True
-        _np_restart(state, mask, draw, domain, btol, stats, x, y)
-
     if start is None:
         x = np.empty(n_paths)
         y = np.empty(n_paths)
-        restart(np.arange(n_paths))
+        _np_restart(state, np.arange(n_paths), draw, domain, btol, stats, x, y)
     else:
         x = np.array(start[0], dtype=float)
         y = np.array(start[1], dtype=float)
@@ -324,6 +372,19 @@ def _walk_shard(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap,
     # the draws of step i are 2i + 1 (radius) and 2i + 2 (angle)
     offsets = np.arange(1, 2 * block + 1, dtype=np.uint64) * _GOLDEN
     off_r, off_a = offsets[0::2].copy(), offsets[1::2].copy()
+    # the workspace: a pass of m steps over n paths writes the first m x n
+    # (positions: (m + 1) x n) of each buffer, viewed as a C array
+    size = block * n_paths
+    counters = np.empty(size, dtype=np.uint64)
+    shifted = np.empty(size, dtype=np.uint64)
+    radii = np.empty(size)                       # then the x midpoints
+    angles = np.empty(size)                      # then the y midpoints
+    xs = np.empty(size + n_paths)
+    ys = np.empty(size + n_paths)
+
+    def view(buf, m, n):
+        return buf[:m * n].reshape(m, n)
+
     for t0 in range(0, n_steps, block):
         k = min(block, n_steps - t0)
         keep = stats[0] < restart_cap            # block not past the cap
@@ -333,16 +394,29 @@ def _walk_shard(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap,
         while act.size:
             rem = k - beg
             m = int(rem.max())
+            n = act.size
             sel = slice(None) if whole else act
             s = state[sel]
-            r = np.sqrt(-2.0 * np.log(_unit(s + off_r[:m, None])))
-            ang = 2.0 * math.pi * _unit(s + off_a[:m, None])
-            X = np.empty((m + 1, act.size))
-            Y = np.empty((m + 1, act.size))
-            X[0] = x[sel]
-            Y[0] = y[sel]
-            X[1:] = step * (r * np.cos(ang))
-            Y[1:] = step * (r * np.sin(ang))
+            u, tmp = view(counters, m, n), view(shifted, m, n)
+            r, ang = view(radii, m, n), view(angles, m, n)
+            # r = sqrt(-2 log u1) and ang = 2 pi u2, operation for operation
+            _unit(np.add(s, off_r[:m, None], out=u), tmp, r)
+            np.log(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            _unit(np.add(s, off_a[:m, None], out=u), tmp, ang)
+            ang *= 2.0 * math.pi
+            X, Y = view(xs, m + 1, n), view(ys, m + 1, n)
+            if whole:
+                X[0], Y[0] = x, y
+            else:
+                np.take(x, act, out=X[0])
+                np.take(y, act, out=Y[0])
+            # steps: step * (r * cos(ang)) and step * (r * sin(ang))
+            for P, trig in ((X[1:], np.cos), (Y[1:], np.sin)):
+                trig(ang, out=P)
+                P *= r
+                P *= step
             _running_sum(X)
             _running_sum(Y)
             rows = np.arange(m)[:, None]
@@ -355,9 +429,12 @@ def _walk_shard(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap,
             live = rows < used
             hc = np.nonzero(hit)[0]
             if hist.size:
-                # step midpoints, or the old position on the exit step
-                bx = 0.5 * (X[:-1] + X[1:])
-                by = 0.5 * (Y[:-1] + Y[1:])
+                # step midpoints, or the old position on the exit step; the
+                # radii and angles are spent
+                bx, by = r, ang
+                for B, P in ((bx, X), (by, Y)):
+                    np.add(P[:-1], P[1:], out=B)
+                    B *= 0.5
                 bx[first[hc], hc] = X[first[hc], hc]
                 by[first[hc], hc] = Y[first[hc], hc]
                 # rows past an exit go to the dropped cell hist.size
@@ -369,11 +446,11 @@ def _walk_shard(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap,
                 # exited paths get their restart point below
                 x[:], y[:] = X[m], Y[m]
             else:
-                cols = np.arange(act.size)
+                cols = np.arange(n)
                 x[act], y[act] = X[used, cols], Y[used, cols]
             state[sel] += (2 * used).astype(np.uint64) * _GOLDEN
             gone = act[hc]
-            restart(gone)
+            _np_restart(state, gone, draw, domain, btol, stats, x, y)
             at = beg[hc] + first[hc]
             stats[0] += at.size
             if keep:

@@ -296,7 +296,8 @@ def marching_squares(field: np.ndarray, re_grid: np.ndarray,
     split by the cell-centre value.  Segments come in raster order of their
     cells.  Each crossing is interpolated once per grid edge, and segments
     chain on the ids of their edges, or of the grid node a crossing hits
-    exactly.  Output is deterministic.
+    exactly; a segment from such a node to itself is dropped.  Output is
+    deterministic.
     """
     ni = field.shape[1]
     inside = field <= level
@@ -326,9 +327,16 @@ def marching_squares(field: np.ndarray, re_grid: np.ndarray,
     # a crossing on a grid node takes the node's id, which all its edges share
     ids = np.where(t == 0, 3 * node0, np.where(t == 1, 3 * (i1 * ni + j1),
                                                 edge_ids))
+    # a cell whose crossings all fall on one node emits a segment from that
+    # node to itself, which has no length
+    ends = ids[which].reshape(-1, 2)
+    long = ends[:, 0] != ends[:, 1]
+    if not long.any():
+        return []
+    which = which.reshape(-1, 2)[long].ravel()
     points = list(zip(x[which].tolist(), y[which].tolist()))
-    return _chain_segments(np.unique(ids[which], return_inverse=True)[1],
-                           points)
+    return _chain_segments(np.unique(ends[long], return_inverse=True)[1]
+                           .ravel(), points)
 
 
 def _chain_segments(node, points):

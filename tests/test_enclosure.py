@@ -447,12 +447,14 @@ def test_saddle_split_by_centre(field, lines):
               elements=st.sampled_from([0.0, 1.0, 2.0])))
 @example(np.array([[2.0, 1.0], [1.0, 2.0]]))
 def test_grid_values_on_the_level_keep_every_segment(field):
-    # crossings on grid nodes chain on the node; every emitted segment lies
-    # in exactly one polyline (on integer grids all crossings are exact)
+    # crossings on grid nodes chain on the node; every emitted segment of
+    # positive length lies in exactly one polyline (on integer grids all
+    # crossings are exact)
     re_grid = np.arange(field.shape[0], dtype=float)
     im_grid = np.arange(field.shape[1], dtype=float)
     emitted = Counter(tuple(sorted(s))
-                      for s in loop_segments(field, re_grid, im_grid, 1.0))
+                      for s in loop_segments(field, re_grid, im_grid, 1.0)
+                      if s[0] != s[1])
     lines = en.marching_squares(field, re_grid, im_grid, 1.0)
     assert drawn_segments(lines) == emitted
 
@@ -466,6 +468,19 @@ def test_rounded_keys_lost_a_saddle_segment():
         == [[(0.0, 1.0), (1.0, 0.0)]]
     assert en.marching_squares(field, grid, grid, 1.0) \
         == [[(0.0, 1.0), (1.0, 0.0), (0.0, 1.0)]]
+
+
+def test_level_through_grid_nodes_is_one_polyline():
+    # the circle of radius 0.75 about (1, 0) passes exactly through grid
+    # nodes such as (1.75, 0); the cells around such a node emit segments
+    # from the node to itself, which must not come out as lines of their own
+    re_grid = np.linspace(0.0, 2.0, 41)
+    im_grid = np.linspace(-1.3, 1.3, 53)
+    field = np.hypot(re_grid[:, None] - 1.0, im_grid[None, :])
+    assert (field == 0.75).any()
+    (line,) = en.marching_squares(field, re_grid, im_grid, 0.75)
+    assert line[0] == line[-1]
+    assert len(set(line)) == len(line) - 1
 
 
 @pytest.mark.parametrize("centre", [1.0, 2.0])

@@ -106,6 +106,26 @@ def test_engine_pinned_digest(name, walk_domains):
     assert h.hexdigest() == PINNED[name]
 
 
+def one_round_restart(state, mask, draw, domain, btol, stats, x, y):
+    """Restart the paths of ``mask`` one rejection round at a time: the
+    reference for the kernel's batched rounds."""
+    pending = mask.copy()
+    while np.any(pending):
+        idx = np.nonzero(pending)[0]
+        px, py, placed = draw(state, idx)
+        ok = ~domain.outside(px, py, btol)
+        if placed is not None:
+            stats[1] += idx.size
+            stats[2] += int(np.sum(placed))
+            if stats[1] >= _kernels._FLOOR_ATTEMPTS:
+                _kernels.check_acceptance(int(stats[1]), int(stats[2]))
+            ok &= placed
+        done = idx[ok]
+        x[done] = px[ok]
+        y[done] = py[ok]
+        pending[done] = False
+
+
 def step_loop(seeds, n_steps, dt, btol, domain, draw, n_bins, cap,
               start=None):
     """The walk one step at a time over all paths: the reference the block
@@ -122,7 +142,7 @@ def step_loop(seeds, n_steps, dt, btol, domain, draw, n_bins, cap,
     x, y = np.empty(n), np.empty(n)
 
     def restart(mask):
-        _kernels._np_restart(state, mask, draw, domain, btol, stats, x, y)
+        one_round_restart(state, mask, draw, domain, btol, stats, x, y)
 
     if start is None:
         restart(np.ones(n, dtype=bool))
@@ -235,6 +255,8 @@ def walk_with_draw_failing(walk_domains, in_parent, in_child):
     def failing(state, idx):
         (in_parent if os.getpid() == parent else in_child)()
         return draw(state, idx)
+
+    failing.uniforms = draw.uniforms
 
     _kernels.run_walk(derive_seeds(2, 20), 50, 1e-3, 0.05, domain, failing,
                       7, 100)
@@ -497,11 +519,67 @@ def test_shard_rejection_floor_reraised(force_shards, disk):
         at = np.zeros(idx.size)
         return at, at.copy(), np.full(idx.size, os.getpid() == parent)
 
+    draw.uniforms = 0
+
     with pytest.raises(RejectionEfficiencyError,
                        match="^rejection acceptance 0/10000 fell below 1%$"):
         _kernels.run_walk(derive_seeds(2, 20), 50, 1e-3, 0.05, disk, draw,
                           7, 100)
     assert_no_child_left()
+
+
+# restart draws: (domain, draw, band, whether some path needs more than
+# _ROUNDS rounds); a wide band redraws half the uniform disk points
+RESTART_CASES = {
+    "fixed": ("disk", lambda d: _kernels.fixed_draw(0.3, -0.2), 0.05, False),
+    "circle": ("disk", lambda d: _kernels.circle_draw(0.5), 0.05, False),
+    "uniform": ("disk", _kernels.uniform_draw, 0.3, True),
+    "uniform-radial": ("disk", lambda d: _kernels.uniform_draw(
+        d, _kernels.radial_ratio(np.linspace(1.0, 0.05, 65))), 0.05, True),
+    "uniform-grid": ("rect", lambda d: _kernels.uniform_draw(
+        d, _kernels.grid_ratio(np.linspace(0.05, 1.0, 35).reshape(7, 5))),
+        0.05, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESTART_CASES))
+def test_batched_restart_matches_one_round(name, walk_domains):
+    where, make, btol, crosses = RESTART_CASES[name]
+    domain = walk_domains[where][0]
+    draw = make(domain)
+    n = 300
+    mask = np.arange(n) % 3 != 1                 # the paths that restart
+    rounds = np.zeros(n, dtype=int)
+
+    def counted(state, idx):
+        rounds[idx] += 1
+        return draw(state, idx)
+
+    want = (derive_seeds(3, n), np.zeros(3, dtype=np.int64),
+            np.full(n, np.nan), np.full(n, np.nan))
+    got = tuple(a.copy() for a in want)
+    one_round_restart(want[0], mask, counted, domain, btol, *want[1:])
+    _kernels._np_restart(got[0], np.nonzero(mask)[0], draw, domain, btol,
+                         *got[1:])
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)
+    assert np.isnan(got[2]).sum() == n - mask.sum()
+    assert (rounds.max() > _kernels._ROUNDS) == crosses
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_batched_restart_floor_at_ten_thousand(batched, disk):
+    # 16 paths that never accept reach 10^4 attempts in round 625, the first
+    # of a batch of _ROUNDS, and raise there in either restart
+    draw = _kernels.uniform_draw(disk, lambda u1, fx, fy: np.zeros(u1.size))
+    n = 16
+    restart, paths = one_round_restart, np.ones(n, dtype=bool)
+    if batched:
+        restart, paths = _kernels._np_restart, np.arange(n)
+    with pytest.raises(RejectionEfficiencyError,
+                       match="^rejection acceptance 0/10000 fell below 1%$"):
+        restart(derive_seeds(5, n), paths, draw, disk, 0.05,
+                np.zeros(3, dtype=np.int64), np.empty(n), np.empty(n))
 
 
 @pytest.mark.slow
