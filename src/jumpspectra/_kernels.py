@@ -9,10 +9,10 @@ block are running sums over the steps, which add left to right, so each
 equals the per-step update ``x + step * z`` bit for bit.  One reduction over
 the block finds each path's first exit; only exited paths advance their
 counters to the exit, restart from the measure and finish the block in a
-shrinking inner pass.  Histogram and region counts are integers and the
-restart samples are sorted into (step, path) order, so the histogram, the
-region counts, the samples and the counters are bitwise identical to those
-of a per-step loop over all paths, whatever the block size.
+shrinking inner pass.  The histogram counts are integers and the restart
+samples are sorted into (step, path) order, so the histogram, the samples
+and the counters are bitwise identical to those of a per-step loop over all
+paths, whatever the block size.
 
 A shard allocates its pass buffers once: counter states, a shift temporary,
 radii and angles (reused for the step midpoints) and positions.  A pass of
@@ -28,9 +28,9 @@ bits, counters and counts of drawing one round at a time.
 
 Since the streams are per path, the paths split into contiguous shards that
 walk apart: one in the calling process and the others in children made by
-``os.fork``, one shard per available CPU.  Histograms, region counts and
-counters are summed and the restart samples sorted once, so the result has
-the same bits at any shard count.
+``os.fork``, one shard per available CPU.  Histograms and counters are
+summed and the restart samples sorted once, so the result has the same bits
+at any shard count.
 
 The domain object supplies the interior test, the uniform sampler and the
 occupation cells.  The restart measure supplies a draw ``draw(state, idx) ->
@@ -287,36 +287,27 @@ def _outcome(shard, status, data):
     return value
 
 
-def run_walk(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap,
-             start=None, region=None):
-    """Walk every path ``n_steps`` steps; returns (hist, samples, stats,
-    inside).
+def run_walk(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap):
+    """Walk every path ``n_steps`` steps from ``draw``, the restart
+    measure's draw; returns (hist, samples, stats).
 
+    The histogram counts the domain's occupation cells for ``n_bins``.
     ``samples`` holds the first ``restart_cap`` restart points in (step,
     path) order, and ``stats`` the restart count, the rejection attempts and
-    the rejection accepts.  The histogram counts the domain's occupation
-    cells for ``n_bins``; ``n_bins = 0`` skips the binning.  Paths start from
-    ``draw``, the restart measure's draw, or from the ``start = (x, y)``
-    arrays when given.  ``inside[t]`` counts the paths whose position at the
-    end of step t, restarts applied, satisfies ``region(px, py)``; it is
-    empty when ``region`` is None.
+    the rejection accepts.
 
     The paths are split into contiguous shards (``_shard_count``); shard 0
     walks here and each other shard in a forked child, which inherits
-    ``draw``, ``domain`` and ``region`` and pickles its result back.  A
-    failure in a child is raised here; on any failure every child is killed
-    and reaped.
+    ``draw`` and ``domain`` and pickles its result back.  A failure in a
+    child is raised here; on any failure every child is killed and reaped.
     """
     n_paths = seeds.size
     n_shards = _shard_count(n_paths, n_steps)
     cut = [n_paths * i // n_shards for i in range(n_shards + 1)]
 
     def shard(i):
-        paths = slice(cut[i], cut[i + 1])
-        begin = None if start is None else (np.asarray(start[0])[paths],
-                                            np.asarray(start[1])[paths])
-        return _walk_shard(seeds[paths], n_steps, dt, btol, domain, draw,
-                           n_bins, restart_cap, begin, region)
+        return _walk_shard(seeds[cut[i]:cut[i + 1]], n_steps, dt, btol,
+                           domain, draw, n_bins, restart_cap)
 
     children = []
     try:
@@ -337,36 +328,29 @@ def run_walk(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap,
             except ChildProcessError:     # reaped above
                 pass
 
-    hist, stats, inside = (sum(p[k] for p in parts) for k in (0, 4, 5))
+    hist, stats = (sum(p[k] for p in parts) for k in (0, 4))
     points, steps, paths = (np.concatenate(v) for v in zip(
         *((p[1], p[2], p[3] + lo) for p, lo in zip(parts, cut))))
     order = np.lexsort((paths, steps))[:restart_cap]
-    return hist, points[order], stats, inside
+    return hist, points[order], stats
 
 
-def _walk_shard(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap,
-                start, region):
+def _walk_shard(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap):
     """The walk of the paths ``seeds``; returns (hist, restart points, their
-    steps, their paths, stats, inside).  The restarts, unsorted, are those
-    of the blocks up to the one that reaches ``restart_cap`` restarts, which
-    hold the first ``restart_cap`` of them; paths count from the first of
+    steps, their paths, stats).  The restarts, unsorted, are those of the
+    blocks up to the one that reaches ``restart_cap`` restarts, which hold
+    the first ``restart_cap`` of them; paths count from the first of
     ``seeds``."""
     n_paths = seeds.size
     hist = np.zeros(domain.n_cells(n_bins), dtype=np.int64)
     stats = np.zeros(3, dtype=np.int64)
-    inside = np.zeros(0 if region is None else n_steps, dtype=np.int64)
     # (steps, paths, x, y) of kept restarts, from an empty entry
     events = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),) * 2]
     step = math.sqrt(2.0 * dt)
     state = seeds.copy()
-
-    if start is None:
-        x = np.empty(n_paths)
-        y = np.empty(n_paths)
-        _np_restart(state, np.arange(n_paths), draw, domain, btol, stats, x, y)
-    else:
-        x = np.array(start[0], dtype=float)
-        y = np.array(start[1], dtype=float)
+    x = np.empty(n_paths)
+    y = np.empty(n_paths)
+    _np_restart(state, np.arange(n_paths), draw, domain, btol, stats, x, y)
 
     block = max(1, min(_BLOCK, _BLOCK_CELLS // max(n_paths, 1)))
     # the draws of step i are 2i + 1 (radius) and 2i + 2 (angle)
@@ -428,20 +412,18 @@ def _walk_shard(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap,
             used = np.where(hit, first + 1, rem)   # steps this pass consumed
             live = rows < used
             hc = np.nonzero(hit)[0]
-            if hist.size:
-                # step midpoints, or the old position on the exit step; the
-                # radii and angles are spent
-                bx, by = r, ang
-                for B, P in ((bx, X), (by, Y)):
-                    np.add(P[:-1], P[1:], out=B)
-                    B *= 0.5
-                bx[first[hc], hc] = X[first[hc], hc]
-                by[first[hc], hc] = Y[first[hc], hc]
-                # rows past an exit go to the dropped cell hist.size
-                cells = np.where(live, domain.bin_index(bx, by, n_bins),
-                                 hist.size)
-                hist += np.bincount(cells.ravel(),
-                                    minlength=hist.size + 1)[:-1]
+            # step midpoints, or the old position on the exit step; the
+            # radii and angles are spent
+            bx, by = r, ang
+            for B, P in ((bx, X), (by, Y)):
+                np.add(P[:-1], P[1:], out=B)
+                B *= 0.5
+            bx[first[hc], hc] = X[first[hc], hc]
+            by[first[hc], hc] = Y[first[hc], hc]
+            # rows past an exit go to the dropped cell hist.size
+            cells = np.where(live, domain.bin_index(bx, by, n_bins),
+                             hist.size)
+            hist += np.bincount(cells.ravel(), minlength=hist.size + 1)[:-1]
             if whole:
                 # exited paths get their restart point below
                 x[:], y[:] = X[m], Y[m]
@@ -455,14 +437,8 @@ def _walk_shard(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap,
             stats[0] += at.size
             if keep:
                 events.append((t0 + at, gone, x[gone], y[gone]))
-            if region is not None:
-                # an exit step ends at the restart point
-                X[first[hc] + 1, hc] = x[gone]
-                Y[first[hc] + 1, hc] = y[gone]
-                ends = (beg + rows)[live & region(X[1:], Y[1:])]
-                inside[t0:t0 + k] += np.bincount(ends, minlength=k)
             more = at + 1 < k
             act, beg, whole = gone[more], at[more] + 1, False
 
     steps, paths, rx, ry = (np.concatenate(v) for v in zip(*events))
-    return hist, np.column_stack((rx, ry)), steps, paths, stats, inside
+    return hist, np.column_stack((rx, ry)), steps, paths, stats

@@ -99,6 +99,17 @@ def _read(block: dict, key: str, default, convert, positive=False, where=""):
     return out
 
 
+def _integer(value) -> int:
+    """A JSON number with an integer value, as an int; a bool, a string, a
+    NaN, an infinity or a fraction is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    out = math.floor(value)     # raises on NaN and on an infinity
+    if out != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return out
+
+
 def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
@@ -216,12 +227,13 @@ def _walk_settings(cfg: dict, domain) -> tuple[st.WalkConfig, float]:
     tol = wcfg.get("boundary_tolerance")
     config = st.WalkConfig(
         step_dt=read("step_dt", 1e-5, float),
-        n_steps=read("n_steps", 100_000, int),
-        n_paths=read("n_paths", 1_000, int),
-        seed=read("seed", cfg["seed"], int, positive=False),
+        n_steps=read("n_steps", 100_000, _integer),
+        n_paths=read("n_paths", 1_000, _integer),
+        seed=read("seed", _read(cfg, "seed", None, _integer), _integer,
+                  positive=False),
         boundary_tolerance=None if tol is None
         else read("boundary_tolerance", None, float),
-        n_bins=read("n_bins", 24, int))
+        n_bins=read("n_bins", 24, _integer))
     # restarts land only where the band leaves room
     if config.band() >= domain.inradius:
         raise ConfigError(f"walk boundary band {config.band():g} leaves no "
@@ -246,7 +258,7 @@ def build_experiment(cfg: dict, out_dir: str | None = None) -> Experiment:
     cutoff = _read(merged, "cutoff", None, float, positive=True)
     if window[1] > cutoff - max(50.0, 0.05 * cutoff):
         raise ConfigError("window exceeds the cutoff safety margin")
-    k = _read(merged, "k", None, int, positive=True)
+    k = _read(merged, "k", None, _integer, positive=True)
     thresholds = _read(merged, "thresholds", None, _floats)
     domain = _build_domain(merged)
     walk, l1_threshold = _walk_settings(merged, domain)

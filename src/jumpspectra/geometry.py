@@ -321,10 +321,6 @@ class Disk:
         """``values`` on a lattice of the bounding box, zero off the disk."""
         return np.where(x ** 2 + y ** 2 < 1.0, values, 0.0)
 
-    def inner_region(self, px, py):
-        """Indicator of the disk of radius one half."""
-        return px * px + py * py < 0.25
-
     def n_cells(self, n_bins: int) -> int:
         return n_bins
 
@@ -563,10 +559,6 @@ class Rectangle:
         """``values`` on a lattice of the bounding box, all of whose points
         lie in the closed rectangle."""
         return values
-
-    def inner_region(self, px, py):
-        """Indicator of the quarter of the rectangle at the origin."""
-        return (px < self.side_x / 2) & (py < self.side_y / 2)
 
     def n_cells(self, n_bins: int) -> int:
         return n_bins * n_bins

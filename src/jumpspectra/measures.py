@@ -51,11 +51,6 @@ class MeasureMoments:
     l2_density_norm: float | None          # None for singular measures
     v_l2_norm: float | None = None         # only for perturbed specs
 
-    @property
-    def heuristic_tail(self) -> bool:
-        """No rigorous tail bound is available: the measure is singular."""
-        return self.l2_density_norm is None
-
     def with_moments(self, moments: np.ndarray) -> "MeasureMoments":
         """Copy with a replaced moment vector (fault injection hook)."""
         return dataclasses.replace(self, moments=np.asarray(moments, float))

@@ -59,26 +59,18 @@ class OccupationHistogram:
     rejection_accepts: int = 0
 
 
-def _walk(config: WalkConfig, domain: Domain, spec: MeasureSpec,
-          basis: BasisSet | None, start=None, region=None):
-    """``run_walk`` under ``config`` from the measure's restarts, between
-    the band check and the whole walk's acceptance check."""
-    band = config.band()
-    spec.check_band(domain, band)
-    out = run_walk(derive_seeds(config.seed, config.n_paths), config.n_steps,
-                   config.step_dt, band, domain, spec.restart(domain, basis),
-                   config.n_bins, _RESTART_SAMPLE_CAP, start, region)
-    stats = out[2]
-    # a shard checks the floor itself only from _FLOOR_ATTEMPTS attempts on
-    check_acceptance(int(stats[1]), int(stats[2]))
-    return out
-
-
 def simulate_occupation(config: WalkConfig, domain: Domain,
                         spec: MeasureSpec,
                         basis: BasisSet | None = None) -> OccupationHistogram:
     """Run the walk ensemble and bin the time-weighted occupation."""
-    hist, samples, stats, _ = _walk(config, domain, spec, basis)
+    band = config.band()
+    spec.check_band(domain, band)
+    hist, samples, stats = run_walk(
+        derive_seeds(config.seed, config.n_paths), config.n_steps,
+        config.step_dt, band, domain, spec.restart(domain, basis),
+        config.n_bins, _RESTART_SAMPLE_CAP)
+    # a shard checks the floor itself only from _FLOOR_ATTEMPTS attempts on
+    check_acceptance(int(stats[1]), int(stats[2]))
     edges, edges_y, areas = domain.occupation_cells(config.n_bins)
     density = hist / float(np.sum(hist)) / areas
     return OccupationHistogram(domain, config, edges, edges_y, hist, density,
@@ -122,38 +114,3 @@ def histogram_to_csv(hist: OccupationHistogram,
         lines.append(f"{cell},{empirical!r},{predicted!r}")
     return "\n".join(lines) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# optional transient-decay diagnostic
-# ---------------------------------------------------------------------------
-
-def decay_rate_estimate(domain: Domain, spec: MeasureSpec,
-                        basis: BasisSet | None = None,
-                        dt: float = 1e-4, n_steps: int = 2500,
-                        n_paths: int = 60_000, seed: int = 5,
-                        start=(0.0, 0.0), fit_start: float = 0.06) -> float:
-    """Crude estimate of the slowest relaxation rate from a point start.
-
-    Tracks the occupancy of the domain's ``inner_region`` over time and
-    fits the log-gap to its long-run level.  Statistical noise dominates
-    quickly; treat the result as a +-25% diagnostic, not a certificate.
-    """
-    config = WalkConfig(step_dt=dt, n_steps=n_steps, n_paths=n_paths,
-                        seed=seed, n_bins=0)
-    inside = _walk(config, domain, spec, basis,
-                   start=(np.full(n_paths, float(start[0])),
-                          np.full(n_paths, float(start[1]))),
-                   region=domain.inner_region)[3]
-    series = inside / n_paths
-    t = dt * np.arange(1, n_steps + 1)
-    tail = series[int(0.7 * n_steps):].mean()
-    gap = series - tail
-    # fit where the transient is resolvable above noise, past fit_start so
-    # the faster radial modes have died out
-    noise = 3.0 / math.sqrt(n_paths)
-    sel = np.nonzero((gap > noise) & (t >= fit_start))[0]
-    if sel.size < 10:
-        raise RuntimeError("transient too short to fit a decay rate")
-    A = np.vstack([t[sel], np.ones(sel.size)]).T
-    slope, _ = np.linalg.lstsq(A, np.log(gap[sel]), rcond=None)[0]
-    return float(-slope)

@@ -100,6 +100,15 @@ def test_invalid_configs(tmp_path):
                                   "values": [["a", "b"], ["c", "d"]]}),
         dict(DISK_SMALL, measure={"variant": "perturbed", "base": "uniform",
                                   "v_modes": {"abc": 0.5}}),
+        # integer fields take integer values only
+        dict(DISK_SMALL, k=2.5),
+        dict(DISK_SMALL, k="2"),
+        dict(DISK_SMALL, k=True),
+        dict(DISK_SMALL, k=math.inf),
+        dict(DISK_SMALL, seed=7.5),
+        dict(DISK_SMALL, seed="7"),
+        dict(DISK_SMALL, seed=True),
+        dict(DISK_SMALL, seed=math.nan),
     ]
     for i, cfg in enumerate(bad):
         path = write_config(tmp_path, cfg, f"bad{i}.json")
@@ -116,6 +125,11 @@ def test_invalid_configs(tmp_path):
     # (walk, measure): the restart point or circle lies in the boundary band
     ({"step_dt": 1e-3}, {"variant": "dirac", "x0": 0.99, "y0": 0.0}),
     ({"step_dt": 1e-3}, {"variant": "circle", "r0": 0.99}),
+    # integer fields take integer values only
+    {"n_steps": 1.5}, {"n_steps": "12"}, {"n_steps": True},
+    {"n_paths": 2.5}, {"n_paths": math.nan}, {"n_bins": math.inf},
+    {"n_bins": -math.inf}, {"n_bins": False}, {"seed": 1.5}, {"seed": "7"},
+    {"seed": True}, {"seed": math.nan},
 ])
 def test_invalid_walk_configs(tmp_path, capsys, walk):
     walk, measure = walk if isinstance(walk, tuple) \
@@ -125,6 +139,16 @@ def test_invalid_walk_configs(tmp_path, capsys, walk):
     assert cli.main(["run", path, "--out", str(tmp_path / "out")]) \
         == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error: walk")
+
+
+def test_integer_valued_floats_accepted(tmp_path):
+    cfg = dict(DISK_SMALL, k=2.0, seed=7.0,
+               walk={"n_steps": 20_000.0, "n_paths": 3.0, "n_bins": 8.0})
+    exp = cli.build_experiment(cfg, str(tmp_path / "out"))
+    values = (exp.k, exp.walk.n_steps, exp.walk.n_paths, exp.walk.n_bins,
+              exp.walk.seed)
+    assert values == (2, 20_000, 3, 8, 7)
+    assert {type(v) for v in values} == {int}
 
 
 def test_missing_config_file():

@@ -9,8 +9,7 @@ import pytest
 from scipy.special import jv
 from scipy.stats import kstest
 
-from jumpspectra import (_kernels, bessel, geometry, measures, secular,
-                         stochastic as st)
+from jumpspectra import _kernels, geometry, measures, secular, stochastic as st
 from jumpspectra._kernels import derive_seeds
 from jumpspectra.errors import RejectionEfficiencyError
 
@@ -126,12 +125,10 @@ def one_round_restart(state, mask, draw, domain, btol, stats, x, y):
         pending[done] = False
 
 
-def step_loop(seeds, n_steps, dt, btol, domain, draw, n_bins, cap,
-              start=None):
+def step_loop(seeds, n_steps, dt, btol, domain, draw, n_bins, cap):
     """The walk one step at a time over all paths: the reference the block
-    engine must reproduce bit for bit.  Also returns each step's positions.
-    Exits and bins use formulas of their own: radial bins on the disk,
-    n_bins x n_bins cells on the rectangle."""
+    engine must reproduce bit for bit.  Exits and bins use formulas of their
+    own: radial bins on the disk, n_bins x n_bins cells on the rectangle."""
     disk = isinstance(domain, geometry.Disk)
     nx, ny = n_bins, (1 if disk else n_bins)
     d0, d1 = (None, None) if disk else (domain.side_x, domain.side_y)
@@ -144,12 +141,9 @@ def step_loop(seeds, n_steps, dt, btol, domain, draw, n_bins, cap,
     def restart(mask):
         one_round_restart(state, mask, draw, domain, btol, stats, x, y)
 
-    if start is None:
-        restart(np.ones(n, dtype=bool))
-    else:
-        x[:], y[:] = start
+    restart(np.ones(n, dtype=bool))
     hist = np.zeros(nx * ny, dtype=np.int64)
-    samples, positions = [], []
+    samples = []
     everyone = np.arange(n)
     for _ in range(n_steps):
         u1 = _kernels._np_uniform(state, everyone)
@@ -164,21 +158,18 @@ def step_loop(seeds, n_steps, dt, btol, domain, draw, n_bins, cap,
                        & (btol < yn) & (yn < d1 - btol))
         bx = np.where(exited, x, 0.5 * (x + xn))
         by = np.where(exited, y, 0.5 * (y + yn))
-        if hist.size:
-            if disk:
-                ib = np.minimum((np.hypot(bx, by) * nx).astype(int), nx - 1)
-            else:
-                ib = (np.minimum((bx / d0 * nx).astype(int), nx - 1) * ny
-                      + np.minimum((by / d1 * ny).astype(int), ny - 1))
-            np.add.at(hist, ib, 1)
+        if disk:
+            ib = np.minimum((np.hypot(bx, by) * nx).astype(int), nx - 1)
+        else:
+            ib = (np.minimum((bx / d0 * nx).astype(int), nx - 1) * ny
+                  + np.minimum((by / d1 * ny).astype(int), ny - 1))
+        np.add.at(hist, ib, 1)
         x[:] = np.where(exited, x, xn)
         y[:] = np.where(exited, y, yn)
         restart(exited)
         samples += [(x[p], y[p]) for p in np.nonzero(exited)[0]]
-        positions.append((x.copy(), y.copy()))
     stats[0] = len(samples)
-    return (hist, np.array(samples[:cap]).reshape(-1, 2), stats,
-            np.array(positions))
+    return hist, np.array(samples[:cap]).reshape(-1, 2), stats
 
 
 @pytest.fixture
@@ -218,28 +209,9 @@ def test_engine_matches_step_loop(name, n_paths, n_steps, dt, cap, shards,
             st.WalkConfig(step_dt=dt).band(), domain,
             spec.restart(domain, basis), 7, cap)
     force_shards(shards)
-    hist, buf, stats, inside = _kernels.run_walk(*args)
-    want_hist, want_buf, want_stats, _ = step_loop(*args)
+    hist, buf, stats = _kernels.run_walk(*args)
+    want_hist, want_buf, want_stats = step_loop(*args)
     assert stats[0] > 0
-    assert np.array_equal(hist, want_hist)
-    assert np.array_equal(buf, want_buf)
-    assert np.array_equal(stats, want_stats)
-    assert inside.size == 0
-
-
-@pytest.mark.parametrize("shards", [1, 2, 3])
-def test_engine_from_start_matches_step_loop(shards, force_shards,
-                                             walk_domains):
-    # every path starts elsewhere, so a start array sliced wrong shows
-    domain, basis, spec = walk_case("disk-dirac", walk_domains)
-    n_paths, n_steps, dt = 100, 90, 1e-2
-    start = (np.linspace(-0.5, 0.5, n_paths), np.linspace(0.3, -0.3, n_paths))
-    args = (derive_seeds(6, n_paths), n_steps, dt,
-            st.WalkConfig(step_dt=dt).band(), domain,
-            spec.restart(domain, basis), 7, 500)
-    force_shards(shards)
-    hist, buf, stats, _ = _kernels.run_walk(*args, start=start)
-    want_hist, want_buf, want_stats, _ = step_loop(*args, start=start)
     assert np.array_equal(hist, want_hist)
     assert np.array_equal(buf, want_buf)
     assert np.array_equal(stats, want_stats)
@@ -306,44 +278,6 @@ def test_parent_failure_kills_shards(force_shards, walk_domains):
     assert_no_child_left()
 
 
-REGION_CASES = [
-    ("disk-ground_state", 300, 230, 4e-3, 0, 0, (0.2, -0.1)),  # decay's use
-    ("rect-uniform", 200, 150, 1e-2, 7, 100, None),             # from draws
-]
-
-
-def region_params():
-    for case in REGION_CASES:
-        for k in (1, 2, 3):
-            yield pytest.param(*case, k, id=f"{case[0]}-{k}shards")
-
-
-@pytest.mark.parametrize("name, n_paths, n_steps, dt, n_bins, cap, point, "
-                         "shards", region_params())
-def test_engine_region_counts_match_step_loop(name, n_paths, n_steps, dt,
-                                              n_bins, cap, point, shards,
-                                              force_shards, walk_domains):
-    # per-step counts of the paths in the inner region, restarts applied
-    domain, basis, spec = walk_case(name, walk_domains)
-    start = None if point is None else (np.full(n_paths, point[0]),
-                                        np.full(n_paths, point[1]))
-    args = (derive_seeds(4, n_paths), n_steps, dt,
-            st.WalkConfig(step_dt=dt).band(), domain,
-            spec.restart(domain, basis), n_bins, cap)
-    force_shards(shards)
-    hist, buf, stats, inside = _kernels.run_walk(
-        *args, start=start, region=domain.inner_region)
-    want_hist, want_buf, want_stats, want_pos = step_loop(*args, start=start)
-    want = domain.inner_region(want_pos[:, 0], want_pos[:, 1]).sum(axis=1)
-    assert want_stats[0] > n_paths
-    assert 0 < want.min() and want.max() < n_paths
-    assert inside.dtype == np.int64
-    assert np.array_equal(inside, want)
-    assert np.array_equal(hist, want_hist)
-    assert np.array_equal(buf, want_buf)
-    assert np.array_equal(stats, want_stats)
-
-
 def test_uniform_restart_distribution(small_uniform_run):
     # squared restart radii of the uniform measure are uniform on (0, 1)
     pts = small_uniform_run.restart_samples
@@ -383,27 +317,6 @@ def test_restart_point_inside_band_rejected(disk, disk_basis):
     with pytest.raises(ValueError):
         st.simulate_occupation(cfg, disk, measures.DiracMeasure(0.9, 0.0),
                                disk_basis)
-
-
-def test_decay_restart_point_inside_band_rejected(disk):
-    # every restart would land in the band and be drawn again forever
-    with pytest.raises(ValueError):
-        st.decay_rate_estimate(disk, measures.DiracMeasure(0.999, 0.0),
-                               n_steps=50, n_paths=10, start=(0.99, 0.0))
-
-
-def test_decay_rejection_floor(disk, disk_basis_small):
-    # the spot accepts 19 of 6007 attempts; the diagnostic must say so
-    # rather than fail its fit
-    def spot(x, y):
-        r2 = (x - 0.2) ** 2 + y ** 2
-        return np.where(r2 < 0.06 ** 2, 1.0 / (math.pi * 0.06 ** 2), 0.0)
-
-    with pytest.raises(RejectionEfficiencyError,
-                       match="^rejection acceptance 19/6007 fell below 1%$"):
-        st.decay_rate_estimate(disk, measures.DensityMeasure(spot),
-                               disk_basis_small, dt=1e-3, n_steps=60,
-                               n_paths=20, start=(0.9, 0.0))
 
 
 def test_stationary_prediction_uniform(disk_basis, uniform_disk,
@@ -595,13 +508,3 @@ def test_dt_halving_consistency(disk, disk_basis, uniform_disk):
     # halving dt moves the distance by less than the statistical error bar
     assert abs(d[0] - d[1]) < 0.05
 
-
-@pytest.mark.slow
-def test_decay_rate_diagnostic(disk, disk_basis):
-    # slowest relaxation rate of the uniform-restart process: the squared
-    # first zero of the order-2 Bessel function, within the loose +-25%
-    rate = st.decay_rate_estimate(disk, measures.UniformMeasure(), disk_basis,
-                                  seed=13)
-    target = bessel.bessel_zero(2, 1) ** 2
-    assert abs(rate - target) / target < 0.25
-    assert rate == 28.69574461493086      # the per-step engine's value

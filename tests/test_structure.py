@@ -1,7 +1,8 @@
 """The restart measure is one abstraction: the walk and the boundary-layer
 probes ask the measure, never test its class, and the walk kernel takes the
 measure's draw instead of a restart code.  Every walk takes the kernel's one
-sharded path.  Marching squares works on whole arrays, not cell by cell."""
+sharded path.  Marching squares works on whole arrays, not cell by cell.
+Every function, class and method has a caller or a test."""
 
 import ast
 import inspect
@@ -13,13 +14,18 @@ import jumpspectra
 from jumpspectra import _kernels, measures
 
 SRC = os.path.dirname(os.path.abspath(jumpspectra.__file__))
+TESTS = os.path.dirname(os.path.abspath(__file__))
 MEASURE_CLASSES = {"MeasureSpec"} | {
     cls.__name__ for cls in measures.MeasureSpec.__args__}
 
 
-def parse(module: str) -> ast.Module:
-    with open(os.path.join(SRC, module)) as fh:
+def parse(module: str, where: str = SRC) -> ast.Module:
+    with open(os.path.join(where, module)) as fh:
         return ast.parse(fh.read())
+
+
+def python_files(where: str) -> list:
+    return sorted(name for name in os.listdir(where) if name.endswith(".py"))
 
 
 def class_names(node) -> set:
@@ -50,7 +56,7 @@ def test_kernel_has_no_restart_code():
     assert not [name for name in names if "code" in name]
     assert list(inspect.signature(_kernels.run_walk).parameters) == [
         "seeds", "n_steps", "dt", "btol", "domain", "draw", "n_bins",
-        "restart_cap", "start", "region"]
+        "restart_cap"]
     # the restart loop compares nothing with an integer literal
     restart = next(node for node in ast.walk(tree)
                    if isinstance(node, ast.FunctionDef)
@@ -84,3 +90,30 @@ def test_marching_squares_has_no_cell_loop():
              if isinstance(node, (ast.For, ast.comprehension))]
     assert not [it for it in loops if isinstance(it, ast.Call)
                 and isinstance(it.func, ast.Name) and it.func.id == "range"]
+
+
+def test_every_definition_is_used():
+    # every top-level function or class of the package, and every method
+    # that is not a dunder, is named somewhere in the package or its tests;
+    # a re-export in __init__ is an import alias, which does not count
+    used = set()
+    for where in (SRC, TESTS):
+        for name in python_files(where):
+            for node in ast.walk(parse(name, where)):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined = []
+    for name in python_files(SRC):
+        for node in parse(name).body:
+            if isinstance(node, kinds):
+                defined.append((name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(name, f"{node.name}.{item.name}")
+                            for item in node.body if isinstance(item, kinds)
+                            and not (item.name.startswith("__")
+                                     and item.name.endswith("__"))]
+    assert defined
+    assert [d for d in defined if d[1].split(".")[-1] not in used] == []
