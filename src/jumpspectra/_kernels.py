@@ -1,18 +1,20 @@
 """Restart-diffusion walk kernel with occupation binning.
 
-One numpy engine advances every path a block of steps at a time.  Each path
+One numpy engine advances the paths a block of steps at a time.  Each path
 owns a splitmix64 stream, which is counter based: the state after k draws is
 ``seed + k * gamma`` (mod 2**64), so the uniforms a path needs for a whole
 block come from one broadcast addition followed by the mix (Salmon et al.,
-SC'11, "Parallel random numbers: as easy as 1, 2, 3").  Positions within a
-block are running sums over the steps, which add left to right, so each
-equals the per-step update ``x + step * z`` bit for bit.  One reduction over
-the block finds each path's first exit; only exited paths advance their
-counters to the exit, restart from the measure and finish the block in a
-shrinking inner pass.  The histogram counts are integers and the restart
-samples are sorted into (step, path) order, so the histogram, the samples
-and the counters are bitwise identical to those of a per-step loop over all
-paths, whatever the block size.
+SC'11, "Parallel random numbers: as easy as 1, 2, 3").  A path's draws thus
+depend only on its own count, and each path keeps its own step clock: every
+pass advances each unfinished path up to a block of steps from where it
+stands.  Positions within a pass are running sums over the steps, which add
+left to right, so each equals the per-step update ``x + step * z`` bit for
+bit.  One reduction finds each path's first exit; a path that exits at row f
+advances its counter by f + 1 steps, restarts from the measure and walks on
+in the next pass.  The histogram counts are integers and each restart is
+stored with its step, so the histogram, the first restart samples in (step,
+path) order and the counters are bitwise identical to those of a per-step
+loop over all paths, whatever the block size.
 
 A shard allocates its pass buffers once: counter states, a shift temporary,
 radii and angles (reused for the step midpoints) and positions.  A pass of
@@ -28,9 +30,10 @@ bits, counters and counts of drawing one round at a time.
 
 Since the streams are per path, the paths split into contiguous shards that
 walk apart: one in the calling process and the others in children made by
-``os.fork``, one shard per available CPU.  Histograms and counters are
-summed and the restart samples sorted once, so the result has the same bits
-at any shard count.
+``os.fork``, one shard per available CPU.  Each shard returns its first
+``restart_cap`` restarts by (step, path), with at most as many again; the
+histograms and counters are summed and the restart samples sorted once,
+so the result has the same bits at any shard count.
 
 The domain object supplies the interior test, the uniform sampler and the
 occupation cells.  The restart measure supplies a draw ``draw(state, idx) ->
@@ -337,15 +340,18 @@ def run_walk(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap):
 
 def _walk_shard(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap):
     """The walk of the paths ``seeds``; returns (hist, restart points, their
-    steps, their paths, stats).  The restarts, unsorted, are those of the
-    blocks up to the one that reaches ``restart_cap`` restarts, which hold
-    the first ``restart_cap`` of them; paths count from the first of
-    ``seeds``."""
+    steps, their paths, stats), paths counted from the first of ``seeds``.
+    A pass advances every unfinished path up to ``block`` steps on its own
+    clock; a path that exits at row f uses f + 1 of them and restarts.  The
+    unsorted restarts are pruned to the first ``restart_cap`` by (step, path)
+    whenever more than twice that many are held: a pruned one already has
+    ``restart_cap`` before it, so it can never be among the first."""
     n_paths = seeds.size
     hist = np.zeros(domain.n_cells(n_bins), dtype=np.int64)
     stats = np.zeros(3, dtype=np.int64)
     # (steps, paths, x, y) of kept restarts, from an empty entry
     events = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),) * 2]
+    held = 0
     step = math.sqrt(2.0 * dt)
     state = seeds.copy()
     x = np.empty(n_paths)
@@ -369,76 +375,70 @@ def _walk_shard(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap):
     def view(buf, m, n):
         return buf[:m * n].reshape(m, n)
 
-    for t0 in range(0, n_steps, block):
-        k = min(block, n_steps - t0)
-        keep = stats[0] < restart_cap            # block not past the cap
-        act = np.arange(n_paths)                 # paths still in the block
-        beg = np.zeros(n_paths, dtype=np.intp)   # their block-local step
-        whole = True                             # all paths from step 0
-        while act.size:
-            rem = k - beg
-            m = int(rem.max())
-            n = act.size
-            sel = slice(None) if whole else act
-            s = state[sel]
-            u, tmp = view(counters, m, n), view(shifted, m, n)
-            r, ang = view(radii, m, n), view(angles, m, n)
-            # r = sqrt(-2 log u1) and ang = 2 pi u2, operation for operation
-            _unit(np.add(s, off_r[:m, None], out=u), tmp, r)
-            np.log(r, out=r)
-            r *= -2.0
-            np.sqrt(r, out=r)
-            _unit(np.add(s, off_a[:m, None], out=u), tmp, ang)
-            ang *= 2.0 * math.pi
-            X, Y = view(xs, m + 1, n), view(ys, m + 1, n)
-            if whole:
-                X[0], Y[0] = x, y
-            else:
-                np.take(x, act, out=X[0])
-                np.take(y, act, out=Y[0])
-            # steps: step * (r * cos(ang)) and step * (r * sin(ang))
-            for P, trig in ((X[1:], np.cos), (Y[1:], np.sin)):
-                trig(ang, out=P)
-                P *= r
-                P *= step
-            _running_sum(X)
-            _running_sum(Y)
-            rows = np.arange(m)[:, None]
-            out = domain.outside(X[1:], Y[1:], btol)
-            if rem.min() < m:
-                out &= rows < rem
-            first = np.where(out, rows, m).min(axis=0)
-            hit = first < m
-            used = np.where(hit, first + 1, rem)   # steps this pass consumed
-            live = rows < used
-            hc = np.nonzero(hit)[0]
-            # step midpoints, or the old position on the exit step; the
-            # radii and angles are spent
-            bx, by = r, ang
-            for B, P in ((bx, X), (by, Y)):
-                np.add(P[:-1], P[1:], out=B)
-                B *= 0.5
-            bx[first[hc], hc] = X[first[hc], hc]
-            by[first[hc], hc] = Y[first[hc], hc]
-            # rows past an exit go to the dropped cell hist.size
-            cells = np.where(live, domain.bin_index(bx, by, n_bins),
-                             hist.size)
-            hist += np.bincount(cells.ravel(), minlength=hist.size + 1)[:-1]
-            if whole:
-                # exited paths get their restart point below
-                x[:], y[:] = X[m], Y[m]
-            else:
-                cols = np.arange(n)
-                x[act], y[act] = X[used, cols], Y[used, cols]
-            state[sel] += (2 * used).astype(np.uint64) * _GOLDEN
-            gone = act[hc]
-            _np_restart(state, gone, draw, domain, btol, stats, x, y)
-            at = beg[hc] + first[hc]
-            stats[0] += at.size
-            if keep:
-                events.append((t0 + at, gone, x[gone], y[gone]))
-            more = at + 1 < k
-            act, beg, whole = gone[more], at[more] + 1, False
+    clock = np.zeros(n_paths, dtype=np.intp)     # steps each path has walked
+    act = np.arange(n_paths)                     # paths short of n_steps
+    while act.size:
+        rem = np.minimum(n_steps - clock[act], block)
+        m = int(rem.max())
+        n = act.size
+        s = state[act]
+        u, tmp = view(counters, m, n), view(shifted, m, n)
+        r, ang = view(radii, m, n), view(angles, m, n)
+        # r = sqrt(-2 log u1) and ang = 2 pi u2, operation for operation
+        _unit(np.add(s, off_r[:m, None], out=u), tmp, r)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        _unit(np.add(s, off_a[:m, None], out=u), tmp, ang)
+        ang *= 2.0 * math.pi
+        X, Y = view(xs, m + 1, n), view(ys, m + 1, n)
+        np.take(x, act, out=X[0])
+        np.take(y, act, out=Y[0])
+        # steps: step * (r * cos(ang)) and step * (r * sin(ang))
+        for P, trig in ((X[1:], np.cos), (Y[1:], np.sin)):
+            trig(ang, out=P)
+            P *= r
+            P *= step
+        _running_sum(X)
+        _running_sum(Y)
+        rows = np.arange(m)[:, None]
+        out = domain.outside(X[1:], Y[1:], btol)
+        if rem.min() < m:
+            out &= rows < rem
+        first = np.where(out, rows, m).min(axis=0)
+        hit = first < m
+        used = np.where(hit, first + 1, rem)       # steps this pass consumed
+        live = rows < used
+        hc = np.nonzero(hit)[0]
+        # step midpoints, or the old position on the exit step; the radii
+        # and angles are spent
+        bx, by = r, ang
+        for B, P in ((bx, X), (by, Y)):
+            np.add(P[:-1], P[1:], out=B)
+            B *= 0.5
+        bx[first[hc], hc] = X[first[hc], hc]
+        by[first[hc], hc] = Y[first[hc], hc]
+        # rows past an exit go to the dropped cell hist.size
+        cells = np.where(live, domain.bin_index(bx, by, n_bins), hist.size)
+        hist += np.bincount(cells.ravel(), minlength=hist.size + 1)[:-1]
+        # exited paths get their restart point below
+        cols = np.arange(n)
+        x[act], y[act] = X[used, cols], Y[used, cols]
+        state[act] += (2 * used).astype(np.uint64) * _GOLDEN
+        gone = act[hc]
+        _np_restart(state, gone, draw, domain, btol, stats, x, y)
+        stats[0] += gone.size
+        events.append((clock[gone] + first[hc], gone, x[gone], y[gone]))
+        held += gone.size
+        if held > 2 * restart_cap:
+            steps, paths, rx, ry = (np.concatenate(v) for v in zip(*events))
+            # keys are distinct: a path exits at most once per step
+            keep = np.argpartition(steps * n_paths + paths,
+                                   restart_cap)[:restart_cap]
+            events = [(steps[keep], paths[keep], rx[keep], ry[keep])]
+            held = restart_cap
+        clock[act] += used
+        act = act[clock[act] < n_steps]
 
     steps, paths, rx, ry = (np.concatenate(v) for v in zip(*events))
     return hist, np.column_stack((rx, ry)), steps, paths, stats

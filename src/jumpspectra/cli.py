@@ -110,8 +110,20 @@ def _integer(value) -> int:
     return out
 
 
+def _finite(value) -> float:
+    """``float(value)``; a NaN or an infinity is refused."""
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"{value!r} is not finite")
+    return out
+
+
 def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    """A nonempty list of finite numbers, as floats."""
+    out = tuple(_finite(v) for v in values)
+    if not out:
+        raise ValueError("no numbers")
+    return out
 
 
 def _build_domain(cfg: dict):
@@ -187,7 +199,7 @@ def _build_measure(cfg: dict, domain, basis: BasisSet) -> ms.MeasureSpec:
     mcfg = _block(cfg, "measure")
     variant = mcfg.get("variant")
 
-    def read(key, default=None, convert=float):
+    def read(key, default=None, convert=_finite):
         return _read(mcfg, key, default, convert, where="measure.")
 
     bm = read("boundary_mass", 0.0)
@@ -210,8 +222,8 @@ def _build_measure(cfg: dict, domain, basis: BasisSet) -> ms.MeasureSpec:
             base = ms.GroundStateMeasure()
         else:
             raise ConfigError(f"unknown perturbation base {base_name!r}")
-        modes = read("v_modes", {},
-                     lambda m: {int(i): float(c) for i, c in dict(m).items()})
+        modes = read("v_modes", {}, lambda m: {
+            int(i): _finite(c) for i, c in dict(m).items()})
         v = make_mode_perturbation(basis, modes, read("v_scale", 1.0))
         return ms.PerturbedMeasure(base, v, bm)
     raise ConfigError(f"unknown measure variant {variant!r}")
@@ -561,6 +573,9 @@ def main(argv=None) -> int:
         return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:     # e.g. a histogram of walk.n_bins cells
+        print(f"configuration error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

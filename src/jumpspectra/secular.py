@@ -21,6 +21,7 @@ anchored value tells how far the model zeros can sit from the true ones.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -353,6 +354,9 @@ def _edge_integral(series, z0, z1, depth=0):
     whole = _segment_integral(series, z0, z1)
     mid = 0.5 * (z0 + z1)
     split = _segment_integral(series, z0, mid) + _segment_integral(series, mid, z1)
+    if not (cmath.isfinite(whole) and cmath.isfinite(split)):
+        raise UndecidableError(f"contour integral on edge {z0}..{z1} is not "
+                               "finite")
     if abs(whole - split) < 0.02 or depth >= 24:
         return split
     return (_edge_integral(series, z0, mid, depth + 1)

@@ -109,12 +109,27 @@ def test_invalid_configs(tmp_path):
         dict(DISK_SMALL, seed="7"),
         dict(DISK_SMALL, seed=True),
         dict(DISK_SMALL, seed=math.nan),
+        # float fields take finite values only; thresholds are not empty
+        dict(DISK_SMALL, window=[-1.0, math.nan, -10.0, 10.0]),
+        dict(DISK_SMALL, window=[-math.inf, 32.0, -10.0, 10.0]),
+        dict(DISK_SMALL, measure={"variant": "dirac", "x0": math.nan,
+                                  "y0": 0.0}),
+        dict(DISK_SMALL, measure={"variant": "circle", "r0": math.inf}),
+        dict(DISK_SMALL, measure={"variant": "uniform",
+                                  "boundary_mass": -math.inf}),
+        dict(DISK_SMALL, measure={"variant": "perturbed", "base": "uniform",
+                                  "v_modes": {"1": math.nan}}),
+        dict(DISK_SMALL, measure={"variant": "perturbed", "base": "uniform",
+                                  "v_modes": {"1": 0.5}, "v_scale": math.inf}),
+        dict(DISK_SMALL, thresholds=[math.nan, 0.2], tasks=["figure1"]),
+        dict(DISK_SMALL, thresholds=[], tasks=["figure1"]),
     ]
     for i, cfg in enumerate(bad):
         path = write_config(tmp_path, cfg, f"bad{i}.json")
         assert cli.main(["run", path]) == cli.EXIT_CONFIG, cfg
-    assert cli.main(["figure1", "--thresholds", "x", "--out",
-                     str(tmp_path / "fig")]) == cli.EXIT_CONFIG
+    for thresholds in ("x", "nan,0.2", "0.1,inf"):
+        assert cli.main(["figure1", "--thresholds", thresholds, "--out",
+                         str(tmp_path / "fig")]) == cli.EXIT_CONFIG
 
 
 @pytest.mark.parametrize("walk", [
@@ -139,6 +154,21 @@ def test_invalid_walk_configs(tmp_path, capsys, walk):
     assert cli.main(["run", path, "--out", str(tmp_path / "out")]) \
         == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error: walk")
+
+
+@pytest.mark.parametrize("n_paths", [2, 1000])
+def test_unallocatable_histogram_is_a_config_error(tmp_path, capsys, n_paths):
+    # 10**15 int64 cells are more than the x86-64 user address space, so
+    # the allocation fails whatever the overcommit setting; 1000 paths fork
+    # a second walk shard
+    cfg = dict(DISK_SMALL, tasks=["simulate"],
+               walk={"n_bins": 10**15, "n_steps": 10_000, "n_paths": n_paths})
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", path, "--out", str(tmp_path / "out")]) \
+        == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"configuration error: out of memory: "
+                        r"Unable to allocate .* PiB .*\n", err)
 
 
 def test_integer_valued_floats_accepted(tmp_path):

@@ -288,3 +288,14 @@ def test_count_boxes_consistent(disk_basis):
 def test_asymmetric_axis_box_rejected(uniform_disk):
     with pytest.raises(ValueError):
         secular.complex_roots_in(uniform_disk, (0.0, 10.0, -1.0, 2.0))
+
+
+@pytest.mark.parametrize("corner", [complex(math.nan, 1.0),
+                                    complex(-math.inf, 1.0)])
+def test_non_finite_edge_is_undecidable(uniform_disk, corner):
+    # a NaN or infinite corner leaves the edge integral non-finite at every
+    # depth; it is refused rather than split down to depth 24 (started at
+    # depth 20, code that splits it returns NaN within 2^4 splits, not 2^24)
+    with np.errstate(invalid="ignore", divide="ignore"), \
+            pytest.raises(UndecidableError, match="not finite"):
+        secular._edge_integral(uniform_disk, complex(5.0, 1.0), corner, 20)

@@ -128,7 +128,8 @@ def one_round_restart(state, mask, draw, domain, btol, stats, x, y):
 def step_loop(seeds, n_steps, dt, btol, domain, draw, n_bins, cap):
     """The walk one step at a time over all paths: the reference the block
     engine must reproduce bit for bit.  Exits and bins use formulas of their
-    own: radial bins on the disk, n_bins x n_bins cells on the rectangle."""
+    own: radial bins on the disk, n_bins x n_bins cells on the rectangle.
+    Also returns the (step, path) of every exit, in that order."""
     disk = isinstance(domain, geometry.Disk)
     nx, ny = n_bins, (1 if disk else n_bins)
     d0, d1 = (None, None) if disk else (domain.side_x, domain.side_y)
@@ -143,9 +144,9 @@ def step_loop(seeds, n_steps, dt, btol, domain, draw, n_bins, cap):
 
     restart(np.ones(n, dtype=bool))
     hist = np.zeros(nx * ny, dtype=np.int64)
-    samples = []
+    samples, exits = [], []
     everyone = np.arange(n)
-    for _ in range(n_steps):
+    for t in range(n_steps):
         u1 = _kernels._np_uniform(state, everyone)
         u2 = _kernels._np_uniform(state, everyone)
         r = np.sqrt(-2.0 * np.log(u1))
@@ -168,8 +169,9 @@ def step_loop(seeds, n_steps, dt, btol, domain, draw, n_bins, cap):
         y[:] = np.where(exited, y, yn)
         restart(exited)
         samples += [(x[p], y[p]) for p in np.nonzero(exited)[0]]
+        exits += [(t, p) for p in np.nonzero(exited)[0]]
     stats[0] = len(samples)
-    return hist, np.array(samples[:cap]).reshape(-1, 2), stats
+    return hist, np.array(samples[:cap]).reshape(-1, 2), stats, exits
 
 
 @pytest.fixture
@@ -182,12 +184,21 @@ def force_shards(monkeypatch):
     return force
 
 
+# paths exit two to four times per 64-step block on average, so their step
+# clocks drift more than a block apart, and every shard holds more than
+# twice the cap, so it prunes
+DRIFT_CASES = [
+    ("disk-uniform", 48, 400, 1e-2, 20),
+    ("rect-ground_state", 30, 300, 2e-2, 10),
+]
+
 ENGINE_CASES = [
     ("disk-ground_state", 40, 37, 1e-4, 100),     # one partial block
     ("disk-uniform", 30, 150, 1e-3, 1000),        # not a multiple of K
     ("rect-density", 1, 500, 1e-2, 1000),         # a single path
     ("disk-circle", 200, 70, 1e-2, 5),            # cap falls inside a block
     ("rect-uniform", 3000, 12, 1e-2, 10_000),     # wide block, row sums
+    *DRIFT_CASES,
 ]
 
 
@@ -200,21 +211,61 @@ def engine_params():
                                id=name if k == 1 else f"{name}-{k}shards")
 
 
-@pytest.mark.parametrize("name, n_paths, n_steps, dt, cap, shards",
-                         engine_params())
-def test_engine_matches_step_loop(name, n_paths, n_steps, dt, cap, shards,
-                                  force_shards, walk_domains):
+def clock_drift(exits, paths, n_steps):
+    """Largest gap between the step clocks of two of ``paths`` after a pass
+    of their shard, from the reference's ``exits``: a pass advances each
+    path a block of steps, or to just past its first exit in that block."""
+    block = max(1, min(_kernels._BLOCK, _kernels._BLOCK_CELLS // len(paths)))
+    clocks = {p: 0 for p in paths}
+    drift = 0
+    while min(clocks.values()) < n_steps:
+        for p, t0 in clocks.items():
+            end = min(t0 + block, n_steps)
+            clocks[p] = min([t + 1 for t, q in exits if q == p and t0 <= t]
+                            + [end])
+        drift = max(drift, max(clocks.values()) - min(clocks.values()))
+    return drift, block
+
+
+def engine_matches_step_loop(case, walk_domains):
+    """Run ``case`` on the engine and on the step loop and assert equal
+    bits; returns the reference's exits."""
+    name, n_paths, n_steps, dt, cap = case
     domain, basis, spec = walk_case(name, walk_domains)
     args = (derive_seeds(9, n_paths), n_steps, dt,
             st.WalkConfig(step_dt=dt).band(), domain,
             spec.restart(domain, basis), 7, cap)
-    force_shards(shards)
     hist, buf, stats = _kernels.run_walk(*args)
-    want_hist, want_buf, want_stats = step_loop(*args)
+    want_hist, want_buf, want_stats, exits = step_loop(*args)
     assert stats[0] > 0
     assert np.array_equal(hist, want_hist)
     assert np.array_equal(buf, want_buf)
     assert np.array_equal(stats, want_stats)
+    return exits
+
+
+@pytest.mark.parametrize("name, n_paths, n_steps, dt, cap, shards",
+                         engine_params())
+def test_engine_matches_step_loop(name, n_paths, n_steps, dt, cap, shards,
+                                  force_shards, walk_domains):
+    case = (name, n_paths, n_steps, dt, cap)
+    force_shards(shards)
+    exits = engine_matches_step_loop(case, walk_domains)
+    if case in DRIFT_CASES:
+        k = min(shards, n_paths)
+        for i in range(k):
+            paths = range(n_paths * i // k, n_paths * (i + 1) // k)
+            drift, block = clock_drift(exits, paths, n_steps)
+            assert drift > block
+            assert sum(p in paths for _, p in exits) > 2 * cap
+
+
+def test_engine_bits_do_not_depend_on_block_width(monkeypatch, force_shards,
+                                                  walk_domains):
+    # 64 steps x paths per block: 2-step blocks over a shard of 24 paths
+    monkeypatch.setattr(_kernels, "_BLOCK_CELLS", 64)
+    force_shards(2)
+    engine_matches_step_loop(DRIFT_CASES[0], walk_domains)
 
 
 def walk_with_draw_failing(walk_domains, in_parent, in_child):
