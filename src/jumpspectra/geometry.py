@@ -127,15 +127,23 @@ class Mode:
 _RECT_SERIES_TERMS = 6001        # odd orders up to this bound; tail < 1e-12
 
 
-def _cosh_ratio(kappa, t, h):
-    # cosh(kappa t)/cosh(kappa h) for |t| <= h, overflow-safe
-    return ((np.exp(kappa * (t - h)) + np.exp(-kappa * (t + h)))
-            / (1.0 + np.exp(-2.0 * kappa * h)))
+_TINY = 2.2250738585072014e-308       # smallest normal float64
+_LOG_TINY = -708.3964185322641         # exp(x) is normal from here up
 
 
-def _sinh_ratio(kappa, t, h):
-    return ((np.exp(kappa * (t - h)) - np.exp(-kappa * (t + h)))
-            / (1.0 + np.exp(-2.0 * kappa * h)))
+def _exp_normal(x):
+    """``exp(x)`` where that is a normal float (or NaN), 0 where it would be
+    subnormal: exp is slow there, and such terms lie below the last bit of
+    every torsion sum they enter."""
+    return np.exp(x, out=np.zeros(np.shape(x)), where=~(x < _LOG_TINY))
+
+
+def _hyperbolic_parts(kappa, t, h):
+    """``(p, q, d)`` with ``cosh(kappa t)/cosh(kappa h) = (p + q)/d`` and
+    ``sinh(kappa t)/cosh(kappa h) = (p - q)/d`` for ``|t| <= h``: the
+    overflow-safe quotients share their three exponentials."""
+    return (_exp_normal(kappa * (t - h)), _exp_normal(-kappa * (t + h)),
+            1.0 + _exp_normal(-2.0 * kappa * h))
 
 
 def _separable_series(x, y, kap, y_factor):
@@ -150,7 +158,11 @@ def _separable_series(x, y, kap, y_factor):
     """
     ux, ix = np.unique(x, return_inverse=True)
     uy, iy = np.unique(y, return_inverse=True)
-    table = np.sin(np.multiply.outer(ux, kap)) @ y_factor(uy)
+    factors = y_factor(uy)
+    # subnormal factors send the BLAS product down a slow path and leave
+    # the bits of its sums unchanged
+    factors[np.abs(factors) < _TINY] = 0.0
+    table = np.sin(np.multiply.outer(ux, kap)) @ factors
     return table[ix.ravel(), iy.ravel()].reshape(x.shape)
 
 
@@ -280,14 +292,16 @@ class Disk:
 
     def moments(self, values, basis: BasisSet) -> np.ndarray:
         """Moments of node-sampled ``values`` against every basis mode,
-        walking the modes in blocks."""
+        walking the modes in blocks.  The reduction is numpy's, not a BLAS
+        matrix-vector product, whose bits depend on the thread count."""
         rule = basis.quadrature
         weighted = rule.w * values
         out = np.empty(len(basis))
         block = 256
         for lo in range(0, len(basis), block):
-            out[lo:lo + block] = self.mode_rows(
-                basis.modes[lo:lo + block], rule) @ weighted
+            out[lo:lo + block] = np.einsum(
+                "mn,n->m", self.mode_rows(basis.modes[lo:lo + block], rule),
+                weighted)
         return out
 
     def layer_quadrature(self, eps: float, n_s: int, n_tan: int):
@@ -521,7 +535,8 @@ class Rectangle:
         _, kap, amp = self._series()
 
         def y_factor(y):
-            return amp[:, None] * _cosh_ratio(kap[:, None], y - b / 2.0, b / 2.0)
+            p, q, d = _hyperbolic_parts(kap[:, None], y - b / 2.0, b / 2.0)
+            return amp[:, None] * ((p + q) / d)
 
         def g(x, y):
             x, y = _points(x, y)
@@ -537,9 +552,9 @@ class Rectangle:
 
         def y_factor(y):
             t = y - b / 2.0
-            return ((amp / (2.0 * kap))[:, None] * t
-                    * _sinh_ratio(kap[:, None], t, b / 2.0)
-                    + bcoef[:, None] * _cosh_ratio(kap[:, None], t, b / 2.0))
+            p, q, d = _hyperbolic_parts(kap[:, None], t, b / 2.0)
+            return ((amp / (2.0 * kap))[:, None] * t * ((p - q) / d)
+                    + bcoef[:, None] * ((p + q) / d))
 
         def g2(x, y):
             x, y = _points(x, y)
@@ -634,12 +649,16 @@ class BasisSet:
     @cached_property
     def _cluster_table(self):
         groups: list[list[int]] = []
-        for i, lam in enumerate(self.eigenvalues):
-            if groups and lam - self.eigenvalues[groups[-1][0]] <= CLUSTER_RTOL * (1.0 + lam):
+        eigs = self.eigenvalues.tolist()
+        for i, lam in enumerate(eigs):
+            if groups and lam - eigs[groups[-1][0]] <= CLUSTER_RTOL * (1.0 + lam):
                 groups[-1].append(i)
             else:
                 groups.append([i])
-        means = np.array([np.mean(self.eigenvalues[g]) for g in groups])
+        # np.mean of one value is that value, so only clusters of two or
+        # more modes call it
+        means = np.array([eigs[g[0]] if len(g) == 1
+                          else np.mean(self.eigenvalues[g]) for g in groups])
         means.flags.writeable = False
         return tuple(tuple(g) for g in groups), means
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (CutoffExceededError, PoleProximityError,
                      UndecidableError)
-from .geometry import BasisSet, torsion_function, torsion_second
+from .geometry import BasisSet, _leggauss, torsion_function, torsion_second
 from .measures import MeasureMoments, measure_integral
 
 INERT_TOL = 1e-12
@@ -106,7 +106,10 @@ def build_secular_series(basis: BasisSet, moments: MeasureMoments,
     pole_vals, pole_res, inert = [], [], []
     warnings = []
     for group, lam in zip(basis.clusters(), basis.cluster_means().tolist()):
-        res = float(np.sum(alpha[list(group)]))
+        # np.sum of one value is that value, so only clusters of two or
+        # more modes call it
+        res = float(alpha[group[0]] if len(group) == 1
+                    else np.sum(alpha[list(group)]))
         if abs(res) <= inert_tol:
             inert.append(lam)
         else:
@@ -293,7 +296,12 @@ def _gap_segments(series: SecularSeries, lo: float, hi: float):
 
 def real_roots_in(series: SecularSeries, lo: float, hi: float,
                   grid: int = 256) -> list[RealRoot]:
-    """Sign-change bracketing plus Brent refinement on each inter-pole gap."""
+    """Sign-change bracketing plus Brent refinement on each inter-pole gap.
+
+    A grid node where the model value is exactly 0 is itself a root (with
+    residual 0); only strict sign changes between nonzero values are
+    bracketed.
+    """
     if hi <= lo:
         return []
     series._check_point(complex(hi))
@@ -308,8 +316,10 @@ def real_roots_in(series: SecularSeries, lo: float, hi: float,
     for a, b in _gap_segments(series, lo, hi):
         xs = np.linspace(a, b, grid)
         vals = np.real(series.sum_values(xs.astype(complex)))
-        sign_changes = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        if sign_changes.size == 0:
+        # a root on node i, or between nodes i and i + 1 of opposite signs
+        found = vals == 0.0
+        found[:-1] |= np.sign(vals[:-1]) * np.sign(vals[1:]) < 0
+        if not found.any():
             # ambiguous only if the whole segment stays below the tail bound
             bounds = np.array([series.tail_bound(x) for x in xs])
             if np.all(np.abs(vals) <= bounds + 1e-12):
@@ -317,7 +327,11 @@ def real_roots_in(series: SecularSeries, lo: float, hi: float,
                     f"secular values on ({a:.6g}, {b:.6g}) are below the tail "
                     f"bound at cutoff {series.cutoff}; increase the cutoff")
             continue
-        for i in sign_changes:
+        for i in np.flatnonzero(found):
+            if vals[i] == 0.0:
+                roots.append(RealRoot(float(xs[i]),
+                                      (float(xs[i]), float(xs[i])), 0.0))
+                continue
             x0 = brentq(f, xs[i], xs[i + 1], xtol=1e-13 * (1 + abs(xs[i])),
                         rtol=8.9e-16)
             roots.append(RealRoot(float(x0), (float(xs[i]), float(xs[i + 1])),
@@ -338,29 +352,36 @@ def _edge_points(box):
         (complex(re_lo, im_hi), complex(re_lo, im_lo)),
     ]
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-
 
 def _segment_integral(series, z0, z1):
+    """16-point Gauss-Legendre rule for the integral of s'/s over the
+    segment; one reciprocal ``1/(pole - z)`` per node and pole serves both
+    sums, which are numpy reductions (no BLAS, so no thread-count bits)."""
+    t, w = _leggauss(16)
     mid = 0.5 * (z0 + z1)
     half = 0.5 * (z1 - z0)
-    z = mid + half * _GL_X
-    num = series.sum_derivative(z)
-    den = series.sum_values(z)
-    return half * np.sum(_GL_W * num / den)
+    z = mid + half * t
+    d = 1.0 / (series.poles - z[:, None])
+    rd = series.residues * d
+    return half * np.sum(w * np.sum(rd * d, axis=-1) / np.sum(rd, axis=-1))
 
 
-def _edge_integral(series, z0, z1, depth=0):
-    whole = _segment_integral(series, z0, z1)
+def _edge_integral(series, z0, z1, depth=0, whole=None):
+    """Adaptive integral of s'/s along one edge; ``whole`` is the segment
+    integral over (z0, z1) when the caller already has it."""
+    if whole is None:
+        whole = _segment_integral(series, z0, z1)
     mid = 0.5 * (z0 + z1)
-    split = _segment_integral(series, z0, mid) + _segment_integral(series, mid, z1)
+    left = _segment_integral(series, z0, mid)
+    right = _segment_integral(series, mid, z1)
+    split = left + right
     if not (cmath.isfinite(whole) and cmath.isfinite(split)):
         raise UndecidableError(f"contour integral on edge {z0}..{z1} is not "
                                "finite")
     if abs(whole - split) < 0.02 or depth >= 24:
         return split
-    return (_edge_integral(series, z0, mid, depth + 1)
-            + _edge_integral(series, mid, z1, depth + 1))
+    return (_edge_integral(series, z0, mid, depth + 1, left)
+            + _edge_integral(series, mid, z1, depth + 1, right))
 
 
 def _winding_count(series: SecularSeries, box) -> int:

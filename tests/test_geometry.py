@@ -319,6 +319,68 @@ def test_torsion_rectangle_separable_matches_direct_series(points):
     np.testing.assert_allclose(g2, g2_ref, rtol=0.0, atol=1e-13)
 
 
+TINY = 2.2250738585072014e-308          # smallest normal float64
+
+
+def unflushed_torsion(rect, x, y):
+    """g and g2 by the separable series with plain ``np.exp`` everywhere and
+    every y factor, subnormal ones included, passed to the product; also
+    the exponentials ``exp(kappa (t - h))`` and the y factors of g2."""
+    a, b = rect.side_x, rect.side_y
+    h = b / 2.0
+    ms, kap, amp = rect._series()
+    cm = 4.0 * a ** 4 / (math.pi ** 5 * ms ** 5)
+    bcoef = -(cm + (amp * b / (4.0 * kap)) * np.tanh(kap * b / 2.0))
+    ux, ix = np.unique(x, return_inverse=True)
+    uy, iy = np.unique(y, return_inverse=True)
+    k, t = kap[:, None], uy - h
+    denom = 1.0 + np.exp(-2.0 * k * h)
+    ch = (np.exp(k * (t - h)) + np.exp(-k * (t + h))) / denom
+    sh = (np.exp(k * (t - h)) - np.exp(-k * (t + h))) / denom
+    sines = np.sin(np.multiply.outer(ux, kap))
+    y2 = (amp / (2.0 * kap))[:, None] * t * sh + bcoef[:, None] * ch
+    g = x * (a - x) / 2.0 - (sines @ (amp[:, None] * ch))[ix, iy]
+    g2 = (x ** 4 - 2.0 * a * x ** 3 + a ** 3 * x) / 24.0 + (sines @ y2)[ix, iy]
+    return g, g2, np.exp(k * (t - h)), y2
+
+
+def test_torsion_rectangle_bits_without_subnormals(rect_basis):
+    # on the cutoff-2000 rule and on points within 1e-3 of y = 0 and y = b,
+    # skipping the subnormal exponentials and flushing the subnormal y
+    # factors before the product leaves every bit of g and g2 unchanged
+    rect = rect_basis.domain
+    rule = rect_basis.quadrature
+    gx = rule.axes[0]
+    edge = np.concatenate([np.linspace(1e-9, 1e-3, 7),
+                           rect.side_y - np.linspace(1e-9, 1e-3, 7)])
+    x = np.concatenate([rule.x, np.repeat(gx, edge.size)])
+    y = np.concatenate([rule.y, np.tile(edge, gx.size)])
+    g_ref, g2_ref, exps, y2 = unflushed_torsion(rect, x, y)
+    # both kinds of subnormal occur, so the test sees both shortcuts
+    for v in (exps, y2):
+        assert np.any((v != 0.0) & (np.abs(v) < TINY))
+    assert np.array_equal(geometry.torsion_function(rect)(x, y), g_ref)
+    assert np.array_equal(geometry.torsion_second(rect)(x, y), g2_ref)
+
+
+@pytest.mark.parametrize("name", ["disk_basis", "square_basis", "rect_basis"])
+def test_cluster_table_matches_per_cluster_mean(name, request):
+    # the grouping and the means of the loop over numpy scalars, with one
+    # np.mean per cluster, bit for bit (the square has clusters of 1 to 4)
+    basis = request.getfixturevalue(name)
+    groups = []
+    for i, lam in enumerate(basis.eigenvalues):
+        if groups and (lam - basis.eigenvalues[groups[-1][0]]
+                       <= geometry.CLUSTER_RTOL * (1.0 + lam)):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    assert basis.clusters() == tuple(tuple(g) for g in groups)
+    assert np.array_equal(
+        basis.cluster_means(),
+        np.array([np.mean(basis.eigenvalues[g]) for g in groups]))
+
+
 def test_gauss_legendre_cache_read_only():
     t, w = geometry._leggauss(48)
     assert geometry._leggauss(48)[0] is t

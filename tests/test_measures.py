@@ -1,5 +1,9 @@
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -129,22 +133,24 @@ def test_measure_integral_variants(disk_basis):
 
 
 # SHA-256 of the moments, the L2 norms and the measure integrals of both
-# torsion anchors, recorded before each variant owned its integral and moments
+# torsion anchors, recorded before each variant owned its integral and moments;
+# the disk density and perturbed cases again once the disk moments stopped
+# depending on the BLAS thread count
 PINNED = {
     "disk-uniform":
         "2fbb28d619956fcbda80850c973f5c9225afdd21184bad9796fa3dc812236136",
     "disk-ground_state":
         "b37324bc526442fe62174604f71b58dd2867f51ac22c7a552b8336ed51e024c2",
     "disk-density":
-        "0636e48e6dfa9ede74b01944ae706cf71b3fd55d4846cde10c8e6212430ee262",
+        "ff6227ce369761f86a485d84a98f21be92a51b1c57af66157cf12356b638f770",
     "disk-dirac":
         "c6647c5fe965d8c9ae7e3e2b3b87df19a2de0932b9695458253995568e498ec8",
     "disk-circle":
         "582959e13be2effad389a76f188f90a47a0848a0ddb9594bf15040451a2fde74",
     "disk-perturbed_uniform":
-        "8bdf82c0f4c492a6a09834e71aec1d71ab850cc8aea24ab07e910a707f4a6b15",
+        "5e6c7927069c837667f2a54f366cff1b8e258c5f1e3af23d90df3a2352830f66",
     "disk-perturbed_ground_state":
-        "072b609b3bf8817f06d9ab742ff8eb048f2349a7b868642145b6dcc2461d9153",
+        "b324380100a616a304a0169adb4a1f9c1d4849239ccab61aaf5d508447eae973",
     "rect-uniform":
         "acec04c77cf73f8148220055aaa874b94dddcca99dcc5183371d7f4168fb05e0",
     "rect-ground_state":
@@ -259,3 +265,32 @@ def test_admissibility_rejects_large_v(rect_basis):
     cert = measures.check_hypothesis_v(spec, rect_basis, 2)
     assert not cert.passed
     assert cert.margin < 0
+
+
+# the disk cases whose moments go through Disk.moments' node quadrature
+QUADRATURE_DISK = ("disk-density", "disk-perturbed_ground_state",
+                   "disk-perturbed_uniform")
+
+
+def test_disk_moments_independent_of_blas_threads():
+    """Disk moments are a numpy reduction, not a BLAS matrix-vector product
+    whose summation order follows the thread count: the pinned digests come
+    out bit for bit at one and at two OpenBLAS threads."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(measures.__file__)))
+    script = ("import json\nfrom jumpspectra import geometry\n"
+              "from test_measures import measure_digest, pinned_spec\n"
+              "basis = geometry.build_basis(geometry.unit_disk(), 2000.0)\n"
+              "print(json.dumps([measure_digest(pinned_spec(n, basis), basis)"
+              f" for n in {QUADRATURE_DISK!r}]))")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, tests, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(json.loads(done.stdout.splitlines()[-1]))
+    assert digests[0] == digests[1] == [PINNED[n] for n in QUADRATURE_DISK]

@@ -94,6 +94,24 @@ def test_residue_extraction(uniform_disk):
     assert 0.5 * (left + right) == pytest.approx(res, abs=1e-8)
 
 
+@pytest.mark.parametrize("measure", ["uniform", "ground_state"])
+def test_residues_match_per_cluster_sum(square_basis, disk_basis, measure):
+    # residues and inert poles are those of one np.sum per cluster, bit for
+    # bit, on a basis with clusters of 1 to 4 modes and on the disk
+    spec = {"uniform": measures.UniformMeasure(),
+            "ground_state": measures.GroundStateMeasure()}[measure]
+    for basis in (square_basis, disk_basis):
+        series = secular.build_secular_series(
+            basis, measures.compute_moments(spec, basis))
+        alpha = basis.one_coeffs * series.moments.moments
+        sums = np.array([float(np.sum(alpha[list(g)]))
+                         for g in basis.clusters()])
+        live = np.abs(sums) > secular.INERT_TOL
+        assert np.array_equal(series.residues, sums[live])
+        assert np.array_equal(series.poles, basis.cluster_means()[live])
+        assert np.array_equal(series.inert_poles, basis.cluster_means()[~live])
+
+
 def test_inert_poles(uniform_disk, uniform_rect):
     # angular disk modes and even-index rectangle modes drop out
     assert len(uniform_disk.inert_poles) > 0
@@ -147,6 +165,25 @@ def test_undecidable_gap(groundstate_disk):
     foggy = dataclasses.replace(groundstate_disk, tail_mass=1e9)
     with pytest.raises(UndecidableError):
         secular.real_roots_in(foggy, 31.0, 49.0)
+
+
+def test_zero_on_a_grid_node_is_a_root(uniform_disk):
+    # negative control: poles x -/+ 1 with unit residues make the model
+    # vanish at x exactly; with x a node of the 256-point grid on the gap,
+    # neither neighbouring segment changes sign, yet x is a root
+    (a, b), = secular._gap_segments(uniform_disk, 1.25, 1.75)
+    x = float(np.linspace(a, b, 256)[106])
+    exact = dataclasses.replace(uniform_disk,
+                                poles=np.array([x - 1.0, x + 1.0]),
+                                residues=np.array([1.0, 1.0]))
+    assert exact.sum_values(np.array([complex(x)]))[0] == 0j
+    assert secular.real_roots_in(exact, 1.25, 1.75) == [
+        secular.RealRoot(x, (x, x), 0.0)]
+    # moved off the node, the same root is bracketed by a sign change
+    nudged = dataclasses.replace(exact, poles=exact.poles + [1e-6, 0.0])
+    (root,) = secular.real_roots_in(nudged, 1.25, 1.75)
+    assert root.bracket[0] < root.value < root.bracket[1]
+    assert root.value == pytest.approx(x + 5e-7, abs=1e-12)
 
 
 # --- the Brent port against scipy.optimize.brentq ----------------------------
@@ -299,3 +336,52 @@ def test_non_finite_edge_is_undecidable(uniform_disk, corner):
     with np.errstate(invalid="ignore", divide="ignore"), \
             pytest.raises(UndecidableError, match="not finite"):
         secular._edge_integral(uniform_disk, complex(5.0, 1.0), corner, 20)
+
+
+# --- the contour integrand ---------------------------------------------------
+
+CONTOUR_SEGMENTS = [(5 + 0.5j, 40 + 0.5j), (0.01j, 120 + 0.01j),
+                    (120 + 0.01j, 120 + 40j), (120 + 40j, 40j),
+                    (20 + 1j, 30 + 1j), (70 + 10j, 90 + 10j)]
+
+
+@pytest.mark.parametrize("measure", ["uniform", "dirac"])
+def test_segment_integral_matches_log_derivative(disk_basis, uniform_disk,
+                                                 measure):
+    # the shared-reciprocal integrand against sum_derivative / sum_values
+    # on the same 16 Gauss-Legendre nodes
+    if measure == "uniform":
+        series = uniform_disk
+    else:
+        mom = measures.compute_moments(measures.DiracMeasure(0.0, 0.0),
+                                       disk_basis)
+        series = secular.build_secular_series(disk_basis, mom)
+    t, w = np.polynomial.legendre.leggauss(16)
+    for z0, z1 in CONTOUR_SEGMENTS:
+        half = 0.5 * (z1 - z0)
+        z = 0.5 * (z0 + z1) + half * t
+        want = half * np.sum(w * series.sum_derivative(z)
+                             / series.sum_values(z))
+        got = secular._segment_integral(series, z0, z1)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_edge_integral_two_segments_per_split(uniform_disk, monkeypatch):
+    # each split integrates its two halves once; the halves are the next
+    # level's whole segments, so an edge with k splits costs 1 + 2k segments
+    calls = {"segment": 0, "edge": 0}
+    segment, edge = secular._segment_integral, secular._edge_integral
+
+    def counted_segment(*args):
+        calls["segment"] += 1
+        return segment(*args)
+
+    def counted_edge(*args):
+        calls["edge"] += 1
+        return edge(*args)
+
+    monkeypatch.setattr(secular, "_segment_integral", counted_segment)
+    monkeypatch.setattr(secular, "_edge_integral", counted_edge)
+    secular._edge_integral(uniform_disk, 5 + 0.5j, 40 + 0.5j)
+    assert calls["edge"] > 1
+    assert calls["segment"] == 1 + 2 * calls["edge"]
