@@ -17,10 +17,10 @@ from .spectrum import (EigenFunction, SpectrumReport, assemble_spectrum,
 from .resolvent import (SpectralVector, apply_adjoint_resolvent,
                         apply_dirichlet_resolvent, apply_generator,
                         apply_jump_resolvent, selfadjointness_defect)
-from .enclosure import (CheckResult, InterlacingCertificate,
-                        bound_first_eigenvalue, check_halfplane_exclusion,
-                        check_interlacing, check_nested_enclosure,
-                        emit_matryoshka_curves, matryoshka_ratio)
+from .enclosure import (CheckResult, bound_first_eigenvalue,
+                        check_halfplane_exclusion, check_interlacing,
+                        check_nested_enclosure, emit_matryoshka_curves,
+                        matryoshka_ratio)
 from .numrange import ProbeProfile, blowup_fit, rayleigh_probe, sweep
 from .stochastic import (OccupationHistogram, WalkConfig, compare_stationary,
                          simulate_occupation, stationary_prediction)

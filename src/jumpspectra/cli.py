@@ -63,6 +63,16 @@ class Experiment:
     walk: st.WalkConfig
     l1_threshold: float
 
+    @functools.cached_property
+    def spectrum(self) -> sp.SpectrumReport:
+        """The spectrum report of the configured window."""
+        return sp.assemble_spectrum(self.series, self.config["window"])
+
+    @functools.cached_property
+    def admissibility(self) -> ms.AdmissibilityCertificate:
+        """The level-k admissibility certificate of a perturbed measure."""
+        return ms.check_hypothesis_v(self.measure, self.basis, self.k)
+
 
 def load_config(path: str) -> dict:
     try:
@@ -258,12 +268,13 @@ def build_experiment(cfg: dict, out_dir: str | None = None) -> Experiment:
     merged.update(cfg)
     if merged.get("version", CONFIG_VERSION) != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {merged.get('version')}")
-    tasks = _read(merged, "tasks", ["spectrum"], list)
+    tasks = merged.setdefault("tasks", ["spectrum"])
+    if not isinstance(tasks, list) or not tasks:
+        raise ConfigError(f"tasks must be a nonempty array of task names, "
+                          f"got {tasks!r}")
     bad = [t for t in tasks if t not in TASKS]
     if bad:
         raise ConfigError(f"unknown tasks {bad}; valid: {list(TASKS)}")
-    if not tasks:
-        raise ConfigError("tasks must be nonempty")
     window = list(_read(merged, "window", None, _floats))
     if len(window) != 4 or window[0] >= window[1] or window[2] >= window[3]:
         raise ConfigError(f"window must be [re_lo, re_hi, im_lo, im_hi], got {window}")
@@ -289,7 +300,6 @@ def build_experiment(cfg: dict, out_dir: str | None = None) -> Experiment:
     out = out_dir or merged.get("output_dir", "out")
     os.makedirs(out, exist_ok=True)
     merged["window"] = window
-    merged["tasks"] = tasks
     return Experiment(merged, domain, basis, measure, moments, series, out,
                       k, thresholds, walk, l1_threshold)
 
@@ -319,6 +329,28 @@ def _guarded(rows: list, name: str, fn):
     return None
 
 
+# the checks that read the spectrum report
+_READS_SPECTRUM = {"spectrum", "enclosure_thm1", "enclosure_thm3",
+                   "conjugation_closure", "spectrum_location"}
+
+
+def _check_rows(exp: Experiment, checks) -> list:
+    """Rows of ``checks``, (name, check) pairs run in order under the guard;
+    ``check(rep)`` returns its row.  ``rep``, the spectrum report, is built
+    first if a check reads it; if it cannot be, those checks are left out."""
+    # the theorems of a measure that is no perturbation do not read it
+    reads = _READS_SPECTRUM if isinstance(exp.measure, ms.PerturbedMeasure) \
+        else _READS_SPECTRUM - set(_THEOREMS)
+    rows: list = []
+    rep = None
+    if reads & {name for name, _ in checks}:
+        rep = _guarded(rows, "spectrum", lambda: exp.spectrum)
+    for name, check in checks:
+        if rep is not None or name not in reads:
+            _guarded(rows, name, lambda: rows.append(check(rep)))
+    return rows
+
+
 def _exit_code(rows: list) -> int:
     verdicts = [r["verdict"] for r in rows]
     if en.FAIL in verdicts:
@@ -328,49 +360,42 @@ def _exit_code(rows: list) -> int:
     return EXIT_PASS
 
 
-def _task_spectrum(exp: Experiment, rows: list):
-    rep = sp.assemble_spectrum(exp.series, exp.config["window"])
-    _write(os.path.join(exp.out_dir, "spectrum.json"), rep.to_json())
-    _write(os.path.join(exp.out_dir, "spectrum.csv"), rep.to_csv())
-    rows.append(_verdict_row("spectrum", en.PASS,
-                             f"{len(rep.entries)} entries"))
-    return rep
-
-
-# the theorem tasks: each checks the admissibility certificate of a
-# perturbed measure with (experiment, certificate, spectrum report)
+# the theorems, each checked with (experiment, spectrum report) against the
+# admissibility certificate of a perturbed measure
 _THEOREMS = {
-    "enclosure_thm1": lambda exp, cert, rep: en.check_halfplane_exclusion(
-        rep, cert, exp.k, exp.basis),
-    "enclosure_thm2": lambda exp, cert, rep: en.check_interlacing(
-        exp.series, cert, exp.k),
-    "enclosure_thm3": lambda exp, cert, rep: en.check_nested_enclosure(
-        rep, cert, exp.moments, exp.basis),
-    "prop_real": lambda exp, cert, rep: en.bound_first_eigenvalue(
-        exp.series, cert, exp.moments),
+    "enclosure_thm1": lambda exp, rep: en.check_halfplane_exclusion(
+        rep, exp.admissibility, exp.k, exp.basis),
+    "enclosure_thm2": lambda exp, rep: en.check_interlacing(
+        exp.series, exp.admissibility, exp.k),
+    "enclosure_thm3": lambda exp, rep: en.check_nested_enclosure(
+        rep, exp.admissibility, exp.moments, exp.basis),
+    "prop_real": lambda exp, rep: en.bound_first_eigenvalue(
+        exp.series, exp.admissibility, exp.moments),
 }
 
 
-def _task_theorem(name: str, exp: Experiment, rows, rep):
+def _theorem_row(name: str, exp: Experiment, rep, label=None) -> dict:
+    """Row of theorem ``name``, labelled ``label`` or its result's name."""
     if not isinstance(exp.measure, ms.PerturbedMeasure):
-        rows.append(_verdict_row(name, en.INAPPLICABLE,
-                                 "measure is not a perturbation"))
-        return
-    cert = ms.check_hypothesis_v(exp.measure, exp.basis, exp.k)
-    if rep is None and name in _READS_SPECTRUM:
-        return
-    res = _THEOREMS[name](exp, cert, rep)
-    rows.append(_verdict_row(name, res.verdict, res.detail))
+        return _verdict_row(name, en.INAPPLICABLE,
+                            "measure is not a perturbation")
+    res = _THEOREMS[name](exp, rep)
+    return _verdict_row(label or res.name, res.verdict, res.detail)
 
 
-def _task_numrange(exp: Experiment, rows, rep):
+def _task_spectrum(exp: Experiment, rep):
+    _write(os.path.join(exp.out_dir, "spectrum.json"), rep.to_json())
+    _write(os.path.join(exp.out_dir, "spectrum.csv"), rep.to_csv())
+    return _verdict_row("spectrum", en.PASS, f"{len(rep.entries)} entries")
+
+
+def _task_numrange(exp: Experiment, rep):
     eps = np.logspace(-4, -2, 9)
     try:
         samples = nr.sweep(exp.basis, exp.measure, eps)
     except GeometryError as exc:
         # the trial states cannot be built for this measure and domain
-        rows.append(_verdict_row("numrange", en.INAPPLICABLE, str(exc)))
-        return
+        return _verdict_row("numrange", en.INAPPLICABLE, str(exc))
     _write(os.path.join(exp.out_dir, "numrange_sweep.csv"),
            nr.sweep_to_csv(samples))
     verdict = en.PASS
@@ -384,25 +409,25 @@ def _task_numrange(exp: Experiment, rows, rep):
     if defect > 1e-8:
         verdict = en.FAIL
         details.append(f"domain mean defect {defect:.2e}")
-    rows.append(_verdict_row("numrange", verdict, "; ".join(details)))
+    return _verdict_row("numrange", verdict, "; ".join(details))
 
 
-def _task_simulate(exp: Experiment, rows, rep):
+def _task_simulate(exp: Experiment, rep):
     hist = st.simulate_occupation(exp.walk, exp.domain, exp.measure, exp.basis)
     pred = st.stationary_prediction(exp.series, hist)
     dist = st.compare_stationary(hist, pred)
     _write(os.path.join(exp.out_dir, "occupation.csv"),
            st.histogram_to_csv(hist, pred))
-    rows.append(_verdict_row("simulate",
-                             en.PASS if dist < exp.l1_threshold else en.FAIL,
-                             f"L1 distance {dist:.4f} "
-                             f"(threshold {exp.l1_threshold}); "
-                             f"restarts {hist.n_restarts}; rejection "
-                             f"acceptance {hist.rejection_accepts}/"
-                             f"{hist.rejection_attempts}"))
+    return _verdict_row("simulate",
+                        en.PASS if dist < exp.l1_threshold else en.FAIL,
+                        f"L1 distance {dist:.4f} "
+                        f"(threshold {exp.l1_threshold}); "
+                        f"restarts {hist.n_restarts}; rejection "
+                        f"acceptance {hist.rejection_accepts}/"
+                        f"{hist.rejection_attempts}")
 
 
-def _task_figure1(exp: Experiment, rows, rep):
+def _task_figure1(exp: Experiment, rep):
     curves = en.emit_matryoshka_curves(exp.basis, exp.thresholds)
     _write(os.path.join(exp.out_dir, "enclosure_curves.csv"), curves.to_csv())
     _write(os.path.join(exp.out_dir, "enclosure.svg"),
@@ -411,28 +436,23 @@ def _task_figure1(exp: Experiment, rows, rep):
     ordered = sorted(exp.thresholds)
     nested = all(np.all((F <= ordered[i]) <= (F <= ordered[i + 1]))
                  for i in range(len(ordered) - 1))
-    rows.append(_verdict_row("figure1", en.PASS if nested else en.FAIL,
-                             f"nesting on {F.size} grid points"))
+    return _verdict_row("figure1", en.PASS if nested else en.FAIL,
+                        f"nesting on {F.size} grid points")
 
 
-# the tasks after "spectrum", in TASKS order; each runner takes the
-# experiment, the verdict rows and the spectrum report (None if not built)
-_RUNNERS = {name: functools.partial(_task_theorem, name) for name in _THEOREMS}
-_RUNNERS.update(numrange=_task_numrange, simulate=_task_simulate,
-                figure1=_task_figure1)
-_READS_SPECTRUM = {"spectrum", "enclosure_thm1", "enclosure_thm3"}
+_RUNNERS = {name: functools.partial(_theorem_row, name, label=name)
+            for name in _THEOREMS}
+_RUNNERS.update(spectrum=_task_spectrum, numrange=_task_numrange,
+                simulate=_task_simulate, figure1=_task_figure1)
 
 
-def run_experiment(exp: Experiment) -> tuple[int, dict]:
-    rows: list = []
+def run_experiment(exp: Experiment) -> list:
     tasks = exp.config["tasks"]
-    rep = None
-    if _READS_SPECTRUM & set(tasks):
-        rep = _guarded(rows, "spectrum", lambda: _task_spectrum(exp, rows))
-    for name in TASKS[1:]:
-        if name in tasks:
-            _guarded(rows, name, lambda: _RUNNERS[name](exp, rows, rep))
-
+    # the spectrum is written out whenever a task reads it
+    names = [name for name in TASKS if name in tasks
+             or name == "spectrum" and _READS_SPECTRUM & set(tasks)]
+    rows = _check_rows(exp, [(name, functools.partial(_RUNNERS[name], exp))
+                             for name in names])
     summary = {
         "version": CONFIG_VERSION,
         "config": {k: v for k, v in exp.config.items()
@@ -441,15 +461,14 @@ def run_experiment(exp: Experiment) -> tuple[int, dict]:
     }
     _write(os.path.join(exp.out_dir, "summary.json"),
            json.dumps(summary, sort_keys=True, indent=2, default=str) + "\n")
-    return _exit_code(rows), summary
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # consolidated verification
 # ---------------------------------------------------------------------------
 
-def verify_experiment(exp: Experiment, inject_fault: str | None = None) -> tuple[int, list]:
-    rows: list = []
+def verify_experiment(exp: Experiment, inject_fault: str | None = None) -> list:
     series = exp.series
     moments = exp.moments
     tampered = None
@@ -458,56 +477,56 @@ def verify_experiment(exp: Experiment, inject_fault: str | None = None) -> tuple
     elif inject_fault is not None:
         raise ConfigError(f"unknown fault kind {inject_fault!r}")
 
-    def row(name, fn, threshold, direction="<"):
-        value = _guarded(rows, name, fn)
-        if value is None:
-            return
-        ok = value < threshold if direction == "<" else value > threshold
-        rows.append(_verdict_row(name, en.PASS if ok else en.FAIL,
-                                 f"value {value:.3e} vs {direction} {threshold:g}"))
+    def bounded(name, fn, threshold, direction="<"):
+        def check(rep):
+            value = fn()
+            ok = value < threshold if direction == "<" else value > threshold
+            return _verdict_row(name, en.PASS if ok else en.FAIL,
+                                f"value {value:.3e} vs {direction} {threshold:g}")
+        return name, check
 
-    for lam in (-1.0, -5.0):
-        row(f"resolvent_identity[{lam:g}]",
-            lambda lam=lam: rv.resolvent_identity_defect(
-                series, lam, generator_moments=tampered), 1e-8)
+    def conjugation(rep):
+        values = rep.certified_values()
+        ok = all(any(abs(np.conj(v) - u) < 1e-8 * (1 + abs(v)) for u in values)
+                 for v in values)
+        return _verdict_row("conjugation_closure", en.PASS if ok else en.FAIL,
+                            f"{len(values)} certified entries")
+
+    def location(rep):
+        values = rep.certified_values()
+        lam1 = exp.basis.eigenvalues[0]
+        ok = all(v.real >= -1e-9 for v in values) \
+            and all(abs(v) < 1e-9 or abs(v.real) > 1e-9 for v in values) \
+            and not any(1e-9 < v.real < lam1 - 1e-9 and abs(v.imag) < 1e-12
+                        for v in values)
+        return _verdict_row("spectrum_location", en.PASS if ok else en.FAIL,
+                            "Re >= 0; only 0 on the imaginary axis; "
+                            "nothing below the first Dirichlet eigenvalue")
+
+    checks = [bounded(f"resolvent_identity[{lam:g}]",
+                      lambda lam=lam: rv.resolvent_identity_defect(
+                          series, lam, generator_moments=tampered), 1e-8)
+              for lam in (-1.0, -5.0)]
     if moments.l2_density_norm is not None:
-        row("adjoint_pairing[-1]",
-            lambda: rv.adjoint_pairing_defect(series, -1.0), 1e-8)
-        row("adjoint_kernel", lambda: rv.adjoint_kernel_defect(series), 1e-8)
-        row("nonselfadjointness",
-            lambda: rv.selfadjointness_defect(series), 1e-6, ">")
+        checks += [
+            bounded("adjoint_pairing[-1]",
+                    lambda: rv.adjoint_pairing_defect(series, -1.0), 1e-8),
+            bounded("adjoint_kernel", lambda: rv.adjoint_kernel_defect(series),
+                    1e-8),
+            bounded("nonselfadjointness",
+                    lambda: rv.selfadjointness_defect(series), 1e-6, ">")]
     else:
-        rows.append(_verdict_row("adjoint_checks", en.INAPPLICABLE,
-                                 "measure has no L2 density"))
-
-    rep = sp.assemble_spectrum(series, exp.config["window"])
-    values = rep.certified_values()
-    conj_ok = all(any(abs(np.conj(v) - u) < 1e-8 * (1 + abs(v)) for u in values)
-                  for v in values)
-    rows.append(_verdict_row("conjugation_closure",
-                             en.PASS if conj_ok else en.FAIL,
-                             f"{len(values)} certified entries"))
-    lam1 = exp.basis.eigenvalues[0]
-    loc_ok = all(v.real >= -1e-9 for v in values) \
-        and all(abs(v) < 1e-9 or abs(v.real) > 1e-9 for v in values) \
-        and not any(1e-9 < v.real < lam1 - 1e-9 and abs(v.imag) < 1e-12
-                    for v in values)
-    rows.append(_verdict_row("spectrum_location",
-                             en.PASS if loc_ok else en.FAIL,
-                             "Re >= 0; only 0 on the imaginary axis; "
-                             "nothing below the first Dirichlet eigenvalue"))
-
+        checks.append(("adjoint_checks", lambda rep: _verdict_row(
+            "adjoint_checks", en.INAPPLICABLE, "measure has no L2 density")))
+    checks += [("conjugation_closure", conjugation),
+               ("spectrum_location", location)]
     if isinstance(exp.measure, ms.PerturbedMeasure):
-        cert = ms.check_hypothesis_v(exp.measure, exp.basis, exp.k)
         names = (("enclosure_thm1", "enclosure_thm2", "prop_real")
-                 if cert.base_kind == "uniform" else ("enclosure_thm3",))
-        for name in names:
-            res = _THEOREMS[name](exp, cert, rep)
-            label = f"interlacing[k={res.k}]" if name == "enclosure_thm2" \
-                else res.name
-            rows.append(_verdict_row(label, res.verdict, res.detail))
-
-    return _exit_code(rows), rows
+                 if exp.admissibility.base_kind == "uniform"
+                 else ("enclosure_thm3",))
+        checks += [(name, functools.partial(_theorem_row, name, exp))
+                   for name in names]
+    return _check_rows(exp, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -555,22 +574,16 @@ def main(argv=None) -> int:
                    "thresholds": list(_read(
                        vars(args), "thresholds", None,
                        lambda v: _floats(v.split(",")), where="--"))}
-            exp = build_experiment(cfg, args.out)
-            code, _ = run_experiment(exp)
-            return code
+            return _exit_code(run_experiment(build_experiment(cfg, args.out)))
         cfg = load_config(args.config)
-        if getattr(args, "seed", None) is not None:
-            cfg["seed"] = args.seed
-        if getattr(args, "cutoff", None) is not None:
-            cfg["cutoff"] = args.cutoff
+        for key in ("seed", "cutoff"):
+            if getattr(args, key, None) is not None:
+                cfg[key] = getattr(args, key)
         exp = build_experiment(cfg, args.out)
-        if args.command == "run":
-            code, summary = run_experiment(exp)
-            _print_rows(summary["results"])
-            return code
-        code, rows = verify_experiment(exp, args.inject_fault)
+        rows = run_experiment(exp) if args.command == "run" \
+            else verify_experiment(exp, args.inject_fault)
         _print_rows(rows)
-        return code
+        return _exit_code(rows)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

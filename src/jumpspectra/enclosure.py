@@ -45,6 +45,7 @@ class CheckResult:
     detail: str
     offenders: tuple = ()
     margin: float | None = None
+    intervals: tuple = ()   # interlacing: ((lo, hi), count, root or None)
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +94,29 @@ def matryoshka_ratio(lam, basis: BasisSet):
 # theorem checkers
 # ---------------------------------------------------------------------------
 
+_BASES = {"uniform": "uniform-base", "ground_state": "ground-state"}
+
+
+def _gate(name: str, cert: AdmissibilityCertificate,
+          base_kind: str) -> CheckResult | None:
+    """The inapplicable result ``name`` when ``cert`` does not certify an
+    admissible perturbation of the ``base_kind`` measure, else None."""
+    if cert.base_kind != base_kind:
+        return CheckResult(name, INAPPLICABLE, f"hypothesis concerns "
+                           f"{_BASES[base_kind]} perturbations")
+    if not cert.passed:
+        return CheckResult(name, INAPPLICABLE,
+                           f"admissibility failed: {cert.summary()}")
+    return None
+
+
 def check_halfplane_exclusion(report: SpectrumReport,
                               cert: AdmissibilityCertificate,
                               k: int, basis: BasisSet) -> CheckResult:
     """No nonreal certified entry in the level-k half-plane region."""
     name = f"halfplane_exclusion[k={k}]"
-    if cert.base_kind != "uniform":
-        return CheckResult(name, INAPPLICABLE,
-                           "hypothesis concerns uniform-base perturbations")
-    if not cert.passed:
-        return CheckResult(name, INAPPLICABLE,
-                           f"admissibility failed: {cert.summary()}")
+    if gate := _gate(name, cert, "uniform"):
+        return gate
     threshold = halfplane_threshold(basis, k)
     offenders = tuple(e for e in report.entries
                       if e.certified and in_halfplane(e.value, threshold))
@@ -117,31 +130,15 @@ def check_halfplane_exclusion(report: SpectrumReport,
                        margin=threshold)
 
 
-@dataclass(frozen=True)
-class InterlacingCertificate:
-    k: int
-    intervals: tuple            # ((lo, hi), count, root or None) per gap
-    hypothesis_margin: float
-    verdict: str
-    detail: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == PASS
-
-
 def check_interlacing(series: SecularSeries,
                       cert: AdmissibilityCertificate,
-                      k: int) -> InterlacingCertificate:
+                      k: int) -> CheckResult:
     """Exactly one real eigenvalue per gap between active poles up to k."""
-    if cert.base_kind != "uniform" or not cert.passed:
-        return InterlacingCertificate(
-            k, (), cert.margin, INAPPLICABLE,
-            "admissibility gate failed" if cert.base_kind == "uniform"
-            else "hypothesis concerns uniform-base perturbations")
+    name = f"interlacing[k={k}]"
+    if gate := _gate(name, cert, "uniform"):
+        return gate
     if len(series.poles) < k:
-        return InterlacingCertificate(k, (), cert.margin, INAPPLICABLE,
-                                      f"fewer than {k} active poles")
+        return CheckResult(name, INAPPLICABLE, f"fewer than {k} active poles")
     basis = series.basis
     means = basis.cluster_means()
     multiple = np.array([len(group) > 1 for group in basis.clusters()])
@@ -153,22 +150,18 @@ def check_interlacing(series: SecularSeries,
         lo, hi = np.searchsorted(means, [pole - tol, pole + tol])
         near = slice(max(lo - 1, 0), hi + 1)
         if np.any((np.abs(means[near] - pole) <= tol) & multiple[near]):
-            return InterlacingCertificate(
-                k, (), cert.margin, INAPPLICABLE,
-                f"active pole {i + 1} at {pole:.6g} is degenerate")
+            return CheckResult(name, INAPPLICABLE, f"active pole {i + 1} at "
+                               f"{pole:.6g} is degenerate")
     intervals = []
-    all_single = True
     for i in range(k - 1):
         lo, hi = series.poles[i], series.poles[i + 1]
         roots = real_roots_in(series, lo + 1e-9 * (1 + lo), hi - 1e-9 * (1 + hi))
         intervals.append(((float(lo), float(hi)), len(roots),
                           roots[0].value if len(roots) == 1 else None))
-        if len(roots) != 1:
-            all_single = False
-    verdict = PASS if all_single else FAIL
-    return InterlacingCertificate(k, tuple(intervals), cert.margin, verdict,
-                                  "one eigenvalue per gap" if all_single
-                                  else "gap with count != 1")
+    single = all(count == 1 for _, count, _ in intervals)
+    return CheckResult(name, PASS if single else FAIL,
+                       "one eigenvalue per gap" if single
+                       else "gap with count != 1", intervals=tuple(intervals))
 
 
 def bound_first_eigenvalue(series: SecularSeries,
@@ -186,9 +179,7 @@ def bound_first_eigenvalue(series: SecularSeries,
         return CheckResult(name, INAPPLICABLE, inter.detail)
     if inter.verdict == FAIL:
         return CheckResult(name, FAIL, "interlacing failed in the first gap")
-    (lo, hi), count, root = inter.intervals[0]
-    if count != 1 or root is None:
-        return CheckResult(name, FAIL, f"expected one root in ({lo}, {hi})")
+    (lo, hi), _, root = inter.intervals[0]     # one root: interlacing passed
     if len(series.poles) < 3:
         return CheckResult(name, INAPPLICABLE,
                            "need three active poles for the remainder bound")
@@ -214,12 +205,8 @@ def check_nested_enclosure(report: SpectrumReport,
                            basis: BasisSet) -> CheckResult:
     """All nonreal certified entries inside the nested enclosure set."""
     name = "nested_enclosure"
-    if cert.base_kind != "ground_state":
-        return CheckResult(name, INAPPLICABLE,
-                           "hypothesis concerns ground-state perturbations")
-    if not cert.passed:
-        return CheckResult(name, INAPPLICABLE,
-                           f"admissibility failed: {cert.summary()}")
+    if gate := _gate(name, cert, "ground_state"):
+        return gate
     t = basis.domain.area ** 0.25 * math.sqrt(moments.v_l2_norm)
     h1 = halfplane_threshold(basis, 1)
     offenders = []

@@ -209,7 +209,6 @@ class CountedBox:
 
 @dataclass(frozen=True)
 class RootReport:
-    real_roots: tuple[RealRoot, ...]
     complex_roots: tuple[ComplexRoot, ...]      # Im > 0 representatives
     zero_count_boxes: tuple[CountedBox, ...] = ()
 
@@ -498,4 +497,4 @@ def complex_roots_in(series: SecularSeries, box,
     roots = tuple(
         ComplexRoot(z, float(abs(series.sum_values(np.array([z]))[0])))
         for z in found)
-    return RootReport((), roots, tuple(boxes))
+    return RootReport(roots, tuple(boxes))

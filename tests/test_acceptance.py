@@ -153,7 +153,7 @@ def test_criterion_4_interlacing(rect_runs, rect_basis):
         spec, cert, mom, series = rect_runs[0]
         assert cert.passed, "the level-2 hypothesis must be verified"
         inter = en.check_interlacing(series, cert, 2)
-        assert inter.passed
+        assert inter.verdict == en.PASS
         assert inter.intervals[0][1] == 1
         root = inter.intervals[0][2]
 
@@ -162,7 +162,7 @@ def test_criterion_4_interlacing(rect_runs, rect_basis):
         series2 = secular.build_secular_series(doubled, mom2)
         cert2 = measures.check_hypothesis_v(spec, doubled, 2)
         inter2 = en.check_interlacing(series2, cert2, 2)
-        assert inter2.passed
+        assert inter2.verdict == en.PASS
         assert inter2.intervals[0][1] == 1
         assert abs(inter2.intervals[0][2] - root) < 1e-2
 

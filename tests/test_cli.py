@@ -81,6 +81,9 @@ def test_invalid_configs(tmp_path):
         # values of the wrong type, or a missing density file
         [DISK_SMALL],
         dict(DISK_SMALL, tasks=5),
+        # tasks is an array of names, not a string or an object of them
+        dict(DISK_SMALL, tasks="spectrum"),
+        dict(DISK_SMALL, tasks={"spectrum": False}),
         dict(DISK_SMALL, cutoff="abc"),
         dict(DISK_SMALL, measure={"variant": "dirac", "x0": "abc", "y0": 0.0}),
         dict(DISK_SMALL, measure={"variant": "uniform",
@@ -209,6 +212,24 @@ def test_verify_inapplicable_exit(tmp_path):
     path = write_config(tmp_path, cfg)
     code = cli.main(["verify", path, "--out", str(tmp_path / "vi")])
     assert code == cli.EXIT_UNDECIDED
+
+
+def test_verify_reports_an_undecidable_spectrum(tmp_path, capsys):
+    # near the rim a point mass puts roots where the contour search cannot
+    # keep clear of them at this cutoff: both commands say so in a spectrum
+    # row and exit 3, and verify leaves out the checks that read it
+    cfg = {"domain": {"kind": "disk"},
+           "measure": {"variant": "dirac", "x0": 0.9, "y0": 0.0},
+           "cutoff": 300, "window": [-1, 200, -60, 60]}
+    path = write_config(tmp_path, cfg)
+    for command in ("run", "verify"):
+        assert cli.main([command, path, "--out", str(tmp_path / command)]) \
+            == cli.EXIT_UNDECIDED
+        rows = [line.split()[:2]
+                for line in capsys.readouterr().out.splitlines()]
+        assert ["spectrum", "undecidable"] in rows
+        assert not {"conjugation_closure", "spectrum_location"} \
+            & {name for name, _ in rows}
 
 
 def test_run_perturbed_rectangle(tmp_path):
@@ -431,3 +452,48 @@ def test_pinned_cli_output(tmp_path, capsys, name, command):
     # refactors must leave every byte the CLI writes unchanged
     assert output_digests(tmp_path, capsys, name, command) \
         == PINNED_OUTPUT[name, command]
+
+
+# theorem task -> the name of its row in verify, at k = 2
+THEOREM_ROWS = {"enclosure_thm1": "halfplane_exclusion[k=2]",
+                "enclosure_thm2": "interlacing[k=2]",
+                "enclosure_thm3": "nested_enclosure",
+                "prop_real": "first_eigenvalue_bound"}
+RECT_3_BY_3_5 = dict(DISK_SMALL, k=2, tasks=list(THEOREM_ROWS),
+                     domain={"kind": "rectangle", "side_x": 3.0,
+                             "side_y": 3.5})
+
+
+@pytest.mark.parametrize("cfg, verdicts, codes", [
+    (dict(DISK_SMALL, k=2, tasks=list(THEOREM_ROWS),
+          domain=OUTPUT_CONFIGS["rect"]["domain"],
+          measure=OUTPUT_CONFIGS["rect"]["measure"]),
+     ["pass"] * 3, (cli.EXIT_UNDECIDED, cli.EXIT_PASS)),
+    (dict(RECT_3_BY_3_5, measure={"variant": "perturbed",
+                                  "base": "ground_state",
+                                  "v_modes": {"1": 0.3}, "v_scale": 0.01}),
+     ["pass"], (cli.EXIT_UNDECIDED, cli.EXIT_PASS)),
+    (dict(RECT_3_BY_3_5, measure={"variant": "perturbed", "base": "uniform",
+                                  "v_modes": {"0": 0.5, "1": 0.5},
+                                  "v_scale": 0.2}),
+     ["inapplicable"] * 3, (cli.EXIT_UNDECIDED, cli.EXIT_UNDECIDED)),
+], ids=["rect", "ground_state", "inadmissible"])
+def test_run_and_verify_agree(tmp_path, cfg, verdicts, codes):
+    # each theorem that verify checks has the verdict and detail in verify
+    # that its task has in run
+    rows = {}
+    for command, check in (("run", cli.run_experiment),
+                           ("verify", cli.verify_experiment)):
+        rows[command] = check(cli.build_experiment(cfg, str(tmp_path)))
+        assert cli._exit_code(rows[command]) == codes[len(rows) - 1]
+    run, verify = ({r["name"]: (r["verdict"], r["detail"]) for r in rows[c]}
+                   for c in ("run", "verify"))
+    checked = [task for task, name in THEOREM_ROWS.items() if name in verify]
+    assert [run[task][0] for task in checked] == verdicts
+    assert [run[task] for task in checked] \
+        == [verify[THEOREM_ROWS[task]] for task in checked]
+    if "inapplicable" in verdicts:
+        # one wording for a failed admissibility gate
+        (detail,) = {run[task][1] for task in checked}
+        assert detail.startswith("admissibility failed: admissibility[k=2] "
+                                 "fail: |v|=")

@@ -96,7 +96,8 @@ def test_thm1_wrong_base_inapplicable(disk_basis):
 def test_interlacing_rectangle(rect_admissible):
     _, cert, _, series, _ = rect_admissible
     res = en.check_interlacing(series, cert, 2)
-    assert res.passed
+    assert res.verdict == en.PASS
+    assert res.name == "interlacing[k=2]"
     (interval, count, root) = res.intervals[0]
     assert count == 1
     assert interval[0] < root < interval[1]
@@ -115,7 +116,7 @@ def test_derivative_positive_on_gap_grid(rect_admissible):
 def test_interlacing_k1_vacuous(rect_admissible):
     _, cert, _, series, _ = rect_admissible
     res = en.check_interlacing(series, cert, 1)
-    assert res.passed
+    assert res.verdict == en.PASS
     assert res.intervals == ()
 
 

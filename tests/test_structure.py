@@ -2,7 +2,9 @@
 probes ask the measure, never test its class, and the walk kernel takes the
 measure's draw instead of a restart code.  Every walk takes the kernel's one
 sharded path.  Marching squares works on whole arrays, not cell by cell.
-Every function, class and method has a caller or a test."""
+Every function, class and method has a caller or a test.  The CLI guards
+its checks in one place and the enclosure checkers gate admissibility in
+one place."""
 
 import ast
 import inspect
@@ -11,7 +13,7 @@ import os
 import pytest
 
 import jumpspectra
-from jumpspectra import _kernels, measures
+from jumpspectra import _kernels, enclosure, measures
 
 SRC = os.path.dirname(os.path.abspath(jumpspectra.__file__))
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -117,3 +119,20 @@ def test_every_definition_is_used():
                                      and item.name.endswith("__"))]
     assert defined
     assert [d for d in defined if d[1].split(".")[-1] not in used] == []
+
+
+def test_one_verdict_path():
+    # run and verify share one guard, the theorem checkers one admissibility
+    # gate, and interlacing returns the checkers' common result type
+    handlers = [node for node in ast.walk(parse("cli.py"))
+                if isinstance(node, ast.ExceptHandler)
+                and "UndecidableError" in class_names(node.type)]
+    assert len(handlers) == 1
+    base_kinds = [node for node in ast.walk(parse("enclosure.py"))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "base_kind"]
+    assert len(base_kinds) == 1
+    assert not hasattr(enclosure, "InterlacingCertificate")
+    for name in python_files(SRC):
+        with open(os.path.join(SRC, name)) as fh:
+            assert "InterlacingCertificate" not in fh.read(), name
