@@ -347,7 +347,7 @@ def _walk_shard(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap):
     whenever more than twice that many are held: a pruned one already has
     ``restart_cap`` before it, so it can never be among the first."""
     n_paths = seeds.size
-    hist = np.zeros(domain.n_cells(n_bins), dtype=np.int64)
+    hist = np.zeros(domain.cell_areas(n_bins).size, dtype=np.int64)
     stats = np.zeros(3, dtype=np.int64)
     # (steps, paths, x, y) of kept restarts, from an empty entry
     events = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),) * 2]

@@ -73,6 +73,14 @@ class Experiment:
         """The level-k admissibility certificate of a perturbed measure."""
         return ms.check_hypothesis_v(self.measure, self.basis, self.k)
 
+    @property
+    def spectrum_readers(self) -> set:
+        """The checks and tasks that read the spectrum report; the theorems
+        read it only for a perturbed measure."""
+        perturbed = isinstance(self.measure, ms.PerturbedMeasure)
+        return {"spectrum", "conjugation_closure", "spectrum_location"} | (
+            {"enclosure_thm1", "enclosure_thm3"} if perturbed else set())
+
 
 def load_config(path: str) -> dict:
     try:
@@ -298,7 +306,6 @@ def build_experiment(cfg: dict, out_dir: str | None = None) -> Experiment:
             raise ConfigError(f"walk: {exc} {walk.band():g}") from exc
     series = sec.build_secular_series(basis, moments)
     out = out_dir or merged.get("output_dir", "out")
-    os.makedirs(out, exist_ok=True)
     merged["window"] = window
     return Experiment(merged, domain, basis, measure, moments, series, out,
                       k, thresholds, walk, l1_threshold)
@@ -329,18 +336,11 @@ def _guarded(rows: list, name: str, fn):
     return None
 
 
-# the checks that read the spectrum report
-_READS_SPECTRUM = {"spectrum", "enclosure_thm1", "enclosure_thm3",
-                   "conjugation_closure", "spectrum_location"}
-
-
 def _check_rows(exp: Experiment, checks) -> list:
     """Rows of ``checks``, (name, check) pairs run in order under the guard;
     ``check(rep)`` returns its row.  ``rep``, the spectrum report, is built
     first if a check reads it; if it cannot be, those checks are left out."""
-    # the theorems of a measure that is no perturbation do not read it
-    reads = _READS_SPECTRUM if isinstance(exp.measure, ms.PerturbedMeasure) \
-        else _READS_SPECTRUM - set(_THEOREMS)
+    reads = exp.spectrum_readers
     rows: list = []
     rep = None
     if reads & {name for name, _ in checks}:
@@ -450,7 +450,8 @@ def run_experiment(exp: Experiment) -> list:
     tasks = exp.config["tasks"]
     # the spectrum is written out whenever a task reads it
     names = [name for name in TASKS if name in tasks
-             or name == "spectrum" and _READS_SPECTRUM & set(tasks)]
+             or name == "spectrum" and exp.spectrum_readers & set(tasks)]
+    os.makedirs(exp.out_dir, exist_ok=True)
     rows = _check_rows(exp, [(name, functools.partial(_RUNNERS[name], exp))
                              for name in names])
     summary = {

@@ -36,6 +36,7 @@ from .secular import SecularSeries, real_roots_in
 from .spectrum import SpectrumReport
 
 PASS, FAIL, INAPPLICABLE = "pass", "fail", "inapplicable"
+_FIGURE_RE, _FIGURE_IM = (0.0, 60.0), (-15.0, 15.0)
 
 
 @dataclass(frozen=True)
@@ -386,11 +387,11 @@ class EnclosureCurves:
 
 def emit_matryoshka_curves(basis: BasisSet,
                            thresholds=(0.1, 0.2, 0.3, 0.4),
-                           re_range=(0.0, 60.0), im_range=(-15.0, 15.0),
                            resolution=(600, 300)) -> EnclosureCurves:
-    """Boundary curves of the nested enclosure for a list of thresholds."""
-    re_grid = np.linspace(re_range[0], re_range[1], resolution[0])
-    im_grid = np.linspace(im_range[0], im_range[1], resolution[1])
+    """Boundary curves of the nested enclosure for a list of thresholds,
+    over the window ``_FIGURE_RE`` x ``_FIGURE_IM`` of the paper's figure 1."""
+    re_grid = np.linspace(*_FIGURE_RE, resolution[0])
+    im_grid = np.linspace(*_FIGURE_IM, resolution[1])
     F = ratio_field(basis, re_grid, im_grid)
     curves = {}
     for t in thresholds:
@@ -398,7 +399,7 @@ def emit_matryoshka_curves(basis: BasisSet,
             # the level set degenerates to the Dirichlet points themselves
             curves[t] = [[(float(l), 0.0), (float(l), 0.0)]
                          for l in basis.eigenvalues
-                         if re_range[0] <= l <= re_range[1]]
+                         if _FIGURE_RE[0] <= l <= _FIGURE_RE[1]]
             continue
         curves[t] = marching_squares(F, re_grid, im_grid, t)
     return EnclosureCurves(tuple(thresholds), curves, re_grid, im_grid, F)

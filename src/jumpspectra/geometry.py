@@ -166,6 +166,14 @@ def _separable_series(x, y, kap, y_factor):
     return table[ix.ravel(), iy.ravel()].reshape(x.shape)
 
 
+def _sine_cell_integrals(orders: int, edges, side: float) -> np.ndarray:
+    """Integral of ``sin(m pi x / side)`` between consecutive ``edges``,
+    one row per order ``m = 1 .. orders``."""
+    m = np.arange(1, orders + 1)[:, None]
+    return -side / (m * math.pi) * np.diff(np.cos(m * math.pi * edges / side),
+                                           axis=1)
+
+
 def _points(x, y):
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(y, dtype=float))
@@ -184,8 +192,9 @@ def _points(x, y):
 # params)`` up to the cutoff and ``mean_coefficient(params)`` is ``(1, chi)``.
 # For the restart walk, ``outside`` is true within ``btol`` of the boundary
 # or beyond, ``uniform_point`` maps two uniforms on (0, 1] to uniform points
-# and their bounding-box fractions, and occupation cells are numbered
-# ``0 .. n_cells(n_bins) - 1``.
+# and their bounding-box fractions, and ``bin_index`` numbers the occupation
+# cells of ``n_bins`` in the order of ``cell_areas``, ``cell_masses`` and
+# ``cell_labels``.
 
 @dataclass(frozen=True)
 class Disk:
@@ -335,9 +344,6 @@ class Disk:
         """``values`` on a lattice of the bounding box, zero off the disk."""
         return np.where(x ** 2 + y ** 2 < 1.0, values, 0.0)
 
-    def n_cells(self, n_bins: int) -> int:
-        return n_bins
-
     def bin_index(self, bx, by, n_bins: int):
         """Annulus of each point: the cells of ``hypot(bx, by) * n_bins``.
         ``sqrt(bx * bx + by * by)`` differs from ``hypot`` by a few ulp, so
@@ -349,25 +355,27 @@ class Disk:
             s[near] = np.hypot(bx[near], by[near]) * n_bins
         return np.minimum(s.astype(int), n_bins - 1)
 
-    def occupation_cells(self, n_bins: int):
-        """Radial edges, no y-edges, and the annulus areas."""
-        edges = np.linspace(0.0, 1.0, n_bins + 1)
-        return edges, None, math.pi * (edges[1:] ** 2 - edges[:-1] ** 2)
+    @staticmethod
+    def _edges(n_bins: int) -> np.ndarray:
+        return np.linspace(0.0, 1.0, n_bins + 1)
 
-    def cell_masses(self, basis: BasisSet, coeffs, edges, edges_y):
-        """Integral of ``sum_n coeffs_n chi_n`` over each annulus, by a radial
-        Gauss rule; angular modes average out."""
-        t, wt = _leggauss(16)
-        lo, hi = edges[:-1, None], edges[1:, None]
-        r = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t          # (bin, node)
-        wr = 0.5 * (hi - lo) * wt
-        radial = [i for i, m in enumerate(basis.modes) if m.label[0] == 0]
-        vals = np.tensordot(coeffs[radial],
-                            self._radial([basis.modes[i] for i in radial], r), 1)
-        return 2.0 * math.pi * np.sum(wr * r * vals, axis=1)
+    def cell_areas(self, n_bins: int) -> np.ndarray:
+        edges = self._edges(n_bins)
+        return math.pi * (edges[1:] ** 2 - edges[:-1] ** 2)
 
-    def cell_labels(self, edges, edges_y) -> list[str]:
-        e = edges.tolist()
+    def cell_masses(self, basis: BasisSet, coeffs, n_bins: int) -> np.ndarray:
+        """Exact integral of ``sum_n coeffs_n chi_n`` over each annulus: the
+        angular modes average out, and ``r J_0(j r)`` has the primitive
+        ``r J_1(j r) / j``, one Bessel call at the edges."""
+        radial = basis.params[:, 0] == 0
+        _, j, norm = basis.params[radial].T
+        edges = self._edges(n_bins)
+        primitive = edges * jv(1, np.outer(j, edges)) / j[:, None]
+        return 2.0 * math.pi * np.einsum(
+            "k,ki->i", coeffs[radial] / norm, np.diff(primitive, axis=1))
+
+    def cell_labels(self, n_bins: int) -> list[str]:
+        e = self._edges(n_bins).tolist()
         return [f"{lo!r},{hi!r}" for lo, hi in zip(e, e[1:])]
 
 
@@ -480,13 +488,11 @@ class Rectangle:
         gx, _, gy, _ = rule.axes
         a, b = self.side_x, self.side_y
         grid = weighted.reshape(gx.size, gy.size)
-        m_max = max(m.params[0] for m in basis.modes)
-        n_max = max(m.params[1] for m in basis.modes)
-        sx = np.sin(np.outer(np.arange(1, m_max + 1), math.pi * gx / a))
-        sy = np.sin(np.outer(np.arange(1, n_max + 1), math.pi * gy / b))
+        m, n = basis.params.T
+        sx = np.sin(np.outer(np.arange(1, m.max() + 1), math.pi * gx / a))
+        sy = np.sin(np.outer(np.arange(1, n.max() + 1), math.pi * gy / b))
         table = (2.0 / math.sqrt(a * b)) * (sx @ grid @ sy.T)
-        return np.array([table[m.params[0] - 1, m.params[1] - 1]
-                         for m in basis.modes])
+        return table[m - 1, n - 1]
 
     def layer_quadrature(self, eps: float, n_s: int, n_tan: int):
         a, b = self.side_x, self.side_y
@@ -575,46 +581,39 @@ class Rectangle:
         lie in the closed rectangle."""
         return values
 
-    def n_cells(self, n_bins: int) -> int:
-        return n_bins * n_bins
-
     def bin_index(self, bx, by, n_bins: int):
         ix = np.minimum((bx / self.side_x * n_bins).astype(int), n_bins - 1)
         iy = np.minimum((by / self.side_y * n_bins).astype(int), n_bins - 1)
         return ix * n_bins + iy
 
-    def occupation_cells(self, n_bins: int):
-        """x-edges, y-edges and the cell areas."""
-        edges = np.linspace(0.0, self.side_x, n_bins + 1)
-        edges_y = np.linspace(0.0, self.side_y, n_bins + 1)
-        dx = edges[1] - edges[0]
-        dy = edges_y[1] - edges_y[0]
-        return edges, edges_y, np.full(n_bins * n_bins, dx * dy)
+    def _edges(self, n_bins: int):
+        """x- and y-edges: cell ``i * n_bins + j`` is x-interval i times
+        y-interval j."""
+        return (np.linspace(0.0, self.side_x, n_bins + 1),
+                np.linspace(0.0, self.side_y, n_bins + 1))
 
-    def cell_masses(self, basis: BasisSet, coeffs, ex, ey):
-        """Integral of ``sum_n coeffs_n chi_n`` over each cell, by a tensor
-        Gauss rule per cell."""
-        t, wt = _leggauss(6)
-        nb = ex.size - 1
-        live = np.nonzero(np.abs(coeffs) > 1e-13)[0]
-        out = np.empty(nb * nb)
-        for i in range(nb):
-            xs = 0.5 * (ex[i] + ex[i + 1]) + 0.5 * (ex[i + 1] - ex[i]) * t
-            wx = 0.5 * (ex[i + 1] - ex[i]) * wt
-            for j in range(nb):
-                ys = 0.5 * (ey[j] + ey[j + 1]) + 0.5 * (ey[j + 1] - ey[j]) * t
-                wy = 0.5 * (ey[j + 1] - ey[j]) * wt
-                X, Y = np.meshgrid(xs, ys, indexing="ij")
-                vals = np.zeros_like(X)
-                for k in live:
-                    vals += coeffs[k] * basis.modes[k].evaluate(X, Y)
-                out[i * nb + j] = float(np.sum(np.outer(wx, wy) * vals))
-        return out
+    def cell_areas(self, n_bins: int) -> np.ndarray:
+        ex, ey = self._edges(n_bins)
+        return np.full(n_bins * n_bins, (ex[1] - ex[0]) * (ey[1] - ey[0]))
 
-    def cell_labels(self, ex, ey) -> list[str]:
-        ex, ey = ex.tolist(), ey.tolist()
+    def cell_masses(self, basis: BasisSet, coeffs, n_bins: int) -> np.ndarray:
+        """Exact integral of ``sum_n coeffs_n chi_n`` over each cell,
+        ``(2 / sqrt(ab)) IX^T C IY`` with C the (m, n) table of ``coeffs``
+        and IX, IY the sine integrals over the x- and y-intervals."""
+        a, b = self.side_x, self.side_y
+        m, n = basis.params.T
+        table = np.zeros((m.max(), n.max()))
+        table[m - 1, n - 1] = coeffs
+        ex, ey = self._edges(n_bins)
+        ix = _sine_cell_integrals(table.shape[0], ex, a)
+        iy = _sine_cell_integrals(table.shape[1], ey, b)
+        masses = np.einsum("mi,mj->ij", ix, np.einsum("mn,nj->mj", table, iy))
+        return 2.0 / math.sqrt(a * b) * masses.ravel()
+
+    def cell_labels(self, n_bins: int) -> list[str]:
+        ex, ey = (e.tolist() for e in self._edges(n_bins))
         return [f"({ex[i]!r};{ey[j]!r}),({ex[i + 1]!r};{ey[j + 1]!r})"
-                for i in range(len(ex) - 1) for j in range(len(ey) - 1)]
+                for i in range(n_bins) for j in range(n_bins)]
 
 
 Domain = Union[Disk, Rectangle]
@@ -645,6 +644,11 @@ class BasisSet:
 
     def __len__(self) -> int:
         return len(self.modes)
+
+    @cached_property
+    def params(self) -> np.ndarray:
+        """The closed-form constants of every mode, one row per mode."""
+        return np.array([mode.params for mode in self.modes])
 
     @cached_property
     def _cluster_table(self):
@@ -698,12 +702,10 @@ def build_basis(domain: Domain, cutoff: float,
     return BasisSet(domain, modes, float(cutoff), rule, eigs, ocs)
 
 
-def quadrature_integral(f: Callable, domain: Domain,
-                        rule: QuadratureRule | None = None,
-                        cutoff: float = 400.0) -> complex:
-    """Integrate ``f(x, y)`` over the domain with the tensor rule."""
-    if rule is None:
-        rule = domain.default_quadrature(cutoff)
+def quadrature_integral(f: Callable, domain: Domain) -> complex:
+    """Integrate ``f(x, y)`` over the domain with its default tensor rule
+    for cutoff 400."""
+    rule = domain.default_quadrature(400.0)
     return rule.integrate(f(rule.x, rule.y))
 
 

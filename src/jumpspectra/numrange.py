@@ -183,17 +183,16 @@ def rayleigh_probe(prof: ProbeProfile, basis: BasisSet,
     return _quotient(complex(prof.direction), layer, bump, basis.domain)
 
 
-def sweep(basis: BasisSet, spec: MeasureSpec, epsilons,
-          directions=DIRECTIONS) -> list[RayleighSample]:
-    """``rayleigh_probe`` over directions x epsilons, sharing the
+def sweep(basis: BasisSet, spec: MeasureSpec,
+          epsilons) -> list[RayleighSample]:
+    """``rayleigh_probe`` over ``DIRECTIONS`` x epsilons, sharing the
     direction-free layer and bump integrals."""
     epsilons = [float(eps) for eps in epsilons]
-    profiles = [ProbeProfile(d, eps) for d in directions for eps in epsilons]
     bump = _bump_terms(basis, spec, ProbeProfile.bump_radius_frac)
     layers = {eps: _layer_terms(basis, spec, eps, bump.radius)
               for eps in epsilons}
-    return [_quotient(complex(p.direction), layers[p.epsilon], bump,
-                      basis.domain) for p in profiles]
+    return [_quotient(complex(d), layers[eps], bump, basis.domain)
+            for d in DIRECTIONS for eps in epsilons]
 
 
 @dataclass(frozen=True)

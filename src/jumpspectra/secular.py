@@ -34,6 +34,8 @@ from .measures import MeasureMoments, measure_integral
 
 INERT_TOL = 1e-12
 WARN_TOL = 1e-8
+_ROOT_GRID = 256          # sign-test nodes per inter-pole gap of real_roots_in
+_AXIS_BAND = 1e-6         # |Im| below which complex_roots_in does not search
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,8 @@ class SecularSeries:
                     f"lam = {lam} within 1e-12 of pole {self.poles[j]}")
 
 
-def build_secular_series(basis: BasisSet, moments: MeasureMoments,
-                         inert_tol: float = INERT_TOL) -> SecularSeries:
+def build_secular_series(basis: BasisSet,
+                         moments: MeasureMoments) -> SecularSeries:
     """Aggregate residues over eigenvalue clusters and compute tail anchors."""
     alpha = basis.one_coeffs * moments.moments
     pole_vals, pole_res, inert = [], [], []
@@ -110,7 +112,7 @@ def build_secular_series(basis: BasisSet, moments: MeasureMoments,
         # more modes call it
         res = float(alpha[group[0]] if len(group) == 1
                     else np.sum(alpha[list(group)]))
-        if abs(res) <= inert_tol:
+        if abs(res) <= INERT_TOL:
             inert.append(lam)
         else:
             if abs(res) < WARN_TOL:
@@ -293,8 +295,8 @@ def _gap_segments(series: SecularSeries, lo: float, hi: float):
     return segs
 
 
-def real_roots_in(series: SecularSeries, lo: float, hi: float,
-                  grid: int = 256) -> list[RealRoot]:
+def real_roots_in(series: SecularSeries, lo: float,
+                  hi: float) -> list[RealRoot]:
     """Sign-change bracketing plus Brent refinement on each inter-pole gap.
 
     A grid node where the model value is exactly 0 is itself a root (with
@@ -313,7 +315,7 @@ def real_roots_in(series: SecularSeries, lo: float, hi: float,
 
     roots = []
     for a, b in _gap_segments(series, lo, hi):
-        xs = np.linspace(a, b, grid)
+        xs = np.linspace(a, b, _ROOT_GRID)
         vals = np.real(series.sum_values(xs.astype(complex)))
         # a root on node i, or between nodes i and i + 1 of opposite signs
         found = vals == 0.0
@@ -473,13 +475,12 @@ def _search_box(series, box, found, boxes, depth=0):
         _search_box(series, (re_lo, re_hi, mid, im_hi), found, boxes, depth + 1)
 
 
-def complex_roots_in(series: SecularSeries, box,
-                     im_band: float = 1e-6) -> RootReport:
+def complex_roots_in(series: SecularSeries, box) -> RootReport:
     """Zeros of the secular model inside a complex rectangle.
 
     Only representatives with positive imaginary part are reported; the
     conjugates are implied by the real coefficients of the series.  For a
-    box symmetric about the real axis, the strip ``|Im| < im_band`` is
+    box symmetric about the real axis, the strip ``|Im| < _AXIS_BAND`` is
     excluded from the search (real roots belong to ``real_roots_in``).
     """
     re_lo, re_hi, im_lo, im_hi = (float(v) for v in box)
@@ -487,8 +488,8 @@ def complex_roots_in(series: SecularSeries, box,
     if im_lo < 0.0:
         if abs(im_lo + im_hi) > 1e-12:
             raise ValueError("boxes crossing the real axis must be symmetric")
-        im_lo = im_band
-    im_lo = max(im_lo, im_band) if im_lo <= 0 else im_lo
+        im_lo = _AXIS_BAND
+    im_lo = max(im_lo, _AXIS_BAND) if im_lo <= 0 else im_lo
     found: list[complex] = []
     boxes: list[CountedBox] = []
     if im_hi > im_lo:

@@ -32,6 +32,8 @@ EMBEDDED_DIRICHLET = "embedded_dirichlet"
 UNDETERMINED_DIRICHLET = "undetermined_dirichlet"
 
 _MOMENT_ZERO_TOL = 1e-9
+_IM_BAND = 0.01            # nonreal roots are sought from this Im up
+_DEFECT_TOL = 1e-8         # relative mean defect of an eigenfunction
 
 
 @dataclass(frozen=True)
@@ -114,12 +116,11 @@ def _classify_dirichlet(series: SecularSeries, window):
     return entries
 
 
-def assemble_spectrum(series: SecularSeries, window,
-                      im_band: float = 0.01) -> SpectrumReport:
+def assemble_spectrum(series: SecularSeries, window) -> SpectrumReport:
     """All spectrum entries in the complex window (Im band-limited search).
 
     ``window`` is ``(re_lo, re_hi, im_lo, im_hi)``; nonreal roots are sought
-    for ``im_band <= Im <= im_hi`` and reported together with their
+    for ``_IM_BAND <= Im <= im_hi`` and reported together with their
     conjugates.
     """
     re_lo, re_hi, im_lo, im_hi = (float(v) for v in window)
@@ -133,8 +134,8 @@ def assemble_spectrum(series: SecularSeries, window,
             complex(root.value), SECULAR_ROOT, 1, root.residual,
             f"secular zero bracketed in {root.bracket}"))
 
-    if im_hi > im_band:
-        report = complex_roots_in(series, (re_lo, re_hi, im_band, im_hi))
+    if im_hi > _IM_BAND:
+        report = complex_roots_in(series, (re_lo, re_hi, _IM_BAND, im_hi))
         for r in report.complex_roots:
             z = complex(r.value)
             entries.append(SpectrumEntry(z, SECULAR_ROOT, 1, r.residual,
@@ -172,8 +173,7 @@ class EigenFunction:
         return SpectralVector(self.coeffs, self.constant)
 
 
-def eigenfunction_at(lam: complex, series: SecularSeries,
-                     defect_tol: float = 1e-8) -> EigenFunction:
+def eigenfunction_at(lam: complex, series: SecularSeries) -> EigenFunction:
     """Eigenfunction at a verified secular root: resolvent of the constant.
 
     The coefficients are ``lam (1, chi_n)/(lambda_n - lam)`` with constant
@@ -191,7 +191,7 @@ def eigenfunction_at(lam: complex, series: SecularSeries,
     coeffs = lam * basis.one_coeffs / (basis.eigenvalues - lam)
     defect = abs(np.sum(series.moments.moments * coeffs))
     scale = max(1.0, float(np.linalg.norm(coeffs)))
-    if defect > defect_tol * scale:
+    if defect > _DEFECT_TOL * scale:
         raise DomainMembershipError(
             f"lam = {lam} is not a model secular root: mean defect {defect:.3e}")
     return EigenFunction(coeffs.astype(complex), 1.0 + 0j, lam, defect)

@@ -47,8 +47,6 @@ class WalkConfig:
 class OccupationHistogram:
     domain: Domain
     config: WalkConfig
-    bin_edges: np.ndarray                  # radial edges (disk) or x-edges
-    bin_edges_y: np.ndarray | None         # y-edges for the rectangle
     counts: np.ndarray
     normalized_density: np.ndarray         # per unit area; integrates to 1
     bin_areas: np.ndarray
@@ -71,11 +69,11 @@ def simulate_occupation(config: WalkConfig, domain: Domain,
         config.n_bins, _RESTART_SAMPLE_CAP)
     # a shard checks the floor itself only from _FLOOR_ATTEMPTS attempts on
     check_acceptance(int(stats[1]), int(stats[2]))
-    edges, edges_y, areas = domain.occupation_cells(config.n_bins)
+    areas = domain.cell_areas(config.n_bins)
     density = hist / float(np.sum(hist)) / areas
-    return OccupationHistogram(domain, config, edges, edges_y, hist, density,
-                               areas, samples, int(stats[0]), False,
-                               int(stats[1]), int(stats[2]))
+    return OccupationHistogram(domain, config, hist, density, areas, samples,
+                               int(stats[0]), False, int(stats[1]),
+                               int(stats[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +84,13 @@ def stationary_prediction(series, hist: OccupationHistogram) -> np.ndarray:
     """Bin-averaged stationary density from the adjoint kernel direction.
 
     The prediction is the Dirichlet solve of the measure density (mode
-    coefficients ``w_n / lambda_n``), normalised to unit mass.
+    coefficients ``w_n / lambda_n``), normalised to unit mass and
+    integrated exactly over each cell.
     """
     basis = series.basis
     w_over_lam = series.moments.moments / basis.eigenvalues
     norm = float(np.sum(w_over_lam * basis.one_coeffs))
-    masses = hist.domain.cell_masses(basis, w_over_lam, hist.bin_edges,
-                                     hist.bin_edges_y)
+    masses = hist.domain.cell_masses(basis, w_over_lam, hist.config.n_bins)
     return masses / norm / hist.bin_areas
 
 
@@ -104,13 +102,11 @@ def compare_stationary(hist: OccupationHistogram,
 
 
 def histogram_to_csv(hist: OccupationHistogram,
-                     predicted_density: np.ndarray | None = None) -> str:
+                     predicted_density: np.ndarray) -> str:
     lines = ["bin_lo,bin_hi,density_empirical,density_predicted"]
-    pred = predicted_density if predicted_density is not None \
-        else np.full(hist.counts.size, math.nan)
-    cells = hist.domain.cell_labels(hist.bin_edges, hist.bin_edges_y)
+    cells = hist.domain.cell_labels(hist.config.n_bins)
     for cell, empirical, predicted in zip(
-            cells, hist.normalized_density.tolist(), pred.tolist()):
+            cells, hist.normalized_density.tolist(), predicted_density.tolist()):
         lines.append(f"{cell},{empirical!r},{predicted!r}")
     return "\n".join(lines) + "\n"
 

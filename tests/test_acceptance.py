@@ -261,7 +261,7 @@ def test_criterion_10_stochastic(disk, disk_basis, uniform_disk,
         config = st.WalkConfig()        # dt 1e-5, 1e5 steps, 1e3 paths
         run_u = st.simulate_occupation(config, disk, measures.UniformMeasure(),
                                        disk_basis)
-        edges = run_u.bin_edges
+        edges = np.linspace(0.0, 1.0, config.n_bins + 1)
         # analytic profile 2(1 - r^2)/pi, averaged exactly per annulus
         lo, hi = edges[:-1], edges[1:]
         mass = 2.0 * (hi ** 2 - lo ** 2) - (hi ** 4 - lo ** 4)

@@ -194,6 +194,32 @@ def test_verify_pass(tmp_path):
                      str(tmp_path / "v")]) == cli.EXIT_PASS
 
 
+@pytest.mark.parametrize("out", [None, "D"])
+def test_verify_leaves_nothing_behind(tmp_path, monkeypatch, out):
+    # verify writes no file, so it makes no directory: not --out D, and
+    # not the default out/ in the working directory
+    path = write_config(tmp_path, DISK_SMALL)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv = ["verify", path] + (["--out", out] if out else [])
+    assert cli.main(argv) == cli.EXIT_PASS
+    assert list(work.iterdir()) == []
+
+
+def test_run_skips_the_spectrum_no_check_reads(tmp_path, capsys):
+    # the theorems of a point mass are inapplicable and read no spectrum,
+    # so run neither builds nor writes it
+    cfg = dict(DISK_SMALL, measure={"variant": "dirac", "x0": 0.1, "y0": 0.0},
+               tasks=["enclosure_thm1"])
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out)]) == cli.EXIT_UNDECIDED
+    rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["enclosure_thm1", "inapplicable"]]
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+
+
 def test_verify_fault_injection(tmp_path):
     path = write_config(tmp_path, DISK_SMALL)
     code = cli.main(["verify", path, "--out", str(tmp_path / "vf"),
@@ -382,7 +408,7 @@ PINNED_OUTPUT = {
         "numrange_sweep.csv":
             "b83797d0beb91ed27815c3cd238a2c1e12276b446ae056a63e412e168985716f",
         "occupation.csv":
-            "11af830a9a357b468b21bce151a0ea4740838e2ca17ef0ece5bef407ab8d3438",
+            "9bcf7ffcd86138cc016489a6bad65a0ade582d179950f6d2e8003133d1720a0c",
         "spectrum.csv":
             "3ea095e790c00b98bf297299b4d4bcac8305bd30467a695d22750d82f57f6af9",
         "spectrum.json":
@@ -401,7 +427,7 @@ PINNED_OUTPUT = {
         "numrange_sweep.csv":
             "55477d6d7d37ca729a88dae89e0f8ac6eea22154b5c6fab74978dab9f8b9cca6",
         "occupation.csv":
-            "192c27b7cf802eeb5c75e2f2831040515670e1d9a0ef7c9d1ca00c361dde1eca",
+            "0b5d83d65b9e3718ccbd11e15a3e137a202c8677d1f5c8b10b12aeceff9ced8a",
         "spectrum.csv":
             "d4800db7e6fefe129bceb5902d2f3371ebbd77f85b8c18fde7b95d71b9b1d952",
         "spectrum.json":
@@ -422,8 +448,10 @@ def output_digests(tmp_path, capsys, name, command):
     path = write_config(tmp_path, OUTPUT_CONFIGS[name])
     out = tmp_path / command
     code = cli.main([command, path, "--out", str(out)])
+    # verify writes no file, and so makes no directory
+    written = sorted(out.iterdir()) if out.exists() else []
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(out.iterdir())}
+               for p in written}
     digests["stdout"] = hashlib.sha256(
         capsys.readouterr().out.encode()).hexdigest()
     return code, digests

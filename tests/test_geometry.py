@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jumpspectra import bessel, geometry
+from jumpspectra import bessel, cli, geometry, measures
 from jumpspectra.errors import (EmptyBasisError, EvaluationError,
                                 ResolutionError)
 
@@ -414,3 +414,77 @@ def test_disk_bin_index_matches_hypot(disk, n_bins):
     assert np.array_equal(
         disk.bin_index(bx.reshape(-1, 5), by.reshape(-1, 5), n_bins),
         want.reshape(-1, 5))
+
+
+def gauss_cells(edges, n=40):
+    """``n`` Gauss-Legendre nodes and weights on each interval between
+    ``edges``, one row per interval."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * t, 0.5 * (hi - lo) * w
+
+
+def reference_cell_masses(domain, basis, coeffs, n_bins):
+    """Integral of ``sum_n coeffs_n chi_n`` over each occupation cell by a
+    40-point Gauss rule per cell and axis (angles on the disk: a trapezoid
+    rule exact for every angular order of the basis)."""
+    modes = basis.modes
+    if isinstance(domain, geometry.Disk):
+        r, wr = gauss_cells(np.linspace(0.0, 1.0, n_bins + 1))
+        # 196 angles integrate cos and sin of every order below 196 exactly
+        theta = 2.0 * math.pi * np.arange(196) / 196
+        field = np.einsum("k,kr,kt->rt", coeffs,
+                          domain._radial(modes, r.ravel()),
+                          domain._angular(modes, theta))
+        ring = field.sum(axis=1).reshape(r.shape) * (2.0 * math.pi / 196)
+        return np.sum(wr * r * ring, axis=1)
+    a, b = domain.side_x, domain.side_y
+    x, wx = gauss_cells(np.linspace(0.0, a, n_bins + 1))
+    y, wy = gauss_cells(np.linspace(0.0, b, n_bins + 1))
+    m, n = np.array([mode.label for mode in modes]).T
+    sx = np.sin(np.multiply.outer(x.ravel(), m * math.pi / a))
+    sy = np.sin(np.multiply.outer(y.ravel(), n * math.pi / b))
+    # the separable form agrees with the domain's own mode values
+    assert np.allclose(domain.mode_values(modes, x.ravel()[:50],
+                                          y.ravel()[:50]).T,
+                       2.0 / math.sqrt(a * b) * sx[:50] * sy[:50],
+                       rtol=0, atol=1e-13)
+    field = 2.0 / math.sqrt(a * b) * (sx * coeffs) @ sy.T
+    cells = field.reshape(n_bins, x.shape[1], n_bins, y.shape[1])
+    return np.einsum("ip,jq,ipjq->ij", wx, wy, cells).ravel()
+
+
+def cell_coefficients(basis, case):
+    """Mode coefficients of the stationary prediction (``w_n / lambda_n``)
+    of a restart measure, or a single high mode."""
+    domain = basis.domain
+    disk = isinstance(domain, geometry.Disk)
+    if case.startswith("mode"):
+        labels = ([(0, 10, "rad"), (0, 14, "rad")] if disk
+                  else [(29, 42), (44, 1)])[int(case[-1])]
+        coeffs = np.zeros(len(basis))
+        coeffs[[mode.label for mode in basis.modes].index(labels)] = 1.0
+        return coeffs
+    spec = {"uniform": measures.UniformMeasure(),
+            "point_mass": measures.DiracMeasure(*((0.3, -0.2) if disk
+                                                  else (1.0, 2.0))),
+            "perturbed": measures.PerturbedMeasure(
+                measures.UniformMeasure(),
+                cli.make_mode_perturbation(basis, {0: 0.7, 1: 0.4, 4: 0.5},
+                                           0.02))}[case]
+    return measures.compute_moments(spec, basis).moments / basis.eigenvalues
+
+
+@pytest.mark.parametrize("case", ["uniform", "point_mass", "perturbed",
+                                  "mode0", "mode1"])
+@pytest.mark.parametrize("n_bins", [8, 24])
+@pytest.mark.parametrize("name", ["disk_basis", "rect_basis"])
+def test_cell_masses_match_gauss_reference(name, n_bins, case, request):
+    # the closed-form cell integrals at cutoff 2000, against a per-cell
+    # Gauss rule fine enough to resolve the highest mode in every cell
+    basis = request.getfixturevalue(name)
+    coeffs = cell_coefficients(basis, case)
+    got = basis.domain.cell_masses(basis, coeffs, n_bins)
+    want = reference_cell_masses(basis.domain, basis, coeffs, n_bins)
+    assert got.shape == want.shape == basis.domain.cell_areas(n_bins).shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

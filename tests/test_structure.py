@@ -4,16 +4,17 @@ measure's draw instead of a restart code.  Every walk takes the kernel's one
 sharded path.  Marching squares works on whole arrays, not cell by cell.
 Every function, class and method has a caller or a test.  The CLI guards
 its checks in one place and the enclosure checkers gate admissibility in
-one place."""
+one place.  Only the domain knows its occupation cells."""
 
 import ast
+import dataclasses
 import inspect
 import os
 
 import pytest
 
 import jumpspectra
-from jumpspectra import _kernels, enclosure, measures
+from jumpspectra import _kernels, enclosure, geometry, measures, stochastic
 
 SRC = os.path.dirname(os.path.abspath(jumpspectra.__file__))
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -136,3 +137,31 @@ def test_one_verdict_path():
     for name in python_files(SRC):
         with open(os.path.join(SRC, name)) as fh:
             assert "InterlacingCertificate" not in fh.read(), name
+
+
+def test_occupation_cells_stay_in_the_domain():
+    # the walk, the prediction and the CSV ask the domain by n_bins; no edge
+    # array leaves geometry, and the cell integrals are closed forms, with
+    # no loop over cells or modes
+    fields = {f.name for f in dataclasses.fields(stochastic.OccupationHistogram)}
+    assert not fields & {"bin_edges", "bin_edges_y"}
+    for module in ("stochastic.py", "_kernels.py", "cli.py"):
+        with open(os.path.join(SRC, module)) as fh:
+            assert "edges" not in fh.read(), module
+    tree = parse("geometry.py")
+    for cls in (geometry.Disk, geometry.Rectangle):
+        assert not hasattr(cls, "occupation_cells")
+        assert not hasattr(cls, "n_cells")
+        assert list(inspect.signature(cls.cell_masses).parameters) == [
+            "self", "basis", "coeffs", "n_bins"]
+        for name in ("cell_areas", "cell_labels"):
+            assert list(inspect.signature(getattr(cls, name)).parameters) \
+                == ["self", "n_bins"]
+        body = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef)
+                    and node.name == cls.__name__)
+        method = next(node for node in body.body
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == "cell_masses")
+        assert not [node for node in ast.walk(method) if isinstance(
+            node, (ast.For, ast.While, ast.comprehension))]
