@@ -44,16 +44,50 @@ CLUSTER_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Tensor quadrature over the domain, with its 1-D factors retained."""
+    """Quadrature over the domain that keeps its tensor structure.
 
-    x: np.ndarray
-    y: np.ndarray
+    ``blocks`` are broadcastable ``(x, y)`` pairs, such as the open mesh
+    ``(gx[:, None], gy[None, :])`` of a tensor rule.  A block's nodes are its
+    broadcast, raveled in C order, and the rule's nodes are its blocks' in
+    turn: the order of the flat weights ``w``.  ``axes`` holds the 1-D
+    factors of a node rule, read by the domain that built it.
+    """
+
+    blocks: tuple
     w: np.ndarray
-    axes: tuple          # read by the domain that built the rule
+    axes: tuple = ()
 
     @property
     def n_nodes(self) -> int:
-        return self.x.size
+        return self.w.size
+
+    def values(self, f: Callable) -> np.ndarray:
+        """``f(x, y)`` at every node, flat in node order.
+
+        ``f`` is called once per block on the block's factors, so an
+        integrand that broadcasts, such as a product of sines, costs the
+        factors' transcendental calls rather than one per node.  A result
+        that covers only part of the block's shape, such as a constant, is
+        broadcast to all of it.
+        """
+        parts = []
+        for x, y in self.blocks:
+            vals = np.asarray(f(x, y))
+            shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+            if vals.shape != shape:
+                vals = np.broadcast_to(vals, shape)
+            parts.append(vals.ravel())
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        """Flat x coordinates of the nodes, for callers that need the points
+        themselves rather than an integrand's values."""
+        return self.values(lambda x, y: x)
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        return self.values(lambda x, y: y)
 
     def integrate(self, values) -> complex:
         values = np.asarray(values)
@@ -274,7 +308,7 @@ class Disk:
         """Gauss-Legendre in r times the trapezoid rule in theta."""
         r, wr = _gl_nodes(n_r, 0.0, 1.0)
         x, y, w, theta = _polar_rule(r, wr * r, n_theta)
-        return QuadratureRule(x, y, w, (r, wr, theta))
+        return QuadratureRule(((x, y),), w, (r, wr, theta))
 
     def default_quadrature(self, cutoff: float) -> QuadratureRule:
         kmax = math.sqrt(max(cutoff, 1.0))
@@ -317,7 +351,7 @@ class Disk:
         s, ws = _gl_nodes(n_s, 0.0, 1.0)
         r = 1.0 - eps * s
         x, y, w, _ = _polar_rule(r, ws * eps * r, n_tan)
-        return x, y, w, np.repeat(s, n_tan)
+        return QuadratureRule(((x, y),), w), np.repeat(s, n_tan)
 
     def torsion_function(self) -> Callable:
         def g(x, y):
@@ -442,13 +476,12 @@ class Rectangle:
                 c * (n * math.pi / b) * sx * cy)
 
     def quadrature(self, n_x: int, n_y: int) -> QuadratureRule:
-        """Tensor Gauss-Legendre rule."""
+        """Tensor Gauss-Legendre rule: one open-mesh block, x along the
+        rows."""
         gx, wx = _gl_nodes(n_x, 0.0, self.side_x)
         gy, wy = _gl_nodes(n_y, 0.0, self.side_y)
-        xx = np.repeat(gx, n_y)
-        yy = np.tile(gy, n_x)
-        w = np.repeat(wx, n_y) * np.tile(wy, n_x)
-        return QuadratureRule(xx, yy, w, (gx, wx, gy, wy))
+        return QuadratureRule(((gx[:, None], gy[None, :]),),
+                              (wx[:, None] * wy).ravel(), (gx, wx, gy, wy))
 
     def default_quadrature(self, cutoff: float) -> QuadratureRule:
         kmax = math.sqrt(max(cutoff, 1.0))
@@ -495,40 +528,27 @@ class Rectangle:
         return table[m - 1, n - 1]
 
     def layer_quadrature(self, eps: float, n_s: int, n_tan: int):
+        """Four side strips, then four corner squares, each one open-mesh
+        block; a strip runs along its side on the first axis and away from
+        it on the second."""
         a, b = self.side_x, self.side_y
         if 2.0 * eps >= min(a, b):
             raise ValueError("layer width exceeds the inradius")
         t, wt = _gl_nodes(n_s, 0.0, eps)                 # distance from the side
-        xs, ys, ws_, ss = [], [], [], []
-
-        def strip(lo, hi, horizontal, near_low):
-            u, wu = _gl_nodes(n_tan, lo, hi)
-            if horizontal:
-                xv = np.repeat(u, n_s)
-                yv = np.tile(t if near_low else b - t, n_tan)
-            else:
-                yv = np.repeat(u, n_s)
-                xv = np.tile(t if near_low else a - t, n_tan)
-            wv = np.repeat(wu, n_s) * np.tile(wt, n_tan)
-            xs.append(xv); ys.append(yv); ws_.append(wv)
-            ss.append(np.tile(t, n_tan) / eps)
-
-        strip(eps, a - eps, True, True)
-        strip(eps, a - eps, True, False)
-        strip(eps, b - eps, False, True)
-        strip(eps, b - eps, False, False)
-
-        cx, cwx = _gl_nodes(n_s, 0.0, eps)
-        X, Y = np.meshgrid(cx, cx, indexing="ij")
-        WC = np.outer(cwx, cwx)
-        for ox, oy, sx, sy in ((0, 0, 1, 1), (a, 0, -1, 1), (0, b, 1, -1), (a, b, -1, -1)):
-            xv = ox + sx * X.ravel()
-            yv = oy + sy * Y.ravel()
-            xs.append(xv); ys.append(yv); ws_.append(WC.ravel())
-            ss.append(np.minimum(X.ravel(), Y.ravel()) / eps)
-
-        return (np.concatenate(xs), np.concatenate(ys),
-                np.concatenate(ws_), np.concatenate(ss))
+        u, wu = _gl_nodes(n_tan, eps, a - eps)           # along the x-sides
+        v, wv = _gl_nodes(n_tan, eps, b - eps)           # along the y-sides
+        d = t[None, :]
+        blocks = [(u[:, None], d), (u[:, None], b - d),
+                  (d, v[:, None]), (a - d, v[:, None])]
+        blocks += [(ox + sx * t[:, None], oy + sy * d)
+                   for ox, oy, sx, sy in ((0, 0, 1, 1), (a, 0, -1, 1),
+                                          (0, b, 1, -1), (a, b, -1, -1))]
+        w = np.concatenate([(wa[:, None] * wt).ravel()
+                            for wa in (wu, wu, wv, wv) + (wt,) * 4])
+        side_s = np.tile(t / eps, n_tan)
+        corner_s = (np.minimum(t[:, None], d) / eps).ravel()
+        s = np.concatenate((side_s,) * 4 + (corner_s,) * 4)
+        return QuadratureRule(tuple(blocks), w), s
 
     def _series(self):
         """Odd orders, their wavenumbers and the torsion amplitudes."""
@@ -706,7 +726,7 @@ def quadrature_integral(f: Callable, domain: Domain) -> complex:
     """Integrate ``f(x, y)`` over the domain with its default tensor rule
     for cutoff 400."""
     rule = domain.default_quadrature(400.0)
-    return rule.integrate(f(rule.x, rule.y))
+    return rule.integrate(rule.values(f))
 
 
 # Module-level entry points: secular and numrange call the domain through
@@ -716,10 +736,10 @@ def layer_quadrature(domain: Domain, eps: float, n_s: int = 32,
                      n_tan: int = 256):
     """Quadrature over the collar of width eps along the boundary.
 
-    Returns flat arrays ``(x, y, w, s)`` where ``s = rho/eps`` is the scaled
+    Returns the rule and the flat array ``s = rho/eps`` of the scaled
     boundary distance at each node.  The rectangle collar is split into four
     side strips plus four exact corner squares, so the rule covers the collar
-    without double counting.
+    without double counting; each is one open-mesh block of the rule.
     """
     return domain.layer_quadrature(eps, n_s, n_tan)
 

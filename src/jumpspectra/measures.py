@@ -77,8 +77,8 @@ class _Density(_Variant):
     on the quadrature nodes and the grid-table restart."""
 
     def node_values(self, basis: BasisSet) -> np.ndarray:
-        rule = basis.quadrature
-        return np.asarray(self.density(basis)(rule.x, rule.y), dtype=float)
+        return np.asarray(basis.quadrature.values(self.density(basis)),
+                          dtype=float)
 
     def _checked_values(self, basis: BasisSet, what: str) -> np.ndarray:
         w = self.node_values(basis)
@@ -90,7 +90,7 @@ class _Density(_Variant):
     def integral(self, basis: BasisSet, f: Callable) -> float:
         rule = basis.quadrature
         w = self.node_values(basis)
-        return float(np.real(rule.integrate(np.asarray(f(rule.x, rule.y)) * w)))
+        return float(np.real(rule.integrate(rule.values(f) * w)))
 
     def restart(self, domain: Domain, basis: BasisSet | None):
         """Rejection against a density table over the bounding box."""
@@ -187,7 +187,7 @@ class PerturbedMeasure(_Density):
     def moments(self, basis: BasisSet) -> MeasureMoments:
         rule = basis.quadrature
         w = self._checked_values(basis, "perturbed density")
-        vvals = np.asarray(self.v(rule.x, rule.y), dtype=float)
+        vvals = np.asarray(rule.values(self.v), dtype=float)
         vmass = float(np.real(rule.integrate(vvals)))
         if abs(vmass) > _MASS_TOL:
             raise MassDeficitError(f"perturbation has nonzero mean {vmass!r}")
@@ -350,7 +350,7 @@ def check_hypothesis_v(spec: PerturbedMeasure, basis: BasisSet,
     if not isinstance(spec, PerturbedMeasure):
         raise TypeError("admissibility checks apply to perturbed measures only")
     rule = basis.quadrature
-    vvals = np.asarray(spec.v(rule.x, rule.y), dtype=float)
+    vvals = np.asarray(rule.values(spec.v), dtype=float)
     vmass = float(np.real(rule.integrate(vvals)))
     v_norm = _l2(rule, vvals)
     base_vals = spec.base.node_values(basis)

@@ -120,13 +120,13 @@ def _bump_terms(basis: BasisSet, spec: MeasureSpec,
             f"the measure puts negligible mass on the interior bump of radius "
             f"{rb:g} around the incenter")
     rule = basis.quadrature
-    theta_vals = theta(rule.x, rule.y) / theta_mass
+    theta_vals = rule.values(theta) / theta_mass
     return _BumpTerms(
         rb,
         float(np.real(rule.integrate(theta_vals))),
         float(np.real(rule.integrate(theta_vals ** 2))),
-        float(np.real(rule.integrate(
-            theta_grad_sq(rule.x, rule.y)))) / theta_mass ** 2)
+        float(np.real(rule.integrate(rule.values(theta_grad_sq))))
+        / theta_mass ** 2)
 
 
 def _layer_terms(basis: BasisSet, spec: MeasureSpec, eps: float,
@@ -135,7 +135,8 @@ def _layer_terms(basis: BasisSet, spec: MeasureSpec, eps: float,
     if eps >= domain.inradius - rb:
         raise GeometryError(
             f"layer width {eps} reaches the bump of radius {rb}")
-    lx, ly, lw, ls = layer_quadrature(domain, eps)
+    rule, ls = layer_quadrature(domain, eps)
+    lw = rule.w
     g_vals = profile(ls)
     gp_vals = profile_derivative(ls)
 
@@ -148,10 +149,10 @@ def _layer_terms(basis: BasisSet, spec: MeasureSpec, eps: float,
         b_raw = math.sqrt(eps) * profile(rho / eps) if rho < eps else 0.0
         b_check = b_raw
     else:
-        b_raw = math.sqrt(eps) * float(np.sum(lw * g_vals * w(lx, ly)))
-        lx2, ly2, lw2, ls2 = layer_quadrature(domain, eps, n_s=48, n_tan=384)
+        b_raw = math.sqrt(eps) * float(np.sum(lw * g_vals * rule.values(w)))
+        fine, ls2 = layer_quadrature(domain, eps, n_s=48, n_tan=384)
         b_check = math.sqrt(eps) * float(
-            np.sum(lw2 * profile(ls2) * w(lx2, ly2)))
+            np.sum(fine.w * profile(ls2) * fine.values(w)))
     return _LayerTerms(eps, b_raw, b_check, float(np.sum(lw * g_vals)),
                        float(np.sum(lw * g_vals ** 2)),
                        float(np.sum(lw * gp_vals ** 2)))

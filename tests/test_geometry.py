@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jumpspectra import bessel, cli, geometry, measures
+from jumpspectra import bessel, cli, geometry, measures, numrange
 from jumpspectra.errors import (EmptyBasisError, EvaluationError,
                                 ResolutionError)
 
@@ -223,12 +223,15 @@ def test_mode_gradient_matches_fd(disk_basis_small, rect_basis):
 def test_layer_quadrature_area():
     disk = geometry.unit_disk()
     eps = 1e-3
-    _, _, w, _ = geometry.layer_quadrature(disk, eps)
-    assert np.sum(w) == pytest.approx(math.pi - math.pi * (1 - eps) ** 2,
-                                      rel=1e-12)
+    rule, s = geometry.layer_quadrature(disk, eps)
+    assert s.shape == rule.w.shape
+    assert np.sum(rule.w) == pytest.approx(math.pi - math.pi * (1 - eps) ** 2,
+                                           rel=1e-12)
     rect = geometry.rectangle(2.0, 3.0)
-    _, _, w, _ = geometry.layer_quadrature(rect, eps)
-    assert np.sum(w) == pytest.approx(10.0 * eps - 4 * eps * eps, rel=1e-12)
+    rule, s = geometry.layer_quadrature(rect, eps)
+    assert s.shape == rule.w.shape
+    assert np.sum(rule.w) == pytest.approx(10.0 * eps - 4 * eps * eps,
+                                           rel=1e-12)
 
 
 def test_torsion_functions_disk():
@@ -488,3 +491,115 @@ def test_cell_masses_match_gauss_reference(name, n_bins, case, request):
     want = reference_cell_masses(basis.domain, basis, coeffs, n_bins)
     assert got.shape == want.shape == basis.domain.cell_areas(n_bins).shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# --- rules hand integrands their tensor factors -----------------------------
+
+RATIO = 1.2337
+COLLARS = [(n_s, n_tan, eps) for n_s, n_tan in ((32, 256), (48, 384))
+           for eps in (0.3, 1e-2, 1e-4)]
+
+
+def test_rectangle_collar_orientation():
+    # x^2 y is odd about neither centre line, so a strip or corner square
+    # mirrored or transposed into the wrong place changes the integral
+    a, b = math.pi, RATIO * math.pi
+    rect = geometry.rectangle(a, b)
+    for eps in (0.3, 1e-2, 1e-4):
+        rule, _ = geometry.layer_quadrature(rect, eps)
+        exact = (a ** 3 * b ** 2 - ((a - eps) ** 3 - eps ** 3)
+                 * ((b - eps) ** 2 - eps ** 2)) / 6.0
+        val = rule.integrate(rule.values(lambda x, y: x * x * y))
+        assert val == pytest.approx(exact, rel=1e-12)
+
+
+def flat_polar(r, w_r, n_theta):
+    """Radii times equispaced angles, flat, the radius varying slowest."""
+    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    rr, tt = np.repeat(r, n_theta), np.tile(theta, r.size)
+    return (rr * np.cos(tt), rr * np.sin(tt),
+            np.repeat(w_r, n_theta) * (2.0 * math.pi / n_theta))
+
+
+def flat_collar(domain, eps, n_s, n_tan):
+    """Collar nodes ``(x, y, w, s)`` laid out flat with repeat and tile:
+    on the rectangle four side strips (tangent coordinate slowest), then
+    the corner squares at (0, 0), (a, 0), (0, b) and (a, b)."""
+    if isinstance(domain, geometry.Disk):
+        s, ws = geometry._gl_nodes(n_s, 0.0, 1.0)
+        r = 1.0 - eps * s
+        return flat_polar(r, ws * eps * r, n_tan) + (np.repeat(s, n_tan),)
+    a, b = domain.side_x, domain.side_y
+    t, wt = geometry._gl_nodes(n_s, 0.0, eps)
+    parts = []
+    for lo, hi, horizontal, near_low in ((eps, a - eps, True, True),
+                                         (eps, a - eps, True, False),
+                                         (eps, b - eps, False, True),
+                                         (eps, b - eps, False, False)):
+        u, wu = geometry._gl_nodes(n_tan, lo, hi)
+        along = np.repeat(u, n_s)
+        across = np.tile(t if near_low else (b if horizontal else a) - t,
+                         n_tan)
+        parts.append(((along, across) if horizontal else (across, along))
+                     + (np.repeat(wu, n_s) * np.tile(wt, n_tan),
+                        np.tile(t, n_tan) / eps))
+    X, Y = np.repeat(t, n_s), np.tile(t, n_s)
+    for ox, oy, sx, sy in ((0, 0, 1, 1), (a, 0, -1, 1), (0, b, 1, -1),
+                           (a, b, -1, -1)):
+        parts.append((ox + sx * X, oy + sy * Y,
+                      np.repeat(wt, n_s) * np.tile(wt, n_s),
+                      np.minimum(X, Y) / eps))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def flat_node_rule(domain, rule):
+    """Node-rule points and weights from the rule's axes, laid out flat."""
+    if isinstance(domain, geometry.Disk):
+        r, wr, theta = rule.axes
+        return flat_polar(r, wr * r, theta.size)
+    gx, wx, gy, wy = rule.axes
+    return (np.repeat(gx, gy.size), np.tile(gy, gx.size),
+            np.repeat(wx, gy.size) * np.tile(wy, gx.size))
+
+
+def integrands(basis):
+    """Every integrand the measures and the numerical-range probes hand a
+    rule: the four densities and the bump and its squared gradient."""
+    domain = basis.domain
+    v = cli.make_mode_perturbation(basis, {"0": 0.7, "1": 0.4, "4": 0.5},
+                                   0.02)
+    grid = np.random.default_rng(5).uniform(0.5, 1.5, (9, 12))
+    theta, grad_sq, _ = numrange._bump(domain, 0.25)
+    return {
+        "uniform": measures.UniformMeasure().density(basis),
+        "ground_state": measures.GroundStateMeasure().density(basis),
+        "perturbed": measures.PerturbedMeasure(
+            measures.UniformMeasure(), v).density(basis),
+        "density_grid": measures.density_from_grid(grid, domain),
+        "theta": theta,
+        "grad_sq": grad_sq,
+    }
+
+
+@pytest.mark.parametrize("name", ["disk_basis", "rect_basis"])
+@pytest.mark.parametrize("collar", [None] + COLLARS)
+def test_rule_values_match_flat_nodes(name, collar, request):
+    # the blocks hold the flat layout's nodes, weights and distances, and
+    # each integrand on the blocks' factors has every bit of its value at
+    # the flat nodes
+    basis = request.getfixturevalue(name)
+    domain = basis.domain
+    if collar is None:
+        rule = basis.quadrature
+        x, y, w = flat_node_rule(domain, rule)
+    else:
+        n_s, n_tan, eps = collar
+        rule, s = geometry.layer_quadrature(domain, eps, n_s, n_tan)
+        x, y, w, s_flat = flat_collar(domain, eps, n_s, n_tan)
+        assert np.array_equal(s, s_flat)
+    assert np.array_equal(rule.x, x) and np.array_equal(rule.y, y)
+    assert np.array_equal(rule.w, w) and rule.n_nodes == w.size
+    for label, f in integrands(basis).items():
+        vals = rule.values(f)
+        assert vals.shape == w.shape, label
+        assert np.array_equal(vals, f(x, y)), label

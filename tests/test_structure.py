@@ -4,7 +4,8 @@ measure's draw instead of a restart code.  Every walk takes the kernel's one
 sharded path.  Marching squares works on whole arrays, not cell by cell.
 Every function, class and method has a caller or a test.  The CLI guards
 its checks in one place and the enclosure checkers gate admissibility in
-one place.  Only the domain knows its occupation cells."""
+one place.  Only the domain knows its occupation cells.  Integrands meet a
+quadrature rule through ``rule.values``, on the rule's tensor factors."""
 
 import ast
 import dataclasses
@@ -165,3 +166,21 @@ def test_occupation_cells_stay_in_the_domain():
                       and node.name == "cell_masses")
         assert not [node for node in ast.walk(method) if isinstance(
             node, (ast.For, ast.While, ast.comprehension))]
+
+
+@pytest.mark.parametrize("module", ["measures.py", "numrange.py"])
+def test_integrands_meet_rules_through_values(module):
+    # no flat node coordinates are read, so none reach a callable; every
+    # integrand on a rule goes through rule.values, and a collar comes back
+    # as a rule and its scaled distance, not as flat coordinates
+    tree = parse(module)
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in ("x", "y")]
+    assert [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "values"]
+    collars = [node for node in ast.walk(tree)
+               if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Call)
+               and getattr(node.value.func, "id", None) == "layer_quadrature"]
+    assert all(isinstance(target, ast.Tuple) and len(target.elts) == 2
+               for node in collars for target in node.targets)
