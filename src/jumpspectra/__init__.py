@@ -3,8 +3,8 @@ boundary restarts: closed-form Dirichlet bases, secular-series root finding,
 resolvent algebra, enclosure certificates and Monte Carlo cross-validation."""
 
 from .bessel import bessel_zero
-from .geometry import (BasisSet, Disk, Mode, Rectangle, build_basis,
-                       quadrature_integral, rectangle, unit_disk)
+from .geometry import (BasisSet, Disk, Rectangle, build_basis, rectangle,
+                       unit_disk)
 from .measures import (AdmissibilityCertificate, CircleMeasure, DensityMeasure,
                        DiracMeasure, GroundStateMeasure, MeasureMoments,
                        PerturbedMeasure, UniformMeasure, check_hypothesis_v,

@@ -163,7 +163,7 @@ def _load_density_grid(mcfg: dict) -> np.ndarray:
     path = _read(mcfg, "file", None, str, where="measure.")
     try:
         return _read_density_file(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"measure.file: cannot read {path!r} ({exc})") from exc
 
 
@@ -199,15 +199,14 @@ def make_mode_perturbation(basis: BasisSet, coefficients: dict, scale: float):
         raise ConfigError("perturbation mode index out of range")
     coefs = np.array([float(coefficients[str(i)] if str(i) in coefficients
                             else coefficients[i]) for i in idx])
-    ocs = np.array([basis.modes[i].one_coeff for i in idx])
+    ocs = basis.one_coeffs[idx]
     if float(ocs @ ocs) > 0:
         coefs = coefs - ocs * float(coefs @ ocs) / float(ocs @ ocs)
-    modes = [basis.modes[i] for i in idx]
 
     def v(x, y):
         out = np.zeros_like(np.asarray(x, dtype=float))
-        for mo, c in zip(modes, coefs):
-            out = out + c * mo.evaluate(x, y)
+        for i, c in zip(idx, coefs):
+            out = out + c * basis.mode_values(i, x, y)
         return scale * out
 
     return v

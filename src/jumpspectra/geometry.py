@@ -125,36 +125,6 @@ def _polar_rule(r, w_r, n_theta: int):
 
 
 # ---------------------------------------------------------------------------
-# modes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Mode:
-    """One Dirichlet eigenpair with its mean coefficient ``(1, chi)``;
-    the domain evaluates it from its closed-form constants ``params``."""
-
-    index: int
-    eigenvalue: float
-    label: tuple
-    one_coeff: float
-    domain: Domain = field(repr=False)
-    params: tuple = field(repr=False)
-
-    def evaluate(self, x, y):
-        return self.domain.mode_values((self,), np.asarray(x, dtype=float),
-                                       np.asarray(y, dtype=float))[0]
-
-    def gradient(self, x, y):
-        """Cartesian gradient, for quadrature of Dirichlet forms.
-
-        Angular disk modes are singular at the origin in polar form; callers
-        must keep r > 0 (interior quadrature nodes always do).
-        """
-        return self.domain.mode_gradient(self, np.asarray(x, dtype=float),
-                                         np.asarray(y, dtype=float))
-
-
-# ---------------------------------------------------------------------------
 # Dirichlet solves with constant data (secular tail anchors)
 # ---------------------------------------------------------------------------
 
@@ -253,40 +223,45 @@ class Disk:
         for m, k, j, norm in zip(orders.tolist(), index.tolist(),
                                  zeros.tolist(), norms.tolist()):
             for kind in ("rad",) if m == 0 else ("cos", "sin"):
-                out.append((j * j, (m, k, kind), (m, j, norm)))
+                out.append((j * j, (m, k, kind), (m, j, norm, kind == "sin")))
         return out
 
     def mean_coefficient(self, params) -> float:
-        m, j, _ = params
+        m, j = params[:2]
         if m != 0:
             return 0.0
         # integral J0(j r) r dr = J1(j)/j; the signed normalisation cancels J1
         return 2.0 * math.sqrt(math.pi) / j
 
     @staticmethod
-    def _radial(modes, r):
-        """``J_m(j r) / norm`` of every mode (rows) at the radii ``r``, in
-        one Bessel call."""
-        m, j, norm = (np.array(p) for p in zip(*(mode.params for mode in modes)))
+    def _radial(params, r):
+        """``J_m(j r) / norm`` of every row ``(m, j, norm, sine)`` of
+        ``params`` at the radii ``r``, in one Bessel call."""
         e = (slice(None),) + (None,) * np.ndim(r)
+        m, j, norm = params[:, 0].astype(int), params[:, 1], params[:, 2]
         return jv(m[e], j[e] * r) / norm[e]
 
     @staticmethod
-    def _angular(modes, theta):
-        """``cos(m theta)`` or ``sin(m theta)`` of every mode (rows); 1 for
-        the radial modes."""
+    def _angular(params, theta):
+        """``sin(m theta)`` for the rows with the sine flag, ``cos(m theta)``
+        for the others (1 for the radial modes)."""
         e = (slice(None),) + (None,) * np.ndim(theta)
-        m = np.array([mode.params[0] for mode in modes])[e]
-        sine = np.array([mode.label[2] == "sin" for mode in modes])[e]
+        m, sine = params[:, 0][e], params[:, 3][e] != 0
         return np.where(sine, np.sin(m * theta), np.cos(m * theta))
 
-    def mode_values(self, modes, x, y):
-        """Values of ``modes`` at the points ``(x, y)``, one row per mode."""
-        return (self._radial(modes, np.hypot(x, y))
-                * self._angular(modes, np.arctan2(y, x)))
+    def mode_values(self, params, x, y):
+        """Values at ``(x, y)`` of each mode of the ``params`` rows."""
+        return (self._radial(params, np.hypot(x, y))
+                * self._angular(params, np.arctan2(y, x)))
 
-    def mode_gradient(self, mode: Mode, x, y):
-        m, j, norm = mode.params
+    def mode_gradient(self, params, x, y):
+        """Cartesian gradient of the mode of one ``params`` row.
+
+        Angular modes are singular at the origin in polar form; callers must
+        keep r > 0 (interior quadrature nodes always do).
+        """
+        m, j, norm, sine = params
+        m = int(m)
         r = np.hypot(x, y)
         theta = np.arctan2(y, x)
         if m == 0:
@@ -295,10 +270,10 @@ class Disk:
         below, at, above = jv(np.array([m - 1, m, m + 1])[:, None], j * r)
         rad = at / norm
         drad = j * 0.5 * (below - above) / norm
-        if mode.label[2] == "cos":
-            ang, dang = np.cos(m * theta), -m * np.sin(m * theta)
-        else:
+        if sine:
             ang, dang = np.sin(m * theta), m * np.cos(m * theta)
+        else:
+            ang, dang = np.cos(m * theta), -m * np.sin(m * theta)
         fr = drad * ang
         ft = rad * dang / r
         return (fr * np.cos(theta) - ft * np.sin(theta),
@@ -325,13 +300,13 @@ class Disk:
                 f"quadrature ({r.size} radial x {theta.size} angular nodes) cannot "
                 f"resolve modes up to cutoff {cutoff}")
 
-    def mode_rows(self, modes, rule: QuadratureRule) -> np.ndarray:
-        """Values of ``modes`` at every node: O(n_modes (n_r + n_theta))
-        Bessel and trig evaluations on the tensor rule."""
+    def mode_rows(self, params, rule: QuadratureRule) -> np.ndarray:
+        """Values of the modes of ``params`` at every node: O(n_modes (n_r +
+        n_theta)) Bessel and trig evaluations on the tensor rule."""
         r, _, theta = rule.axes
-        rows = (self._radial(modes, r)[:, :, None]
-                * self._angular(modes, theta)[:, None, :])
-        return rows.reshape(len(modes), rule.n_nodes)
+        rows = (self._radial(params, r)[:, :, None]
+                * self._angular(params, theta)[:, None, :])
+        return rows.reshape(len(params), rule.n_nodes)
 
     def moments(self, values, basis: BasisSet) -> np.ndarray:
         """Moments of node-sampled ``values`` against every basis mode,
@@ -343,7 +318,7 @@ class Disk:
         block = 256
         for lo in range(0, len(basis), block):
             out[lo:lo + block] = np.einsum(
-                "mn,n->m", self.mode_rows(basis.modes[lo:lo + block], rule),
+                "mn,n->m", self.mode_rows(basis.params[lo:lo + block], rule),
                 weighted)
         return out
 
@@ -402,7 +377,7 @@ class Disk:
         angular modes average out, and ``r J_0(j r)`` has the primitive
         ``r J_1(j r) / j``, one Bessel call at the edges."""
         radial = basis.params[:, 0] == 0
-        _, j, norm = basis.params[radial].T
+        _, j, norm, _ = basis.params[radial].T
         edges = self._edges(n_bins)
         primitive = edges * jv(1, np.outer(j, edges)) / j[:, None]
         return 2.0 * math.pi * np.einsum(
@@ -455,17 +430,17 @@ class Rectangle:
         a, b = self.side_x, self.side_y
         return 8.0 * math.sqrt(a * b) / (math.pi ** 2 * m * n)
 
-    def mode_values(self, modes, x, y):
-        """Values of ``modes`` at the points ``(x, y)``, one row per mode."""
+    def mode_values(self, params, x, y):
+        """Values at ``(x, y)`` of each mode of the ``params`` rows."""
         e = (slice(None),) + (None,) * np.broadcast(x, y).ndim
-        m, n = (np.array(p)[e] for p in zip(*(mode.params for mode in modes)))
+        m, n = params[:, 0][e], params[:, 1][e]
         a, b = self.side_x, self.side_y
         return (2.0 / math.sqrt(a * b)
                 * np.sin(m * math.pi * x / a)
                 * np.sin(n * math.pi * y / b))
 
-    def mode_gradient(self, mode: Mode, x, y):
-        m, n = mode.params
+    def mode_gradient(self, params, x, y):
+        m, n = params
         a, b = self.side_x, self.side_y
         c = 2.0 / math.sqrt(a * b)
         sx = np.sin(m * math.pi * x / a)
@@ -498,19 +473,6 @@ class Rectangle:
             raise ResolutionError(
                 f"quadrature ({gx.size} x {gy.size} nodes) cannot resolve modes "
                 f"up to cutoff {cutoff}")
-
-    def mode_rows(self, modes, rule: QuadratureRule) -> np.ndarray:
-        """Values of ``modes`` at every node, as outer products of sines."""
-        gx, _, gy, _ = rule.axes
-        a, b = self.side_x, self.side_y
-        c = 2.0 / math.sqrt(a * b)
-        rows = np.empty((len(modes), rule.n_nodes))
-        for k, mode in enumerate(modes):
-            m, n = mode.params
-            sx = np.sin(m * math.pi * gx / a)
-            sy = np.sin(n * math.pi * gy / b)
-            rows[k] = c * np.outer(sx, sy).ravel()
-        return rows
 
     def moments(self, values, basis: BasisSet) -> np.ndarray:
         """Moments of node-sampled ``values`` against every basis mode, by
@@ -653,22 +615,30 @@ def rectangle(side_x: float, side_y: float) -> Rectangle:
 
 @dataclass(frozen=True)
 class BasisSet:
-    """All Dirichlet eigenpairs with eigenvalue <= cutoff, globally ordered."""
+    """All Dirichlet eigenpairs with eigenvalue <= cutoff, globally ordered,
+    as one table: mode n has ``eigenvalues[n]``, the mean coefficient
+    ``one_coeffs[n]``, its quantum numbers ``labels[n]`` and the closed-form
+    constants ``params[n]`` from which the domain evaluates it."""
 
     domain: Domain
-    modes: tuple[Mode, ...]
     cutoff: float
     quadrature: QuadratureRule
     eigenvalues: np.ndarray = field(repr=False)
     one_coeffs: np.ndarray = field(repr=False)
+    labels: tuple = field(repr=False)
+    params: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.modes)
+        return self.eigenvalues.size
 
-    @cached_property
-    def params(self) -> np.ndarray:
-        """The closed-form constants of every mode, one row per mode."""
-        return np.array([mode.params for mode in self.modes])
+    def mode_values(self, index, x, y):
+        """Values of the modes ``params[index]`` at the points ``(x, y)``:
+        one row per mode, or the values alone for an integer index."""
+        rows = self.params[index]
+        values = self.domain.mode_values(np.atleast_2d(rows),
+                                         np.asarray(x, dtype=float),
+                                         np.asarray(y, dtype=float))
+        return values[0] if rows.ndim == 1 else values
 
     @cached_property
     def _cluster_table(self):
@@ -714,19 +684,10 @@ def build_basis(domain: Domain, cutoff: float,
     rule = quadrature if quadrature is not None else domain.default_quadrature(cutoff)
     domain.check_resolution(cutoff, rule)
 
-    modes = tuple(Mode(idx, lam, label, domain.mean_coefficient(params),
-                       domain, params)
-                  for idx, (lam, label, params) in enumerate(raw))
-    eigs = np.array([m.eigenvalue for m in modes])
-    ocs = np.array([m.one_coeff for m in modes])
-    return BasisSet(domain, modes, float(cutoff), rule, eigs, ocs)
-
-
-def quadrature_integral(f: Callable, domain: Domain) -> complex:
-    """Integrate ``f(x, y)`` over the domain with its default tensor rule
-    for cutoff 400."""
-    rule = domain.default_quadrature(400.0)
-    return rule.integrate(rule.values(f))
+    eigs, labels, params = zip(*raw)
+    ocs = np.array([domain.mean_coefficient(p) for p in params])
+    return BasisSet(domain, float(cutoff), rule, np.array(eigs), ocs, labels,
+                    np.array(params))
 
 
 # Module-level entry points: secular and numrange call the domain through

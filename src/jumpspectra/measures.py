@@ -133,16 +133,15 @@ class GroundStateMeasure(_Density):
     boundary_mass: float = 0.0
 
     def density(self, basis: BasisSet) -> Callable:
-        chi1 = basis.modes[0]
-        scale = 1.0 / chi1.one_coeff
-        return lambda x, y: scale * chi1.evaluate(x, y)
+        scale = 1.0 / float(basis.one_coeffs[0])
+        return lambda x, y: scale * basis.mode_values(0, x, y)
 
     def moments(self, basis: BasisSet) -> MeasureMoments:
         # orthonormality gives <chi_n> = delta_{n1}/(chi_1, 1) exactly
+        norm = 1.0 / float(basis.one_coeffs[0])
         moments = np.zeros(len(basis))
-        moments[0] = 1.0 / basis.modes[0].one_coeff
-        return MeasureMoments(self, basis, moments,
-                              1.0 / basis.modes[0].one_coeff)
+        moments[0] = norm
+        return MeasureMoments(self, basis, moments, norm)
 
     def restart(self, domain: Domain, basis: BasisSet | None):
         """Rejection against J0(j_01 r) over the radius on the disk, against
@@ -214,8 +213,8 @@ class DiracMeasure(_Variant):
     def moments(self, basis: BasisSet) -> MeasureMoments:
         if self.support_distance(basis.domain) < 1e-6:
             raise MeasureError("point mass must sit at least 1e-6 inside the domain")
-        values = basis.domain.mode_values(basis.modes, np.array([self.x0]),
-                                          np.array([self.y0]))
+        values = basis.mode_values(slice(None), np.array([self.x0]),
+                                   np.array([self.y0]))
         return MeasureMoments(self, basis, values[:, 0], None)
 
     def restart(self, domain: Domain, basis: BasisSet | None):
@@ -250,7 +249,7 @@ class CircleMeasure(_Variant):
             raise UnsupportedMeasureError("circle measures are defined on the disk only")
         if not 0.0 < self.r0 < 1.0:
             raise MeasureError("circle radius must lie in (0, 1)")
-        values = basis.domain.mode_values(basis.modes, *self._points(1024))
+        values = basis.mode_values(slice(None), *self._points(1024))
         return MeasureMoments(self, basis, np.mean(values, axis=1), None)
 
     def restart(self, domain: Domain, basis: BasisSet | None):

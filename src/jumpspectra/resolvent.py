@@ -23,7 +23,7 @@ from .errors import (DomainMembershipError, PoleProximityError,
                      ResolventDomainError, UnsupportedMeasureError)
 from .geometry import BasisSet
 from .measures import MeasureMoments
-from .secular import SecularSeries
+from .secular import SecularSeries, eval_secular
 
 _DOMAIN_TOL = 1e-8
 # each check draws its random probes from a fixed seed of its own
@@ -93,7 +93,6 @@ def certify_regular_point(series: SecularSeries, lam: complex) -> float:
     Returns ``|s(lam)| - tail_bound``; non-positive margins are refused by
     the resolvent.
     """
-    from .secular import eval_secular
     value, bound = eval_secular(series, lam)
     return abs(value) - bound
 

@@ -221,9 +221,8 @@ def rayleigh_identity_check(u: EigenFunction, lam: float,
     gx = np.zeros(rule.n_nodes, dtype=complex)
     gy = np.zeros(rule.n_nodes, dtype=complex)
     for i in live:
-        mode = basis.modes[i]
-        vals = vals + u.coeffs[i] * mode.evaluate(rule.x, rule.y)
-        dgx, dgy = mode.gradient(rule.x, rule.y)
+        vals = vals + u.coeffs[i] * basis.mode_values(i, rule.x, rule.y)
+        dgx, dgy = basis.domain.mode_gradient(basis.params[i], rule.x, rule.y)
         gx = gx + u.coeffs[i] * dgx
         gy = gy + u.coeffs[i] * dgy
     num = float(np.real(rule.integrate(np.abs(gx) ** 2 + np.abs(gy) ** 2)))

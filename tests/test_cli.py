@@ -62,6 +62,7 @@ def test_run_determinism(tmp_path):
 
 
 def test_invalid_configs(tmp_path):
+    (tmp_path / "object.json").write_text('{"a": 1}')
     bad = [
         dict(DISK_SMALL, domain={"kind": "triangle"}),
         dict(DISK_SMALL, tasks=["bogus"]),
@@ -99,6 +100,9 @@ def test_invalid_configs(tmp_path):
         dict(DISK_SMALL, thresholds=["x"], tasks=["figure1"]),
         dict(DISK_SMALL, measure={"variant": "density_grid",
                                   "file": str(tmp_path / "missing.csv")}),
+        # a density file holding an object rather than an array
+        dict(DISK_SMALL, measure={"variant": "density_grid",
+                                  "file": str(tmp_path / "object.json")}),
         dict(DISK_SMALL, measure={"variant": "density_grid",
                                   "values": [["a", "b"], ["c", "d"]]}),
         dict(DISK_SMALL, measure={"variant": "perturbed", "base": "uniform",

@@ -21,7 +21,7 @@ J01 = 2.404825557695773
 
 def mode_matrix(basis):
     """All mode values at all quadrature nodes; (n_modes, n_nodes)."""
-    return basis.domain.mode_rows(basis.modes, basis.quadrature)
+    return basis.domain.mode_rows(basis.params, basis.quadrature)
 
 
 def test_uniform_moments(disk_basis):
@@ -34,7 +34,7 @@ def test_uniform_moments(disk_basis):
 
 def test_ground_state_moments(disk_basis):
     mom = measures.compute_moments(measures.GroundStateMeasure(), disk_basis)
-    assert mom.moments[0] == pytest.approx(1.0 / disk_basis.modes[0].one_coeff)
+    assert mom.moments[0] == pytest.approx(1.0 / disk_basis.one_coeffs[0])
     assert np.abs(mom.moments[1:]).max() < 1e-10
 
 
@@ -64,7 +64,7 @@ def test_dirac_near_boundary_rejected(disk_basis):
 
 def test_circle_moments(disk_basis):
     mom = measures.compute_moments(measures.CircleMeasure(0.5), disk_basis)
-    angular = [i for i, m in enumerate(disk_basis.modes) if m.label[0] != 0]
+    angular = [i for i, label in enumerate(disk_basis.labels) if label[0] != 0]
     assert np.abs(mom.moments[angular]).max() < 1e-14
     closed = jv(0, J01 * 0.5) / (math.sqrt(math.pi) * jv(1, J01))
     assert mom.moments[0] == pytest.approx(closed, rel=1e-12)
@@ -233,7 +233,7 @@ def test_admissibility_v_zero(disk_basis):
     assert cert.passed and cert.literal_passed
     assert cert.margin == pytest.approx(cert.threshold)
     assert cert.threshold == pytest.approx(
-        disk_basis.modes[0].one_coeff / math.pi, rel=1e-12)
+        disk_basis.one_coeffs[0] / math.pi, rel=1e-12)
     assert cert.threshold == pytest.approx(0.4692, abs=1e-4)
 
 
@@ -247,7 +247,7 @@ def test_admissibility_disk_k2_literal_zero(disk_basis):
     assert not cert.literal_passed
     assert cert.threshold > 0.0           # active-pole reading stays usable
     assert cert.threshold == pytest.approx(
-        disk_basis.modes[5].one_coeff / math.pi, rel=1e-12)
+        disk_basis.one_coeffs[5] / math.pi, rel=1e-12)
 
 
 def test_admissibility_ground_state(disk_basis):

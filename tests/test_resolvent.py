@@ -30,7 +30,7 @@ def resum_pointwise(vec: SpectralVector, basis: BasisSet, x, y,
         if not live:
             continue
         for i in live:
-            acc = acc + vec.coeffs[i] * basis.modes[i].evaluate(x, y)
+            acc = acc + vec.coeffs[i] * basis.mode_values(i, x, y)
         partials.append(acc)
     if not partials:
         return acc

@@ -5,13 +5,15 @@ sharded path.  Marching squares works on whole arrays, not cell by cell.
 Every function, class and method has a caller or a test.  The CLI guards
 its checks in one place and the enclosure checkers gate admissibility in
 one place.  Only the domain knows its occupation cells.  Integrands meet a
-quadrature rule through ``rule.values``, on the rule's tensor factors."""
+quadrature rule through ``rule.values``, on the rule's tensor factors.  The
+Dirichlet basis is one table of parameter rows, with no per-mode object."""
 
 import ast
 import dataclasses
 import inspect
 import os
 
+import numpy as np
 import pytest
 
 import jumpspectra
@@ -184,3 +186,24 @@ def test_integrands_meet_rules_through_values(module):
                and getattr(node.value.func, "id", None) == "layer_quadrature"]
     assert all(isinstance(target, ast.Tuple) and len(target.elts) == 2
                for node in collars for target in node.targets)
+
+
+def test_basis_is_one_table():
+    # a mode is a row of the basis's parallel arrays: no per-mode object
+    # wraps it, and the domain evaluates rows of ``params``
+    assert not hasattr(geometry, "Mode")
+    assert "modes" not in {f.name for f in dataclasses.fields(geometry.BasisSet)}
+    assert not hasattr(geometry.BasisSet, "modes")
+    x, y = np.array([0.3, 0.5]), np.array([0.2, 0.4])
+    for domain in (geometry.unit_disk(), geometry.rectangle(2.0, 3.0)):
+        for name in ("mode_values", "mode_gradient"):
+            assert list(inspect.signature(getattr(domain, name)).parameters) \
+                == ["params", "x", "y"]
+        basis = geometry.build_basis(domain, 60.0)
+        for table in (basis.one_coeffs, basis.labels, basis.params):
+            assert len(table) == len(basis) == basis.eigenvalues.size
+        values = domain.mode_values(basis.params[:3], x, y)
+        assert values.shape == (3, 2)
+        assert np.array_equal(values[1], basis.mode_values(1, x, y))
+        gx, gy = domain.mode_gradient(basis.params[1], x, y)
+        assert gx.shape == gy.shape == (2,)
