@@ -192,8 +192,10 @@ def _read_density_file(path: str) -> np.ndarray:
     return grid
 
 
-def make_mode_perturbation(basis: BasisSet, coefficients: dict, scale: float):
-    """Zero-mean combination of basis modes (mean projected out in-span)."""
+def make_mode_perturbation(basis: BasisSet, coefficients: dict,
+                           scale: float) -> np.ndarray:
+    """Coefficient vector ``v[n] = (chi_n, v)`` of a zero-mean combination of
+    basis modes (mean projected out in-span)."""
     idx = sorted(int(i) for i in coefficients)
     if any(i < 0 or i >= len(basis) for i in idx):
         raise ConfigError("perturbation mode index out of range")
@@ -202,13 +204,8 @@ def make_mode_perturbation(basis: BasisSet, coefficients: dict, scale: float):
     ocs = basis.one_coeffs[idx]
     if float(ocs @ ocs) > 0:
         coefs = coefs - ocs * float(coefs @ ocs) / float(ocs @ ocs)
-
-    def v(x, y):
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        for i, c in zip(idx, coefs):
-            out = out + c * basis.mode_values(i, x, y)
-        return scale * out
-
+    v = np.zeros(len(basis))
+    v[idx] = scale * coefs
     return v
 
 
@@ -367,7 +364,7 @@ _THEOREMS = {
     "enclosure_thm2": lambda exp, rep: en.check_interlacing(
         exp.series, exp.admissibility, exp.k),
     "enclosure_thm3": lambda exp, rep: en.check_nested_enclosure(
-        rep, exp.admissibility, exp.moments, exp.basis),
+        rep, exp.admissibility, exp.basis),
     "prop_real": lambda exp, rep: en.bound_first_eigenvalue(
         exp.series, exp.admissibility, exp.moments),
 }

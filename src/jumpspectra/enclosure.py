@@ -170,11 +170,15 @@ def bound_first_eigenvalue(series: SecularSeries,
                            moments: MeasureMoments) -> CheckResult:
     """Bracket and two-pole bound for the smallest nonzero real eigenvalue.
 
-    Requires the level-2 hypothesis.  Returns the located eigenvalue in the
-    first active gap together with the slack of the two-pole remainder
-    bound evaluated at it.
+    Requires the level-2 hypothesis: a certificate at level k >= 2 implies
+    it, since the smallness threshold only falls as k grows.  Returns the
+    located eigenvalue in the first active gap together with the slack of
+    the two-pole remainder bound evaluated at it.
     """
     name = "first_eigenvalue_bound"
+    if cert.k < 2:
+        return CheckResult(name, INAPPLICABLE, f"needs the level-2 "
+                           f"hypothesis; the certificate is at level {cert.k}")
     inter = check_interlacing(series, cert, 2)
     if inter.verdict == INAPPLICABLE:
         return CheckResult(name, INAPPLICABLE, inter.detail)
@@ -202,13 +206,12 @@ def bound_first_eigenvalue(series: SecularSeries,
 
 def check_nested_enclosure(report: SpectrumReport,
                            cert: AdmissibilityCertificate,
-                           moments: MeasureMoments,
                            basis: BasisSet) -> CheckResult:
     """All nonreal certified entries inside the nested enclosure set."""
     name = "nested_enclosure"
     if gate := _gate(name, cert, "ground_state"):
         return gate
-    t = basis.domain.area ** 0.25 * math.sqrt(moments.v_l2_norm)
+    t = basis.domain.area ** 0.25 * math.sqrt(cert.v_norm)
     h1 = halfplane_threshold(basis, 1)
     offenders = []
     worst = math.inf

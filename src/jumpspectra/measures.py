@@ -49,15 +49,10 @@ class MeasureMoments:
     basis: BasisSet
     moments: np.ndarray
     l2_density_norm: float | None          # None for singular measures
-    v_l2_norm: float | None = None         # only for perturbed specs
 
     def with_moments(self, moments: np.ndarray) -> "MeasureMoments":
         """Copy with a replaced moment vector (fault injection hook)."""
         return dataclasses.replace(self, moments=np.asarray(moments, float))
-
-
-def _l2(rule, values) -> float:
-    return float(np.sqrt(np.real(rule.integrate(values * values))))
 
 
 # ---------------------------------------------------------------------------
@@ -169,31 +164,42 @@ class DensityMeasure(_Density):
         if abs(mass - 1.0) > _MASS_TOL:
             raise MassDeficitError(f"density mass {mass!r} deviates from 1")
         return MeasureMoments(self, basis, basis.domain.moments(w, basis),
-                              _l2(rule, w))
+                              float(np.sqrt(np.real(rule.integrate(w * w)))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # v is an array: equal only to itself
 class PerturbedMeasure(_Density):
-    """Base density (uniform or ground state) plus a zero-mean bump ``v``."""
+    """Base density (uniform or ground state) plus a zero-mean combination
+    of basis modes, held as its coefficients ``v[n] = (chi_n, v)``: its
+    moments, mean and norms are exact sums over them."""
     base: Union[UniformMeasure, GroundStateMeasure]
-    v: Callable
+    v: np.ndarray
     boundary_mass: float = 0.0
 
+    def coefficients(self, basis: BasisSet) -> np.ndarray:
+        """``v``, checked to hold one coefficient per mode of ``basis``."""
+        v = np.asarray(self.v, dtype=float)
+        if v.shape != (len(basis),):
+            raise MeasureError(f"perturbation of shape {v.shape} on a basis "
+                               f"of {len(basis)} modes")
+        return v
+
     def density(self, basis: BasisSet) -> Callable:
-        base = self.base.density(basis)
-        return lambda x, y: base(x, y) + np.asarray(self.v(x, y), dtype=float)
+        base, v = self.base.density(basis), self.coefficients(basis)
+        live = np.flatnonzero(v)
+        return lambda x, y: base(x, y) + sum(
+            c * row for c, row in zip(v[live], basis.mode_values(live, x, y)))
 
     def moments(self, basis: BasisSet) -> MeasureMoments:
-        rule = basis.quadrature
-        w = self._checked_values(basis, "perturbed density")
-        vvals = np.asarray(rule.values(self.v), dtype=float)
-        vmass = float(np.real(rule.integrate(vvals)))
-        if abs(vmass) > _MASS_TOL:
-            raise MassDeficitError(f"perturbation has nonzero mean {vmass!r}")
-        moments = (self.base.moments(basis).moments
-                   + basis.domain.moments(vvals, basis))
-        return MeasureMoments(self, basis, moments, _l2(rule, w),
-                              _l2(rule, vvals))
+        self._checked_values(basis, "perturbed density")
+        v = self.coefficients(basis)
+        mean = float(v @ basis.one_coeffs)
+        if abs(mean) > _MASS_TOL:
+            raise MassDeficitError(f"perturbation has nonzero mean {mean!r}")
+        base = self.base.moments(basis)
+        # Parseval: |w_base + v|^2 = |w_base|^2 + 2 (w_base, v) + |v|^2
+        return MeasureMoments(self, basis, base.moments + v, math.sqrt(
+            base.l2_density_norm ** 2 + 2.0 * (v @ base.moments) + v @ v))
 
 
 @dataclass(frozen=True)
@@ -348,13 +354,10 @@ def check_hypothesis_v(spec: PerturbedMeasure, basis: BasisSet,
     """Pointwise lower bound, zero mean and smallness checks for ``v``."""
     if not isinstance(spec, PerturbedMeasure):
         raise TypeError("admissibility checks apply to perturbed measures only")
-    rule = basis.quadrature
-    vvals = np.asarray(rule.values(spec.v), dtype=float)
-    vmass = float(np.real(rule.integrate(vvals)))
-    v_norm = _l2(rule, vvals)
-    base_vals = spec.base.node_values(basis)
-    zero_mean_ok = abs(vmass) <= _MASS_TOL
-    lower_bound_ok = bool(np.min(base_vals + vvals) >= -_POINTWISE_TOL)
+    v = spec.coefficients(basis)
+    v_norm = math.sqrt(v @ v)
+    zero_mean_ok = abs(float(v @ basis.one_coeffs)) <= _MASS_TOL
+    lower_bound_ok = bool(np.min(spec.node_values(basis)) >= -_POINTWISE_TOL)
 
     if isinstance(spec.base, UniformMeasure):
         ocs = np.abs(basis.one_coeffs)

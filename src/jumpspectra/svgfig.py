@@ -69,14 +69,10 @@ def render_enclosure_svg(curves: EnclosureCurves, basis: BasisSet) -> str:
             parts.append(f'<polyline points="{pts}" fill="none" '
                          f'stroke="{color}" stroke-width="{width}"{dash_attr}/>')
 
-    # Dirichlet eigenvalues as black dots (one per distinct value)
-    seen = []
-    for lam in basis.eigenvalues:
+    # Dirichlet eigenvalues as black dots, one per cluster
+    for lam in basis.cluster_means():
         if lam > re_hi:
             break
-        if seen and abs(lam - seen[-1]) < 1e-9 * (1 + lam):
-            continue
-        seen.append(float(lam))
         px, py = to_px(lam, 0.0)
         parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3.2" fill="black"/>')
 

@@ -45,17 +45,24 @@ class criterion:
         return False
 
 
-def random_admissible_uniform_v(basis, rng, k=2):
-    """Random perturbation meeting the uniform-base hypothesis at level k."""
+def random_unit_v(basis, rng):
+    """Coefficients of a random zero-mean combination of the first 12
+    modes, and its values at the quadrature nodes."""
     n_pick = int(rng.integers(3, 6))
     idxs = sorted(rng.choice(np.arange(0, 12), size=n_pick, replace=False))
     coefs = rng.standard_normal(n_pick)
     v = cli.make_mode_perturbation(basis, dict(zip(idxs, coefs)), 1.0)
     rule = basis.quadrature
-    vals = v(rule.x, rule.y)
-    norm = math.sqrt(float(np.real(rule.integrate(vals ** 2))))
+    live = np.flatnonzero(v)
+    return v, v[live] @ basis.mode_values(live, rule.x, rule.y)
+
+
+def random_admissible_uniform_v(basis, rng, k=2):
+    """Random perturbation meeting the uniform-base hypothesis at level k."""
+    v, vals = random_unit_v(basis, rng)
+    norm = math.sqrt(float(v @ v))
     spec0 = measures.PerturbedMeasure(measures.UniformMeasure(),
-                                      lambda x, y: np.zeros(np.shape(x)))
+                                      np.zeros(len(basis)))
     threshold = measures.check_hypothesis_v(spec0, basis, k).threshold
     base_min = 1.0 / basis.domain.area
     target = threshold * float(rng.uniform(0.4, 0.85))
@@ -63,17 +70,13 @@ def random_admissible_uniform_v(basis, rng, k=2):
     floor = float(np.min(vals) * scale)
     if base_min + floor < 0:
         scale *= 0.9 * base_min / abs(floor)
-    return lambda x, y: scale * v(x, y)
+    return scale * v
 
 
 def random_admissible_groundstate_v(basis, rng):
-    n_pick = int(rng.integers(3, 6))
-    idxs = sorted(rng.choice(np.arange(0, 12), size=n_pick, replace=False))
-    coefs = rng.standard_normal(n_pick)
-    v = cli.make_mode_perturbation(basis, dict(zip(idxs, coefs)), 1.0)
+    v, vals = random_unit_v(basis, rng)
+    norm = math.sqrt(float(v @ v))
     rule = basis.quadrature
-    vals = v(rule.x, rule.y)
-    norm = math.sqrt(float(np.real(rule.integrate(vals ** 2))))
     base = measures.GroundStateMeasure().density(basis)(rule.x, rule.y)
     threshold = basis.domain.area ** -0.5
     scale = threshold * float(rng.uniform(0.3, 0.7)) / norm
@@ -81,7 +84,7 @@ def random_admissible_groundstate_v(basis, rng):
     while ratio < 0:
         scale *= 0.7
         ratio = np.min(base + scale * vals)
-    return lambda x, y: scale * v(x, y)
+    return scale * v
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +160,16 @@ def test_criterion_4_interlacing(rect_runs, rect_basis):
         assert inter.intervals[0][1] == 1
         root = inter.intervals[0][2]
 
+        # the same perturbation on the doubled basis, whose first modes
+        # are those of rect_basis
         doubled = geometry.build_basis(rect_basis.domain, 4000.0)
-        mom2 = measures.compute_moments(spec, doubled)
+        assert doubled.labels[:len(rect_basis)] == rect_basis.labels
+        v2 = np.zeros(len(doubled))
+        v2[:len(rect_basis)] = spec.v
+        spec2 = measures.PerturbedMeasure(spec.base, v2)
+        mom2 = measures.compute_moments(spec2, doubled)
         series2 = secular.build_secular_series(doubled, mom2)
-        cert2 = measures.check_hypothesis_v(spec, doubled, 2)
+        cert2 = measures.check_hypothesis_v(spec2, doubled, 2)
         inter2 = en.check_interlacing(series2, cert2, 2)
         assert inter2.verdict == en.PASS
         assert inter2.intervals[0][1] == 1
@@ -193,7 +202,7 @@ def test_criterion_5_enclosures(rect_runs, disk_gs_runs, rect_basis,
         for spec, cert, mom, series in disk_gs_runs:
             assert cert.passed
             rep = sp.assemble_spectrum(series, WINDOW)
-            res = en.check_nested_enclosure(rep, cert, mom, disk_basis)
+            res = en.check_nested_enclosure(rep, cert, disk_basis)
             assert res.verdict == en.PASS, res.detail
 
 

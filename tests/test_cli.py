@@ -402,7 +402,9 @@ OUTPUT_CONFIGS = {
                         "enclosure_thm3", "prop_real", "numrange",
                         "simulate"]),
 }
-# exit code and SHA-256 of every output file and of the printed rows
+# exit code and SHA-256 of every output file and of the printed rows; the
+# rectangle's spectrum, occupation and verify rows re-pinned when the
+# perturbation's moments became exact sums over its coefficients
 PINNED_OUTPUT = {
     ("disk", "run"): (cli.EXIT_PASS, {
         "enclosure.svg":
@@ -431,11 +433,11 @@ PINNED_OUTPUT = {
         "numrange_sweep.csv":
             "55477d6d7d37ca729a88dae89e0f8ac6eea22154b5c6fab74978dab9f8b9cca6",
         "occupation.csv":
-            "0b5d83d65b9e3718ccbd11e15a3e137a202c8677d1f5c8b10b12aeceff9ced8a",
+            "61a595d7ce61655a939e60203c2f9c190de83460cccdcb74302a85a2e85df662",
         "spectrum.csv":
-            "d4800db7e6fefe129bceb5902d2f3371ebbd77f85b8c18fde7b95d71b9b1d952",
+            "448b0700936262bfde9b10ab8dec940b8fd121aee5468ed84cf0abd70d53bfb5",
         "spectrum.json":
-            "ad3be08c64615d440c77a62caa69ff5a5a4171f082a3d8ffa25141bbdbfae81b",
+            "04b3e0f196425acd46810b0d04db876371b0cb51f70a94a403c77e8323dd2fb2",
         "stdout":
             "5edd3c56e86bd252a18333b7024c8bedfdf181536efb852199fa35d32dc04c43",
         "summary.json":
@@ -443,7 +445,7 @@ PINNED_OUTPUT = {
     }),
     ("rect", "verify"): (cli.EXIT_PASS, {
         "stdout":
-            "84a2daf0299939ab604823f20fa45cb28f5f7e1f966193376bd96671aa7e6e73",
+            "df685b3553a119095a48f594957a84017a18f68b99f11588d0bc42a14149bc74",
     }),
 }
 
@@ -529,3 +531,29 @@ def test_run_and_verify_agree(tmp_path, cfg, verdicts, codes):
         (detail,) = {run[task][1] for task in checked}
         assert detail.startswith("admissibility failed: admissibility[k=2] "
                                  "fail: |v|=")
+
+
+@pytest.mark.parametrize("k, detail", [
+    (1, "needs the level-2 hypothesis; the certificate is at level 1"),
+    (2, "admissibility failed: admissibility[k=2] fail: |v|=1.4199e-01 "
+        "threshold=8.3382e-02 margin=-5.8604e-02"),
+])
+def test_prop_real_needs_the_level_2_hypothesis(tmp_path, k, detail):
+    # |v| = 0.142 meets the level-1 threshold but not the level-2 one, so
+    # neither certificate gives prop_real its hypothesis: run and verify
+    # both read inapplicable
+    cfg = {"version": 1,
+           "domain": {"kind": "rectangle", "side_x": 3.0, "side_y": 3.5},
+           "measure": {"variant": "perturbed", "base": "uniform",
+                       "v_modes": {"0": 0.7, "1": 0.4, "4": 0.5},
+                       "v_scale": 0.3},
+           "cutoff": 300.0, "k": k, "tasks": ["enclosure_thm2", "prop_real"]}
+    rows = {}
+    for command, check in (("run", cli.run_experiment),
+                           ("verify", cli.verify_experiment)):
+        rows[command] = {r["name"]: (r["verdict"], r["detail"])
+                         for r in check(cli.build_experiment(cfg, str(tmp_path)))}
+    assert rows["run"]["prop_real"] == ("inapplicable", detail)
+    assert rows["verify"]["first_eigenvalue_bound"] == ("inapplicable", detail)
+    assert rows["run"]["enclosure_thm2"][0] == ("pass" if k == 1
+                                                else "inapplicable")

@@ -59,7 +59,7 @@ def test_matryoshka_monotone_in_t(disk_basis):
 
 def test_thm1_vacuous_uniform(uniform_disk, disk_basis):
     spec = measures.PerturbedMeasure(
-        measures.UniformMeasure(), lambda x, y: np.zeros(np.shape(x)))
+        measures.UniformMeasure(), np.zeros(len(disk_basis)))
     cert = measures.check_hypothesis_v(spec, disk_basis, 1)
     rep = sp.assemble_spectrum(uniform_disk, (-1.0, 60.0, -15.0, 15.0))
     res = en.check_halfplane_exclusion(rep, cert, 1, disk_basis)
@@ -86,7 +86,7 @@ def test_thm1_gate_inapplicable(rect_basis):
 
 def test_thm1_wrong_base_inapplicable(disk_basis):
     spec = measures.PerturbedMeasure(
-        measures.GroundStateMeasure(), lambda x, y: np.zeros(np.shape(x)))
+        measures.GroundStateMeasure(), np.zeros(len(disk_basis)))
     cert = measures.check_hypothesis_v(spec, disk_basis, 1)
     rep = sp.SpectrumReport((), (-1, 60, -15, 15), None, None)
     res = en.check_halfplane_exclusion(rep, cert, 1, disk_basis)
@@ -123,7 +123,7 @@ def test_interlacing_k1_vacuous(rect_admissible):
 def test_interlacing_degenerate_inapplicable(square_basis):
     # on the square the second active pole (1,3)/(3,1) is degenerate
     spec = measures.PerturbedMeasure(
-        measures.UniformMeasure(), lambda x, y: np.zeros(np.shape(x)))
+        measures.UniformMeasure(), np.zeros(len(square_basis)))
     cert = measures.check_hypothesis_v(spec, square_basis, 2)
     mom = measures.compute_moments(spec, square_basis)
     series = secular.build_secular_series(square_basis, mom)
@@ -139,6 +139,17 @@ def test_first_eigenvalue_bound(rect_admissible):
     assert res.margin is not None and res.margin > 0
 
 
+def test_first_eigenvalue_bound_needs_level_2(rect_admissible, rect_basis):
+    # a level-1 certificate does not give the level-2 hypothesis, even for
+    # a perturbation that meets it
+    spec, _, mom, series, _ = rect_admissible
+    cert = measures.check_hypothesis_v(spec, rect_basis, 1)
+    assert cert.passed
+    res = en.bound_first_eigenvalue(series, cert, mom)
+    assert res.verdict == en.INAPPLICABLE
+    assert "level-2" in res.detail
+
+
 def test_first_eigenvalue_bound_groundstate_inapplicable(disk_basis):
     v = make_mode_perturbation(disk_basis, {0: 0.4, 5: 0.6}, 0.02)
     spec = measures.PerturbedMeasure(measures.GroundStateMeasure(), v)
@@ -151,21 +162,22 @@ def test_first_eigenvalue_bound_groundstate_inapplicable(disk_basis):
 
 def test_nested_enclosure_vacuous(groundstate_disk, disk_basis):
     spec = measures.PerturbedMeasure(
-        measures.GroundStateMeasure(), lambda x, y: np.zeros(np.shape(x)))
+        measures.GroundStateMeasure(), np.zeros(len(disk_basis)))
     cert = measures.check_hypothesis_v(spec, disk_basis, 1)
-    mom = measures.compute_moments(spec, disk_basis)
+    # v = 0 leaves the base's moments as they are
+    assert np.array_equal(measures.compute_moments(spec, disk_basis).moments,
+                          groundstate_disk.moments.moments)
     rep = sp.assemble_spectrum(groundstate_disk, (-1.0, 60.0, -15.0, 15.0))
-    res = en.check_nested_enclosure(rep, cert, mom, disk_basis)
+    res = en.check_nested_enclosure(rep, cert, disk_basis)
     assert res.verdict == en.PASS      # no nonreal entries at all
 
 
 def test_nested_enclosure_gate(disk_basis):
     spec = measures.PerturbedMeasure(
-        measures.UniformMeasure(), lambda x, y: np.zeros(np.shape(x)))
+        measures.UniformMeasure(), np.zeros(len(disk_basis)))
     cert = measures.check_hypothesis_v(spec, disk_basis, 1)
-    mom = measures.compute_moments(spec, disk_basis)
     rep = sp.SpectrumReport((), (-1, 60, -15, 15), None, None)
-    res = en.check_nested_enclosure(rep, cert, mom, disk_basis)
+    res = en.check_nested_enclosure(rep, cert, disk_basis)
     assert res.verdict == en.INAPPLICABLE
 
 

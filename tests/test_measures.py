@@ -13,8 +13,8 @@ from scipy.special import jv
 
 from jumpspectra import geometry, measures
 from jumpspectra.cli import make_mode_perturbation
-from jumpspectra.errors import (MassDeficitError, NegativeDensityError,
-                                UnsupportedMeasureError)
+from jumpspectra.errors import (MassDeficitError, MeasureError,
+                                NegativeDensityError, UnsupportedMeasureError)
 
 J01 = 2.404825557695773
 
@@ -101,23 +101,54 @@ def test_density_matches_uniform(disk_basis):
 
 
 def test_perturbed_zero_mean_guard(disk_basis):
-    bad = measures.PerturbedMeasure(measures.UniformMeasure(),
-                                    lambda x, y: np.full(np.shape(x), 0.01))
+    # v = 0.01 chi_1 has the mean 0.01 (1, chi_1)
+    v = np.zeros(len(disk_basis))
+    v[0] = 0.01
+    bad = measures.PerturbedMeasure(measures.UniformMeasure(), v)
     with pytest.raises(MassDeficitError):
         measures.compute_moments(bad, disk_basis)
+    assert not measures.check_hypothesis_v(bad, disk_basis, 1).zero_mean_ok
+
+
+def test_perturbed_coefficient_count_guard(disk_basis, rect_basis):
+    # a coefficient vector belongs to the basis it was made on
+    v = make_mode_perturbation(rect_basis, {0: 0.7, 1: 0.4}, 0.02)
+    bad = measures.PerturbedMeasure(measures.UniformMeasure(), v)
+    with pytest.raises(MeasureError):
+        measures.compute_moments(bad, disk_basis)
+    with pytest.raises(MeasureError):
+        measures.check_hypothesis_v(bad, disk_basis, 1)
+    column = measures.PerturbedMeasure(measures.UniformMeasure(),
+                                       np.zeros((len(disk_basis), 1)))
+    with pytest.raises(MeasureError):
+        measures.compute_moments(column, disk_basis)
 
 
 @settings(max_examples=12, deadline=None)
 @given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
-def test_moment_linearity(disk_basis, coefs):
-    # moments(base + v) = moments(base) + (chi_n, v)
-    v = make_mode_perturbation(disk_basis, dict(zip([0, 5, 9], coefs)), 0.02)
-    spec = measures.PerturbedMeasure(measures.UniformMeasure(), v)
-    mom = measures.compute_moments(spec, disk_basis)
-    base = measures.compute_moments(measures.UniformMeasure(), disk_basis)
-    rule = disk_basis.quadrature
-    vmom = mode_matrix(disk_basis) @ (rule.w * v(rule.x, rule.y))
-    assert np.abs(mom.moments - base.moments - vmom).max() < 1e-10
+def test_moment_linearity(disk_basis, rect_basis, coefs):
+    # the coefficient table against rule quadrature of the pointwise
+    # density, on both domains and both bases: moments(base + v) =
+    # moments(base) + (chi_n, v), the mean of v, |v| and the density's
+    # L2 norm
+    for basis, modes in ((disk_basis, [0, 5, 9]), (rect_basis, [0, 1, 4])):
+        v = make_mode_perturbation(basis, dict(zip(modes, coefs)), 0.02)
+        rule = basis.quadrature
+        live = np.flatnonzero(v)
+        vvals = v[live] @ basis.mode_values(live, rule.x, rule.y)
+        for base in (measures.UniformMeasure(), measures.GroundStateMeasure()):
+            spec = measures.PerturbedMeasure(base, v)
+            mom = measures.compute_moments(spec, basis)
+            cert = measures.check_hypothesis_v(spec, basis, 1)
+            w = base.density(basis)(rule.x, rule.y) + vvals
+            quad = {"moments": basis.domain.moments(w, basis),
+                    "mean": rule.integrate(vvals).real,
+                    "v_norm": np.sqrt(rule.integrate(vvals * vvals).real),
+                    "l2": np.sqrt(rule.integrate(w * w).real)}
+            table = {"moments": mom.moments, "mean": v @ basis.one_coeffs,
+                     "v_norm": cert.v_norm, "l2": mom.l2_density_norm}
+            for key in quad:
+                assert np.abs(table[key] - quad[key]).max() < 1e-13, key
 
 
 def test_measure_integral_variants(disk_basis):
@@ -135,7 +166,8 @@ def test_measure_integral_variants(disk_basis):
 # SHA-256 of the moments, the L2 norms and the measure integrals of both
 # torsion anchors, recorded before each variant owned its integral and moments;
 # the disk density and perturbed cases again once the disk moments stopped
-# depending on the BLAS thread count
+# depending on the BLAS thread count, and the perturbed cases once more when
+# their moments and norms became exact sums over the coefficients
 PINNED = {
     "disk-uniform":
         "2fbb28d619956fcbda80850c973f5c9225afdd21184bad9796fa3dc812236136",
@@ -148,9 +180,9 @@ PINNED = {
     "disk-circle":
         "582959e13be2effad389a76f188f90a47a0848a0ddb9594bf15040451a2fde74",
     "disk-perturbed_uniform":
-        "5e6c7927069c837667f2a54f366cff1b8e258c5f1e3af23d90df3a2352830f66",
+        "b228cda110191c4104c7c78e8dcd8c18d4d74153105de6508b32d3039a06a20b",
     "disk-perturbed_ground_state":
-        "b324380100a616a304a0169adb4a1f9c1d4849239ccab61aaf5d508447eae973",
+        "b8a6601b04ccf9c34eaeef11b6fecae541670837b3f2d584670c5a873fdbb5ec",
     "rect-uniform":
         "acec04c77cf73f8148220055aaa874b94dddcca99dcc5183371d7f4168fb05e0",
     "rect-ground_state":
@@ -160,9 +192,9 @@ PINNED = {
     "rect-dirac":
         "7fa609cc3be9a437b370c5b092ae39dfc7898c238fae6d25e99d293922e6f07a",
     "rect-perturbed_uniform":
-        "facb9faced666feb9e821883fe40acd5332bda9b74025cacb12bf49b12b9c341",
+        "a7d95af47189b535495318c1b18d98b1df49c40dad10c0f6d170b202ba7b83cd",
     "rect-perturbed_ground_state":
-        "90255b0f1c37cb54fef9d809abe11e4eeef2c3b793397f1d2c35e359e19a5a85",
+        "3208cbdf7baa0f38e41acdb78ca31f3a55c29474f1954a79370e926d394d9cd5",
 }
 
 
@@ -193,7 +225,9 @@ def measure_digest(spec, basis):
         np.ascontiguousarray(mom.moments, dtype=np.float64).tobytes())
     anchors = [measures.measure_integral(spec, basis, g(basis.domain))
                for g in (geometry.torsion_function, geometry.torsion_second)]
-    h.update(repr((mom.l2_density_norm, mom.v_l2_norm,
+    v_norm = (measures.check_hypothesis_v(spec, basis, 1).v_norm
+              if isinstance(spec, measures.PerturbedMeasure) else None)
+    h.update(repr((mom.l2_density_norm, v_norm,
                    mom.l2_density_norm is None, *anchors)).encode())
     return h.hexdigest()
 
@@ -228,7 +262,7 @@ def test_density_from_grid(disk_basis):
 
 def test_admissibility_v_zero(disk_basis):
     spec = measures.PerturbedMeasure(
-        measures.UniformMeasure(), lambda x, y: np.zeros(np.shape(x)))
+        measures.UniformMeasure(), np.zeros(len(disk_basis)))
     cert = measures.check_hypothesis_v(spec, disk_basis, 1)
     assert cert.passed and cert.literal_passed
     assert cert.margin == pytest.approx(cert.threshold)
@@ -241,7 +275,7 @@ def test_admissibility_disk_k2_literal_zero(disk_basis):
     # the second raw eigenvalue is an angular mode: the literal smallness
     # threshold degenerates to zero, so only k = 1 is literally satisfiable
     spec = measures.PerturbedMeasure(
-        measures.UniformMeasure(), lambda x, y: np.zeros(np.shape(x)))
+        measures.UniformMeasure(), np.zeros(len(disk_basis)))
     cert = measures.check_hypothesis_v(spec, disk_basis, 2)
     assert cert.threshold_literal == 0.0
     assert not cert.literal_passed
@@ -267,7 +301,8 @@ def test_admissibility_rejects_large_v(rect_basis):
     assert cert.margin < 0
 
 
-# the disk cases whose moments go through Disk.moments' node quadrature
+# the disk density's moments go through Disk.moments' node quadrature, and
+# the perturbations' moments and norms are sums over their coefficients
 QUADRATURE_DISK = ("disk-density", "disk-perturbed_ground_state",
                    "disk-perturbed_uniform")
 

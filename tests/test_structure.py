@@ -6,7 +6,8 @@ Every function, class and method has a caller or a test.  The CLI guards
 its checks in one place and the enclosure checkers gate admissibility in
 one place.  Only the domain knows its occupation cells.  Integrands meet a
 quadrature rule through ``rule.values``, on the rule's tensor factors.  The
-Dirichlet basis is one table of parameter rows, with no per-mode object."""
+Dirichlet basis is one table of parameter rows, with no per-mode object, and
+a mode perturbation is its coefficient vector."""
 
 import ast
 import dataclasses
@@ -17,7 +18,8 @@ import numpy as np
 import pytest
 
 import jumpspectra
-from jumpspectra import _kernels, enclosure, geometry, measures, stochastic
+from jumpspectra import (_kernels, cli, enclosure, geometry, measures,
+                         stochastic)
 
 SRC = os.path.dirname(os.path.abspath(jumpspectra.__file__))
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -207,3 +209,31 @@ def test_basis_is_one_table():
         assert np.array_equal(values[1], basis.mode_values(1, x, y))
         gx, gy = domain.mode_gradient(basis.params[1], x, y)
         assert gx.shape == gy.shape == (2,)
+
+
+def test_perturbation_is_its_coefficients():
+    # a mode perturbation is its coefficient vector: its moments, mean and
+    # norms are sums over the coefficients, so no rule samples or integrates
+    # v, and the CLI builds the vector, not a closure
+    fields = {f.name: f.type
+              for f in dataclasses.fields(measures.PerturbedMeasure)}
+    assert fields["v"] == "np.ndarray"
+    basis = geometry.build_basis(geometry.rectangle(2.0, 3.0), 60.0)
+    v = cli.make_mode_perturbation(basis, {0: 0.5, 1: 0.5}, 0.1)
+    assert isinstance(v, np.ndarray) and v.shape == (len(basis),)
+    assert "v_l2_norm" not in {
+        f.name for f in dataclasses.fields(measures.MeasureMoments)}
+    calls = [node for node in ast.walk(parse("measures.py"))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)]
+    assert not [call for call in calls if call.func.attr == "v"]
+    assert not [call for call in calls
+                if call.func.attr in ("values", "integrate", "moments")
+                and any(isinstance(node, ast.Attribute) and node.attr == "v"
+                        for arg in call.args for node in ast.walk(arg))]
+    make = next(node for node in ast.walk(parse("cli.py"))
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "make_mode_perturbation")
+    assert not [node for node in ast.walk(make)
+                if isinstance(node, (ast.FunctionDef, ast.Lambda))
+                and node is not make]
