@@ -134,10 +134,14 @@ def check_halfplane_exclusion(report: SpectrumReport,
 def check_interlacing(series: SecularSeries,
                       cert: AdmissibilityCertificate,
                       k: int) -> CheckResult:
-    """Exactly one real eigenvalue per gap between active poles up to k."""
+    """Exactly one real eigenvalue per gap between active poles up to k;
+    inapplicable at k = 1, where there is no such gap to check."""
     name = f"interlacing[k={k}]"
     if gate := _gate(name, cert, "uniform"):
         return gate
+    if k < 2:
+        return CheckResult(name, INAPPLICABLE,
+                           "no gap lies below the first active pole")
     if len(series.poles) < k:
         return CheckResult(name, INAPPLICABLE, f"fewer than {k} active poles")
     basis = series.basis

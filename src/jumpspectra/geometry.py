@@ -340,6 +340,11 @@ class Disk:
             return (3.0 - 4.0 * r2 + r2 * r2) / 64.0
         return g2
 
+    def torsion_integrals(self) -> tuple[float, float]:
+        """``(int g, int g2)``: 2 pi times the radial integrals of
+        ``(1 - r^2)/4`` and ``(3 - 4 r^2 + r^4)/64`` against ``r dr``."""
+        return math.pi / 8.0, math.pi / 48.0
+
     def outside(self, px, py, btol):
         return px * px + py * py >= (1.0 - btol) ** 2
 
@@ -518,6 +523,15 @@ class Rectangle:
         ms = np.arange(1, _RECT_SERIES_TERMS, 2, dtype=float)
         return ms, ms * math.pi / a, 4.0 * a * a / (math.pi ** 3 * ms ** 3)
 
+    def _second_series(self):
+        """Wavenumbers, torsion amplitudes and the cosh coefficients of
+        ``torsion_second``'s y factor."""
+        a, b = self.side_x, self.side_y
+        ms, kap, amp = self._series()
+        cm = 4.0 * a ** 4 / (math.pi ** 5 * ms ** 5)          # sine coefficients of U1
+        bcoef = -(cm + (amp * b / (4.0 * kap)) * np.tanh(kap * b / 2.0))
+        return kap, amp, bcoef
+
     def torsion_function(self) -> Callable:
         a, b = self.side_x, self.side_y
         _, kap, amp = self._series()
@@ -534,9 +548,7 @@ class Rectangle:
 
     def torsion_second(self) -> Callable:
         a, b = self.side_x, self.side_y
-        ms, kap, amp = self._series()
-        cm = 4.0 * a ** 4 / (math.pi ** 5 * ms ** 5)          # sine coefficients of U1
-        bcoef = -(cm + (amp * b / (4.0 * kap)) * np.tanh(kap * b / 2.0))
+        kap, amp, bcoef = self._second_series()
 
         def y_factor(y):
             t = y - b / 2.0
@@ -550,6 +562,26 @@ class Rectangle:
             return u1 + _separable_series(x, y, kap, y_factor)
 
         return g2
+
+    def torsion_integrals(self) -> tuple[float, float]:
+        """``(int g, int g2)``: both torsion series integrated term by term.
+
+        With ``h = b/2``, ``t = y - h`` and ``T = tanh(kap h)``, an odd
+        order gives ``int_0^a sin(kap x) dx = 2/kap``, and over ``|t| <= h``
+        the y factors give ``int cosh(kap t) dt / cosh(kap h) = 2 T/kap`` and
+        ``int t sinh(kap t) dt / cosh(kap h) = 2 (h/kap - T/kap^2)``; the
+        polynomial parts give ``a^3 b/12`` and ``b a^5/120``.
+        """
+        a, b = self.side_x, self.side_y
+        h = b / 2.0
+        kap, amp, bcoef = self._second_series()
+        th = np.tanh(kap * h)
+        cosh_int = 2.0 * th / kap
+        t_sinh_int = 2.0 * (h / kap - th / kap ** 2)
+        g = a ** 3 * b / 12.0 - np.sum((2.0 / kap) * amp * cosh_int)
+        g2 = b * a ** 5 / 120.0 + np.sum((2.0 / kap) * (
+            (amp / (2.0 * kap)) * t_sinh_int + bcoef * cosh_int))
+        return float(g), float(g2)
 
     def outside(self, px, py, btol):
         return ~((btol < px) & (px < self.side_x - btol)

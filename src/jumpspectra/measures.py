@@ -6,10 +6,12 @@ two are singular (interior point mass, centred circle).  Each variant answers
 the same calls: ``density(basis)`` (None when singular), ``integral(basis,
 f)``, ``moments(basis)`` (the sequence ``<chi_n>_mu`` that drives the
 secular series, in closed form whenever the variant admits one),
-``restart(domain, basis)`` (the walk's draw of restart points) and
-``check_band(domain, band)`` (rejects a support the walk's boundary band
-would kill at once).  The singular variants also give
-``support_distance(domain)``, the boundary distance of their support.
+``anchors(basis)`` (the secular series' tail anchors, in closed form for the
+uniform, ground-state and perturbed variants), ``restart(domain, basis)``
+(the walk's draw of restart points) and ``check_band(domain, band)``
+(rejects a support the walk's boundary band would kill at once).  The
+singular variants also give ``support_distance(domain)``, the boundary
+distance of their support.
 
 A measure supported partly on the boundary reduces to its interior part
 renormalised to unit mass, so the optional ``boundary_mass`` field only
@@ -30,7 +32,8 @@ from ._kernels import (circle_draw, fixed_draw, grid_ratio, radial_ratio,
 from .errors import (MassDeficitError, MeasureError, NegativeDensityError,
                      UnsupportedMeasureError)
 from .bessel import bessel_zero, jv
-from .geometry import BasisSet, Disk, Domain
+from .geometry import (BasisSet, Disk, Domain, torsion_function,
+                       torsion_second)
 
 _MASS_TOL = 1e-9
 _POINTWISE_TOL = 1e-12
@@ -60,11 +63,18 @@ class MeasureMoments:
 # ---------------------------------------------------------------------------
 
 class _Variant:
-    """Validates ``boundary_mass`` when a variant is built."""
+    """Validates ``boundary_mass`` when a variant is built, and integrates
+    the tail anchors against the measure where no closed form is known."""
 
     def __post_init__(self):
         if not 0.0 <= self.boundary_mass < 1.0:
             raise MeasureError("boundary_mass must lie in [0, 1)")
+
+    def anchors(self, basis: BasisSet) -> tuple[float, float]:
+        """``<R_D(0) 1>_mu`` and ``<R_D(0)^2 1>_mu``: the torsion function
+        and its iterate integrated against the measure."""
+        return (measure_integral(self, basis, torsion_function(basis.domain)),
+                measure_integral(self, basis, torsion_second(basis.domain)))
 
 
 class _Density(_Variant):
@@ -119,6 +129,11 @@ class UniformMeasure(_Density):
         return MeasureMoments(self, basis, basis.one_coeffs / area,
                               area ** -0.5)
 
+    def anchors(self, basis: BasisSet) -> tuple[float, float]:
+        area = basis.domain.area
+        g, g2 = basis.domain.torsion_integrals()
+        return g / area, g2 / area
+
     def restart(self, domain: Domain, basis: BasisSet | None):
         return uniform_draw(domain)
 
@@ -137,6 +152,12 @@ class GroundStateMeasure(_Density):
         moments = np.zeros(len(basis))
         moments[0] = norm
         return MeasureMoments(self, basis, moments, norm)
+
+    def anchors(self, basis: BasisSet) -> tuple[float, float]:
+        # (g, chi_1) = (1, chi_1)/lambda_1 and (g2, chi_1) = (1,
+        # chi_1)/lambda_1^2, over the density's normalisation (1, chi_1)
+        lam = float(basis.eigenvalues[0])
+        return 1.0 / lam, 1.0 / lam ** 2
 
     def restart(self, domain: Domain, basis: BasisSet | None):
         """Rejection against J0(j_01 r) over the radius on the disk, against
@@ -200,6 +221,15 @@ class PerturbedMeasure(_Density):
         # Parseval: |w_base + v|^2 = |w_base|^2 + 2 (w_base, v) + |v|^2
         return MeasureMoments(self, basis, base.moments + v, math.sqrt(
             base.l2_density_norm ** 2 + 2.0 * (v @ base.moments) + v @ v))
+
+    def anchors(self, basis: BasisSet) -> tuple[float, float]:
+        # (g, chi_n) = (1, chi_n)/lambda_n and (g2, chi_n) = (1,
+        # chi_n)/lambda_n^2, so v adds v . (o/lambda) and v . (o/lambda^2)
+        v = self.coefficients(basis)
+        g, g2 = self.base.anchors(basis)
+        o_lam = basis.one_coeffs / basis.eigenvalues
+        return (g + float(v @ o_lam),
+                g2 + float(v @ (o_lam / basis.eigenvalues)))
 
 
 @dataclass(frozen=True)
@@ -304,8 +334,9 @@ def density_from_grid(values: np.ndarray, domain: Domain) -> Callable:
     return w
 
 
-# Module-level entry points: secular and numrange call the measure through
-# these names, and perfbench/tracer.py wraps them to time and count the layer.
+# Module-level entry points: the CLI, numrange and the quadrature anchors call
+# the measure through these names, and perfbench/tracer.py wraps them to time
+# and count the layer.
 
 def measure_integral(spec: MeasureSpec, basis: BasisSet, f: Callable) -> float:
     """Integral of ``f`` against the measure (quadrature, point or line)."""

@@ -8,10 +8,10 @@ function,
 is meromorphic with simple real poles; its zeros off the Dirichlet spectrum
 are exactly the nonzero point spectrum of the restart generator.  The series
 is truncated at the basis cutoff.  Two exact low-order anchors (integrals of
-the torsion function and its second-order iterate against the measure)
-restore the dropped tail to first order in ``lam``, so evaluated values are
-far more accurate than the raw truncation; the remaining error is reported
-as a certified bound.
+the torsion function and its second-order iterate against the measure, which
+the measure answers) restore the dropped tail to first order in ``lam``, so
+evaluated values are far more accurate than the raw truncation; the remaining
+error is reported as a certified bound.
 
 Root finding, and every piece of operator algebra downstream, uses the
 truncated sum itself ("model" values): inside the truncated model all
@@ -29,13 +29,18 @@ import numpy as np
 
 from .errors import (CutoffExceededError, PoleProximityError,
                      UndecidableError)
-from .geometry import BasisSet, _leggauss, torsion_function, torsion_second
-from .measures import MeasureMoments, measure_integral
+from .geometry import BasisSet, _leggauss
+from .measures import MeasureMoments
 
 INERT_TOL = 1e-12
 WARN_TOL = 1e-8
 _ROOT_GRID = 256          # sign-test nodes per inter-pole gap of real_roots_in
 _AXIS_BAND = 1e-6         # |Im| below which complex_roots_in does not search
+# Points x poles per block of the pole sums: their complex temporaries (64
+# KiB) stay under glibc's default 128 KiB mmap threshold and come from the
+# heap, where one block reuses the last one's memory, instead of being
+# mapped and faulted in afresh on every call.
+_SUM_TERMS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -56,14 +61,25 @@ class SecularSeries:
 
     # -- raw sums ----------------------------------------------------------
 
+    def _pole_sum(self, lam, term):
+        """``sum_n term(z)[n]`` at each point, ``z`` a column of points, in
+        blocks of at most ``_SUM_TERMS`` points x poles; every point's sum
+        is its own reduction, so the blocks leave its bits unchanged."""
+        lam = np.asarray(lam, dtype=complex)
+        flat = lam.ravel()
+        out = np.empty(flat.size, dtype=complex)
+        rows = max(1, _SUM_TERMS // max(self.poles.size, 1))
+        for lo in range(0, flat.size, rows):
+            out[lo:lo + rows] = np.sum(term(flat[lo:lo + rows, None]), axis=-1)
+        return out.reshape(lam.shape)
+
     def sum_values(self, lam):
         """Truncated model value at (arrays of) complex points."""
-        lam = np.asarray(lam, dtype=complex)
-        return np.sum(self.residues / (self.poles - lam[..., None]), axis=-1)
+        return self._pole_sum(lam, lambda z: self.residues / (self.poles - z))
 
     def sum_derivative(self, lam):
-        lam = np.asarray(lam, dtype=complex)
-        return np.sum(self.residues / (self.poles - lam[..., None]) ** 2, axis=-1)
+        return self._pole_sum(
+            lam, lambda z: self.residues / (self.poles - z) ** 2)
 
     def anchored_tail_bound(self, lam) -> float:
         """Error bound of the anchored value (tight for |lam| << cutoff)."""
@@ -124,10 +140,7 @@ def build_secular_series(basis: BasisSet,
     residues = np.asarray(pole_res)
 
     # exact full-series anchors: <R_D(0) 1>_mu and <R_D(0)^2 1>_mu
-    g = torsion_function(basis.domain)
-    g2 = torsion_second(basis.domain)
-    m0_full = measure_integral(moments.spec, basis, g)
-    m1_full = measure_integral(moments.spec, basis, g2)
+    m0_full, m1_full = moments.spec.anchors(basis)
     retained0 = float(np.sum(alpha / basis.eigenvalues))
     retained1 = float(np.sum(alpha / basis.eigenvalues ** 2))
     t0 = m0_full - retained0

@@ -555,5 +555,7 @@ def test_prop_real_needs_the_level_2_hypothesis(tmp_path, k, detail):
                          for r in check(cli.build_experiment(cfg, str(tmp_path)))}
     assert rows["run"]["prop_real"] == ("inapplicable", detail)
     assert rows["verify"]["first_eigenvalue_bound"] == ("inapplicable", detail)
-    assert rows["run"]["enclosure_thm2"][0] == ("pass" if k == 1
-                                                else "inapplicable")
+    # at level 1 interlacing has no gap to check, at level 2 no admissible v
+    assert rows["run"]["enclosure_thm2"] == (
+        "inapplicable", "no gap lies below the first active pole" if k == 1
+        else detail)

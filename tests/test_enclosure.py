@@ -114,9 +114,11 @@ def test_derivative_positive_on_gap_grid(rect_admissible):
 
 
 def test_interlacing_k1_vacuous(rect_admissible):
+    # level 1 has no gap between active poles, so there is nothing to certify
     _, cert, _, series, _ = rect_admissible
     res = en.check_interlacing(series, cert, 1)
-    assert res.verdict == en.PASS
+    assert res.verdict == en.INAPPLICABLE
+    assert res.detail == "no gap lies below the first active pole"
     assert res.intervals == ()
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
-from jumpspectra import geometry, measures
+from jumpspectra import geometry, measures, secular
 from jumpspectra.cli import make_mode_perturbation
 from jumpspectra.errors import (MassDeficitError, MeasureError,
                                 NegativeDensityError, UnsupportedMeasureError)
@@ -236,6 +236,45 @@ def measure_digest(spec, basis):
 def test_measure_pinned_digest(name, disk_basis, rect_basis):
     basis = disk_basis if name.startswith("disk") else rect_basis
     assert measure_digest(pinned_spec(name, basis), basis) == PINNED[name]
+
+
+CLOSED_FORM_ANCHORS = ("uniform", "ground_state", "perturbed_uniform",
+                       "perturbed_ground_state")
+
+
+@pytest.mark.parametrize("name", [f"{d}-{m}" for d in ("disk", "rect")
+                                  for m in CLOSED_FORM_ANCHORS])
+def test_closed_form_anchors_match_quadrature(name, disk_basis, rect_basis):
+    # the torsion callables on the node rule are the reference
+    basis = disk_basis if name.startswith("disk") else rect_basis
+    spec = pinned_spec(name, basis)
+    quad = [measures.measure_integral(spec, basis, g(basis.domain))
+            for g in (geometry.torsion_function, geometry.torsion_second)]
+    for exact, ref in zip(spec.anchors(basis), quad):
+        assert abs(exact - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_anchors_integrate_only_without_closed_form(name, disk_basis,
+                                                    rect_basis, monkeypatch):
+    # the uniform, ground-state and perturbed anchors are finite sums; the
+    # density, point-mass and circle anchors integrate the torsion callables
+    # against the measure, once each
+    basis = disk_basis if name.startswith("disk") else rect_basis
+    spec = pinned_spec(name, basis)
+    mom = measures.compute_moments(spec, basis)
+    closed = name.split("-")[1] in CLOSED_FORM_ANCHORS
+    calls = []
+
+    def integral(*args):
+        if closed:
+            raise AssertionError(f"{name}: closed-form anchors integrated")
+        calls.append(args)
+        return 0.0
+
+    monkeypatch.setattr(type(spec), "integral", integral)
+    secular.build_secular_series(basis, mom)
+    assert len(calls) == (0 if closed else 2)
 
 
 def test_boundary_mass_validation(disk_basis):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.optimize import brentq as scipy_brentq
 from scipy.special import jn_zeros
 
 from jumpspectra import measures, secular
+from jumpspectra.cli import make_mode_perturbation
 from jumpspectra.errors import (CutoffExceededError, PoleProximityError,
                                 UndecidableError)
 
@@ -385,3 +387,49 @@ def test_edge_integral_two_segments_per_split(uniform_disk, monkeypatch):
     secular._edge_integral(uniform_disk, 5 + 0.5j, 40 + 0.5j)
     assert calls["edge"] > 1
     assert calls["segment"] == 1 + 2 * calls["edge"]
+
+
+# --- blocked pole sums -------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def perturbed_rect(rect_basis):
+    """The cutoff-2000 rectangle series of a perturbation on modes {0, 1, 4},
+    the shape of the benchmark's certificate workload."""
+    v = make_mode_perturbation(rect_basis, {0: 0.7, 1: 0.4, 4: 0.5}, 0.02)
+    spec = measures.PerturbedMeasure(measures.UniformMeasure(), v)
+    return secular.build_secular_series(
+        rect_basis, measures.compute_moments(spec, rect_basis))
+
+
+def root_grid(series):
+    """The sign-test grid of ``real_roots_in`` on the third gap."""
+    a, b = secular._gap_segments(series, series.poles[2], series.poles[3])[0]
+    return np.linspace(a, b, secular._ROOT_GRID).astype(complex)
+
+
+def test_blocked_pole_sums_keep_every_bit(perturbed_rect):
+    series = perturbed_rect
+    rows = secular._SUM_TERMS // series.poles.size
+    # poles beyond the point on either side make |Re| of pole - z both
+    # larger and smaller than |Im|
+    re, im = np.meshgrid(np.linspace(-50.0, 1500.0, 23),
+                         np.linspace(0.5, 900.0, 19), indexing="ij")
+    for lam in (root_grid(series), re + 1j * im, np.complex128(37.5 + 2j)):
+        assert lam.size == 1 or lam.size > rows
+        d = series.poles - np.asarray(lam)[..., None]
+        values = np.sum(series.residues / d, axis=-1)
+        derivative = np.sum(series.residues / d ** 2, axis=-1)
+        assert np.array_equal(series.sum_values(lam), values)
+        assert np.array_equal(series.sum_derivative(lam), derivative)
+
+
+def test_pole_sum_temporaries_stay_small(perturbed_rect):
+    # as one block, a sign-test grid would make 4 MB of temporaries
+    xs = root_grid(perturbed_rect)
+    tracemalloc.start()
+    try:
+        perturbed_rect.sum_values(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
