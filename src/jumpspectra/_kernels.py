@@ -11,10 +11,9 @@ stands.  Positions within a pass are running sums over the steps, which add
 left to right, so each equals the per-step update ``x + step * z`` bit for
 bit.  One reduction finds each path's first exit; a path that exits at row f
 advances its counter by f + 1 steps, restarts from the measure and walks on
-in the next pass.  The histogram counts are integers and each restart is
-stored with its step, so the histogram, the first restart samples in (step,
-path) order and the counters are bitwise identical to those of a per-step
-loop over all paths, whatever the block size.
+in the next pass.  The histogram counts are integers, so the histogram and
+the counters are bitwise identical to those of a per-step loop over all
+paths, whatever the block size.
 
 A shard allocates its pass buffers once: counter states, a shift temporary,
 radii and angles (reused for the step midpoints) and positions.  A pass of
@@ -30,10 +29,9 @@ bits, counters and counts of drawing one round at a time.
 
 Since the streams are per path, the paths split into contiguous shards that
 walk apart: one in the calling process and the others in children made by
-``os.fork``, one shard per available CPU.  Each shard returns its first
-``restart_cap`` restarts by (step, path), with at most as many again; the
-histograms and counters are summed and the restart samples sorted once,
-so the result has the same bits at any shard count.
+``os.fork``, one shard per available CPU.  Each shard returns its histogram
+and counters, which are summed, so the result has the same bits at any shard
+count.
 
 The domain object supplies the interior test, the uniform sampler and the
 occupation cells.  The restart measure supplies a draw ``draw(state, idx) ->
@@ -290,14 +288,13 @@ def _outcome(shard, status, data):
     return value
 
 
-def run_walk(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap):
+def run_walk(seeds, n_steps, dt, btol, domain, draw, n_bins):
     """Walk every path ``n_steps`` steps from ``draw``, the restart
-    measure's draw; returns (hist, samples, stats).
+    measure's draw; returns (hist, None, stats).
 
-    The histogram counts the domain's occupation cells for ``n_bins``.
-    ``samples`` holds the first ``restart_cap`` restart points in (step,
-    path) order, and ``stats`` the restart count, the rejection attempts and
-    the rejection accepts.
+    The histogram counts the domain's occupation cells for ``n_bins``, and
+    ``stats`` holds the restart count, the rejection attempts and the
+    rejection accepts.
 
     The paths are split into contiguous shards (``_shard_count``); shard 0
     walks here and each other shard in a forked child, which inherits
@@ -310,7 +307,7 @@ def run_walk(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap):
 
     def shard(i):
         return _walk_shard(seeds[cut[i]:cut[i + 1]], n_steps, dt, btol,
-                           domain, draw, n_bins, restart_cap)
+                           domain, draw, n_bins)
 
     children = []
     try:
@@ -331,27 +328,19 @@ def run_walk(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap):
             except ChildProcessError:     # reaped above
                 pass
 
-    hist, stats = (sum(p[k] for p in parts) for k in (0, 4))
-    points, steps, paths = (np.concatenate(v) for v in zip(
-        *((p[1], p[2], p[3] + lo) for p, lo in zip(parts, cut))))
-    order = np.lexsort((paths, steps))[:restart_cap]
-    return hist, points[order], stats
+    hist, stats = map(sum, zip(*parts))
+    # the middle slot stays: perfbench/tracer.py reads stats as out[2]
+    # (ROADMAP G)
+    return hist, None, stats
 
 
-def _walk_shard(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap):
-    """The walk of the paths ``seeds``; returns (hist, restart points, their
-    steps, their paths, stats), paths counted from the first of ``seeds``.
-    A pass advances every unfinished path up to ``block`` steps on its own
-    clock; a path that exits at row f uses f + 1 of them and restarts.  The
-    unsorted restarts are pruned to the first ``restart_cap`` by (step, path)
-    whenever more than twice that many are held: a pruned one already has
-    ``restart_cap`` before it, so it can never be among the first."""
+def _walk_shard(seeds, n_steps, dt, btol, domain, draw, n_bins):
+    """The walk of the paths ``seeds``; returns (hist, stats).  A pass
+    advances every unfinished path up to ``block`` steps on its own clock; a
+    path that exits at row f uses f + 1 of them and restarts."""
     n_paths = seeds.size
     hist = np.zeros(domain.cell_areas(n_bins).size, dtype=np.int64)
     stats = np.zeros(3, dtype=np.int64)
-    # (steps, paths, x, y) of kept restarts, from an empty entry
-    events = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),) * 2]
-    held = 0
     step = math.sqrt(2.0 * dt)
     state = seeds.copy()
     x = np.empty(n_paths)
@@ -428,17 +417,7 @@ def _walk_shard(seeds, n_steps, dt, btol, domain, draw, n_bins, restart_cap):
         gone = act[hc]
         _np_restart(state, gone, draw, domain, btol, stats, x, y)
         stats[0] += gone.size
-        events.append((clock[gone] + first[hc], gone, x[gone], y[gone]))
-        held += gone.size
-        if held > 2 * restart_cap:
-            steps, paths, rx, ry = (np.concatenate(v) for v in zip(*events))
-            # keys are distinct: a path exits at most once per step
-            keep = np.argpartition(steps * n_paths + paths,
-                                   restart_cap)[:restart_cap]
-            events = [(steps[keep], paths[keep], rx[keep], ry[keep])]
-            held = restart_cap
         clock[act] += used
         act = act[clock[act] < n_steps]
 
-    steps, paths, rx, ry = (np.concatenate(v) for v in zip(*events))
-    return hist, np.column_stack((rx, ry)), steps, paths, stats
+    return hist, stats

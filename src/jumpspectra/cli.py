@@ -45,7 +45,7 @@ _DEFAULTS = {
     "window": [-1.0, 60.0, -15.0, 15.0],
     "k": 2,
     "thresholds": [0.1, 0.2, 0.3, 0.4],
-    "seed": 20240817,
+    "seed": st.WalkConfig.seed,
 }
 
 
@@ -251,15 +251,16 @@ def _walk_settings(cfg: dict, domain) -> tuple[st.WalkConfig, float]:
         return _read(wcfg, key, default, convert, positive, where="walk.")
 
     tol = wcfg.get("boundary_tolerance")
+    default = st.WalkConfig()
     config = st.WalkConfig(
-        step_dt=read("step_dt", 1e-5, float),
-        n_steps=read("n_steps", 100_000, _integer),
-        n_paths=read("n_paths", 1_000, _integer),
+        step_dt=read("step_dt", default.step_dt, float),
+        n_steps=read("n_steps", default.n_steps, _integer),
+        n_paths=read("n_paths", default.n_paths, _integer),
         seed=read("seed", _read(cfg, "seed", None, _integer), _integer,
                   positive=False),
         boundary_tolerance=None if tol is None
         else read("boundary_tolerance", None, float),
-        n_bins=read("n_bins", 24, _integer))
+        n_bins=read("n_bins", default.n_bins, _integer))
     # restarts land only where the band leaves room
     if config.band() >= domain.inradius:
         raise ConfigError(f"walk boundary band {config.band():g} leaves no "
@@ -283,7 +284,7 @@ def build_experiment(cfg: dict, out_dir: str | None = None) -> Experiment:
     if len(window) != 4 or window[0] >= window[1] or window[2] >= window[3]:
         raise ConfigError(f"window must be [re_lo, re_hi, im_lo, im_hi], got {window}")
     cutoff = _read(merged, "cutoff", None, float, positive=True)
-    if window[1] > cutoff - max(50.0, 0.05 * cutoff):
+    if window[1] > cutoff - sec.cutoff_margin(cutoff):
         raise ConfigError("window exceeds the cutoff safety margin")
     k = _read(merged, "k", None, _integer, positive=True)
     thresholds = _read(merged, "thresholds", None, _floats)

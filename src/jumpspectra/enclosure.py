@@ -144,19 +144,12 @@ def check_interlacing(series: SecularSeries,
                            "no gap lies below the first active pole")
     if len(series.poles) < k:
         return CheckResult(name, INAPPLICABLE, f"fewer than {k} active poles")
-    basis = series.basis
-    means = basis.cluster_means()
-    multiple = np.array([len(group) > 1 for group in basis.clusters()])
-    # each of the first k active poles must be a simple Dirichlet eigenvalue;
-    # the clusters within the tolerance lie in the window around it
-    for i in range(k):
-        pole = series.poles[i]
-        tol = 1e-9 * (1 + pole)
-        lo, hi = np.searchsorted(means, [pole - tol, pole + tol])
-        near = slice(max(lo - 1, 0), hi + 1)
-        if np.any((np.abs(means[near] - pole) <= tol) & multiple[near]):
-            return CheckResult(name, INAPPLICABLE, f"active pole {i + 1} at "
-                               f"{pole:.6g} is degenerate")
+    # each of the first k active poles must be a simple Dirichlet eigenvalue
+    degenerate = np.flatnonzero(series.pole_sizes[:k] > 1)
+    if degenerate.size:
+        i = int(degenerate[0])
+        return CheckResult(name, INAPPLICABLE, f"active pole {i + 1} at "
+                           f"{series.poles[i]:.6g} is degenerate")
     intervals = []
     for i in range(k - 1):
         lo, hi = series.poles[i], series.poles[i + 1]

@@ -43,6 +43,11 @@ _AXIS_BAND = 1e-6         # |Im| below which complex_roots_in does not search
 _SUM_TERMS = 1 << 12
 
 
+def cutoff_margin(cutoff: float) -> float:
+    """How far below the cutoff a point must lie to be evaluated."""
+    return max(50.0, 0.05 * cutoff)
+
+
 @dataclass(frozen=True)
 class SecularSeries:
     """Pole/residue data of the secular function plus tail information."""
@@ -51,6 +56,7 @@ class SecularSeries:
     moments: MeasureMoments
     poles: np.ndarray            # distinct non-inert poles, strictly increasing
     residues: np.ndarray         # aggregated residues at those poles
+    pole_sizes: np.ndarray       # modes in the cluster of each of those poles
     inert_poles: np.ndarray      # eigenvalues whose residue is symmetry-killed
     cutoff: float
     t0: float                    # tail of sum alpha/lambda   beyond the cutoff
@@ -102,11 +108,8 @@ class SecularSeries:
         """Certified evaluation error bound: best of the two branches."""
         return min(self.anchored_tail_bound(lam), self.plain_tail_bound(lam))
 
-    def _margin(self) -> float:
-        return max(50.0, 0.05 * self.cutoff)
-
     def _check_point(self, lam: complex):
-        if lam.real > self.cutoff - self._margin():
+        if lam.real > self.cutoff - cutoff_margin(self.cutoff):
             raise CutoffExceededError(
                 f"Re lam = {lam.real} too close to cutoff {self.cutoff}")
         if self.poles.size:
@@ -121,7 +124,7 @@ def build_secular_series(basis: BasisSet,
                          moments: MeasureMoments) -> SecularSeries:
     """Aggregate residues over eigenvalue clusters and compute tail anchors."""
     alpha = basis.one_coeffs * moments.moments
-    pole_vals, pole_res, inert = [], [], []
+    pole_vals, pole_res, pole_sizes, inert = [], [], [], []
     warnings = []
     for group, lam in zip(basis.clusters(), basis.cluster_means().tolist()):
         # np.sum of one value is that value, so only clusters of two or
@@ -135,6 +138,7 @@ def build_secular_series(basis: BasisSet,
                 warnings.append((lam, res))
             pole_vals.append(lam)
             pole_res.append(res)
+            pole_sizes.append(len(group))
 
     poles = np.asarray(pole_vals)
     residues = np.asarray(pole_res)
@@ -159,8 +163,9 @@ def build_secular_series(basis: BasisSet,
         heuristic = True
 
     return SecularSeries(basis, moments, poles, residues,
-                         np.asarray(inert), basis.cutoff, t0, t1,
-                         tail_mass, heuristic, tuple(warnings))
+                         np.asarray(pole_sizes, dtype=int), np.asarray(inert),
+                         basis.cutoff, t0, t1, tail_mass, heuristic,
+                         tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +323,8 @@ def real_roots_in(series: SecularSeries, lo: float,
     """
     if hi <= lo:
         return []
-    series._check_point(complex(hi))
-    for p in series.poles:
-        if abs(lo - p) < 1e-12 * (1 + abs(p)) or abs(hi - p) < 1e-12 * (1 + abs(p)):
-            raise PoleProximityError("interval endpoint sits on a pole")
+    for end in (hi, lo):
+        series._check_point(complex(end))
 
     def f(x):
         return float(np.real(series.sum_values(np.array([complex(x)]))[0]))

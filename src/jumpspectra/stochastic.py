@@ -25,7 +25,6 @@ from ._kernels import check_acceptance, derive_seeds, run_walk
 from .measures import MeasureSpec
 
 _OVERSHOOT = 0.5826          # mean discrete-exit overshoot, units of sqrt(2 dt)
-_RESTART_SAMPLE_CAP = 32_768  # restart points kept, the first in (step, path)
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,6 @@ class OccupationHistogram:
     counts: np.ndarray
     normalized_density: np.ndarray         # per unit area; integrates to 1
     bin_areas: np.ndarray
-    restart_samples: np.ndarray            # (m, 2) restart positions
     n_restarts: int
     used_numba: bool                       # always False: one numpy engine
     rejection_attempts: int = 0
@@ -63,15 +61,15 @@ def simulate_occupation(config: WalkConfig, domain: Domain,
     """Run the walk ensemble and bin the time-weighted occupation."""
     band = config.band()
     spec.check_band(domain, band)
-    hist, samples, stats = run_walk(
+    hist, _, stats = run_walk(
         derive_seeds(config.seed, config.n_paths), config.n_steps,
         config.step_dt, band, domain, spec.restart(domain, basis),
-        config.n_bins, _RESTART_SAMPLE_CAP)
+        config.n_bins)
     # a shard checks the floor itself only from _FLOOR_ATTEMPTS attempts on
     check_acceptance(int(stats[1]), int(stats[2]))
     areas = domain.cell_areas(config.n_bins)
     density = hist / float(np.sum(hist)) / areas
-    return OccupationHistogram(domain, config, hist, density, areas, samples,
+    return OccupationHistogram(domain, config, hist, density, areas,
                                int(stats[0]), False, int(stats[1]),
                                int(stats[2]))
 

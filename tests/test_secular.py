@@ -99,7 +99,8 @@ def test_residue_extraction(uniform_disk):
 @pytest.mark.parametrize("measure", ["uniform", "ground_state"])
 def test_residues_match_per_cluster_sum(square_basis, disk_basis, measure):
     # residues and inert poles are those of one np.sum per cluster, bit for
-    # bit, on a basis with clusters of 1 to 4 modes and on the disk
+    # bit, on a basis with clusters of 1 to 4 modes and on the disk, and each
+    # pole's size is that of its cluster
     spec = {"uniform": measures.UniformMeasure(),
             "ground_state": measures.GroundStateMeasure()}[measure]
     for basis in (square_basis, disk_basis):
@@ -112,6 +113,8 @@ def test_residues_match_per_cluster_sum(square_basis, disk_basis, measure):
         assert np.array_equal(series.residues, sums[live])
         assert np.array_equal(series.poles, basis.cluster_means()[live])
         assert np.array_equal(series.inert_poles, basis.cluster_means()[~live])
+        sizes = np.array([len(g) for g in basis.clusters()])
+        assert np.array_equal(series.pole_sizes, sizes[live])
 
 
 def test_inert_poles(uniform_disk, uniform_rect):

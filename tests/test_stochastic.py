@@ -39,31 +39,32 @@ def test_seed_determinism(disk, disk_basis, small_uniform_run):
     again = st.simulate_occupation(SMALL, disk, measures.UniformMeasure(),
                                    disk_basis)
     assert np.array_equal(small_uniform_run.counts, again.counts)
-    assert np.array_equal(small_uniform_run.restart_samples,
-                          again.restart_samples)
+    assert (small_uniform_run.n_restarts, small_uniform_run.rejection_attempts,
+            small_uniform_run.rejection_accepts) == (
+        again.n_restarts, again.rejection_attempts, again.rejection_accepts)
 
 
-# SHA-256 of (counts, restart samples, restarts/attempts/accepts) of the SMALL
-# walk, recorded on the per-step engine that the block engine replaced
+# SHA-256 of (counts, restarts/attempts/accepts) of the SMALL walk: the bits
+# of the per-step engine that the block engine replaced
 PINNED = {
     "disk-uniform":
-        "0ee766066117f11b580aaebd6e0d872673b6b3e171e5a0a0c745eaad2abc0e56",
+        "58d13487a85cbbb5e7d14a8b1506e4cc3c60b896ee85eb2cb3a3eb0322eabc09",
     "disk-ground_state":
-        "ef59254c73df3fc0a5581d9d7ab2c9997b5dc88d907a0197c2979f807434cfa5",
+        "430204a57eddbcc772afa480b71d41dcaa029195fbc71a067a323241ad7eb163",
     "disk-dirac":
-        "5b381062c88a02788d6b4cd801688544a9881130bed62fa215e1a87dc31f7876",
+        "a8bfa341c30b0714f0e7b8c5361f749ca0d37b73d5f2b9b32c33ecc4405d6a9b",
     "disk-circle":
-        "d6715c03dca80f4104ab77520063ee0054b613d02fa9e6f7601cb0535d9094dd",
+        "92095e447cee01bc19d9274818b1faa82e3ad794703f857d962a72d0af366ba6",
     "disk-density":
-        "51b71392acb142f9d6fdcf221babe7cef2c1ae6e69a9b74c0adcb5df06d2b7a4",
+        "8af49e5b54256790f112e3585cbb634956c5505dd6a61bc9432925218f2f0fa8",
     "rect-uniform":
-        "a7ced5abb55711c16ebec461d91529255dbcd2c008d54192d7609a8f16162ed8",
+        "a90c6f6ff1cdb13cc7472c4117e193dcaa91133512bba8a6dd824c469f7dedd8",
     "rect-dirac":
-        "70015de675c61f3f8a04a97961b13e971659210ba03cb3beac6dbbec6fe1bc0c",
+        "9ea6262993dc6796e73ca1467ba8f00bc59fd5017f5f324a14ebdeeddd9bcbdf",
     "rect-ground_state":
-        "f57a942ade0c0713a21db2a2df7cb54bff11ce14ad0efaf03273e51fc14a8e6a",
+        "c2dd3532d10467e881aae3c053bcbcb68466c1bedc77e509a13a5fa8f60cdc4f",
     "rect-density":
-        "aa0f45f48279062377da1baf59ea2ee66e60a1e32066bab523c1c40d47ff313d",
+        "6ed1c69852334a8725f664aaec469dca6f512dcad36353d0e0aa8921b8f18d5d",
 }
 
 
@@ -99,8 +100,6 @@ def test_engine_pinned_digest(name, walk_domains):
     run = st.simulate_occupation(SMALL, domain, spec, basis)
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(run.counts, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(run.restart_samples,
-                                  dtype=np.float64).tobytes())
     h.update(np.array([run.n_restarts, run.rejection_attempts,
                        run.rejection_accepts], dtype=np.int64).tobytes())
     assert h.hexdigest() == PINNED[name]
@@ -126,11 +125,12 @@ def one_round_restart(state, mask, draw, domain, btol, stats, x, y):
         pending[done] = False
 
 
-def step_loop(seeds, n_steps, dt, btol, domain, draw, n_bins, cap):
+def step_loop(seeds, n_steps, dt, btol, domain, draw, n_bins):
     """The walk one step at a time over all paths: the reference the block
     engine must reproduce bit for bit.  Exits and bins use formulas of their
     own: radial bins on the disk, n_bins x n_bins cells on the rectangle.
-    Also returns the (step, path) of every exit, in that order."""
+    Returns (hist, stats, exits): the (step, path) of every exit, in that
+    order."""
     disk = isinstance(domain, geometry.Disk)
     nx, ny = n_bins, (1 if disk else n_bins)
     d0, d1 = (None, None) if disk else (domain.side_x, domain.side_y)
@@ -145,7 +145,7 @@ def step_loop(seeds, n_steps, dt, btol, domain, draw, n_bins, cap):
 
     restart(np.ones(n, dtype=bool))
     hist = np.zeros(nx * ny, dtype=np.int64)
-    samples, exits = [], []
+    exits = []
     everyone = np.arange(n)
     for t in range(n_steps):
         u1 = _kernels._np_uniform(state, everyone)
@@ -169,10 +169,9 @@ def step_loop(seeds, n_steps, dt, btol, domain, draw, n_bins, cap):
         x[:] = np.where(exited, x, xn)
         y[:] = np.where(exited, y, yn)
         restart(exited)
-        samples += [(x[p], y[p]) for p in np.nonzero(exited)[0]]
         exits += [(t, p) for p in np.nonzero(exited)[0]]
-    stats[0] = len(samples)
-    return hist, np.array(samples[:cap]).reshape(-1, 2), stats, exits
+    stats[0] = len(exits)
+    return hist, stats, exits
 
 
 @pytest.fixture
@@ -185,9 +184,8 @@ def force_shards(monkeypatch):
     return force
 
 
-# paths exit two to four times per 64-step block on average, so their step
-# clocks drift more than a block apart, and every shard holds more than
-# twice the cap, so it prunes
+# (case, paths, steps, dt, seed); paths exit two to four times per 64-step
+# block on average, so their step clocks drift more than a block apart
 DRIFT_CASES = [
     ("disk-uniform", 48, 400, 1e-2, 20),
     ("rect-ground_state", 30, 300, 2e-2, 10),
@@ -197,7 +195,7 @@ ENGINE_CASES = [
     ("disk-ground_state", 40, 37, 1e-4, 100),     # one partial block
     ("disk-uniform", 30, 150, 1e-3, 1000),        # not a multiple of K
     ("rect-density", 1, 500, 1e-2, 1000),         # a single path
-    ("disk-circle", 200, 70, 1e-2, 5),            # cap falls inside a block
+    ("disk-circle", 200, 70, 1e-2, 5),            # many exits per block
     ("rect-uniform", 3000, 12, 1e-2, 10_000),     # wide block, row sums
     *DRIFT_CASES,
 ]
@@ -231,25 +229,24 @@ def clock_drift(exits, paths, n_steps):
 def engine_matches_step_loop(case, walk_domains):
     """Run ``case`` on the engine and on the step loop and assert equal
     bits; returns the reference's exits."""
-    name, n_paths, n_steps, dt, cap = case
+    name, n_paths, n_steps, dt, seed = case
     domain, basis, spec = walk_case(name, walk_domains)
-    args = (derive_seeds(9, n_paths), n_steps, dt,
+    args = (derive_seeds(seed, n_paths), n_steps, dt,
             st.WalkConfig(step_dt=dt).band(), domain,
-            spec.restart(domain, basis), 7, cap)
-    hist, buf, stats = _kernels.run_walk(*args)
-    want_hist, want_buf, want_stats, exits = step_loop(*args)
+            spec.restart(domain, basis), 7)
+    hist, _, stats = _kernels.run_walk(*args)
+    want_hist, want_stats, exits = step_loop(*args)
     assert stats[0] > 0
     assert np.array_equal(hist, want_hist)
-    assert np.array_equal(buf, want_buf)
     assert np.array_equal(stats, want_stats)
     return exits
 
 
-@pytest.mark.parametrize("name, n_paths, n_steps, dt, cap, shards",
+@pytest.mark.parametrize("name, n_paths, n_steps, dt, seed, shards",
                          engine_params())
-def test_engine_matches_step_loop(name, n_paths, n_steps, dt, cap, shards,
+def test_engine_matches_step_loop(name, n_paths, n_steps, dt, seed, shards,
                                   force_shards, walk_domains):
-    case = (name, n_paths, n_steps, dt, cap)
+    case = (name, n_paths, n_steps, dt, seed)
     force_shards(shards)
     exits = engine_matches_step_loop(case, walk_domains)
     if case in DRIFT_CASES:
@@ -258,7 +255,6 @@ def test_engine_matches_step_loop(name, n_paths, n_steps, dt, cap, shards,
             paths = range(n_paths * i // k, n_paths * (i + 1) // k)
             drift, block = clock_drift(exits, paths, n_steps)
             assert drift > block
-            assert sum(p in paths for _, p in exits) > 2 * cap
 
 
 def test_engine_bits_do_not_depend_on_block_width(monkeypatch, force_shards,
@@ -283,7 +279,7 @@ def walk_with_draw_failing(walk_domains, in_parent, in_child):
     failing.uniforms = draw.uniforms
 
     _kernels.run_walk(derive_seeds(2, 20), 50, 1e-3, 0.05, domain, failing,
-                      7, 100)
+                      7)
 
 
 def assert_no_child_left():
@@ -330,36 +326,42 @@ def test_parent_failure_kills_shards(force_shards, walk_domains):
     assert_no_child_left()
 
 
-def test_uniform_restart_distribution(small_uniform_run):
-    # squared restart radii of the uniform measure are uniform on (0, 1)
-    pts = small_uniform_run.restart_samples
-    assert pts.shape[0] > 200
-    r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-    assert kstest(r2, "uniform").pvalue > 0.01
+def restart_radii(spec, disk, disk_basis, n=10_000):
+    """Radii of ``n`` restarts from ``spec``'s draw through the kernel's
+    restart, band rejection included, at the SMALL walk's band; returns
+    (radii, outer radius of the band)."""
+    band = SMALL.band()
+    x, y = np.full(n, np.nan), np.full(n, np.nan)
+    _kernels._np_restart(derive_seeds(SMALL.seed, n), np.arange(n),
+                         spec.restart(disk, disk_basis), disk, band,
+                         np.zeros(3, dtype=np.int64), x, y)
+    return np.hypot(x, y), 1.0 - band
+
+
+def test_uniform_restart_distribution(disk, disk_basis):
+    # squared radii of uniform restarts off the band are uniform on (0, b^2)
+    r, b = restart_radii(measures.UniformMeasure(), disk, disk_basis)
+    assert r.max() < b
+    assert kstest(r ** 2, "uniform", args=(0.0, b * b)).pvalue > 0.01
 
 
 def test_ground_state_restart_distribution(disk, disk_basis):
-    run = st.simulate_occupation(SMALL, disk, measures.GroundStateMeasure(),
-                                 disk_basis)
-    r = np.hypot(run.restart_samples[:, 0], run.restart_samples[:, 1])
+    r, b = restart_radii(measures.GroundStateMeasure(), disk, disk_basis)
 
-    def cdf(x):
-        return x * jv(1, J01 * x) / jv(1, J01)
+    def mass(x):            # ground-state mass of the disk of radius x
+        return x * jv(1, J01 * x)
 
-    assert kstest(r, cdf).pvalue > 0.01
+    assert r.max() < b
+    assert kstest(r, lambda x: mass(x) / mass(b)).pvalue > 0.01
 
 
 def test_dirac_restarts(disk, disk_basis):
-    run = st.simulate_occupation(SMALL, disk, measures.DiracMeasure(0.0, 0.0),
-                                 disk_basis)
-    assert np.abs(run.restart_samples).max() == 0.0
-    assert run.normalized_density[0] > 0
+    r, _ = restart_radii(measures.DiracMeasure(0.0, 0.0), disk, disk_basis)
+    assert r.max() == 0.0
 
 
 def test_circle_restarts(disk, disk_basis):
-    run = st.simulate_occupation(SMALL, disk, measures.CircleMeasure(0.5),
-                                 disk_basis)
-    r = np.hypot(run.restart_samples[:, 0], run.restart_samples[:, 1])
+    r, _ = restart_radii(measures.CircleMeasure(0.5), disk, disk_basis)
     assert np.abs(r - 0.5).max() < 1e-12
 
 
@@ -485,7 +487,7 @@ def test_shard_rejection_floor_reraised(force_shards, disk):
     with pytest.raises(RejectionEfficiencyError,
                        match="^rejection acceptance 0/10000 fell below 1%$"):
         _kernels.run_walk(derive_seeds(2, 20), 50, 1e-3, 0.05, disk, draw,
-                          7, 100)
+                          7)
     assert_no_child_left()
 
 

@@ -63,8 +63,12 @@ def test_kernel_has_no_restart_code():
     names |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
     assert not [name for name in names if "code" in name]
     assert list(inspect.signature(_kernels.run_walk).parameters) == [
-        "seeds", "n_steps", "dt", "btol", "domain", "draw", "n_bins",
-        "restart_cap"]
+        "seeds", "n_steps", "dt", "btol", "domain", "draw", "n_bins"]
+    # the walk keeps no restart samples: no cap, event list or merge sort
+    with open(os.path.join(SRC, "_kernels.py")) as fh:
+        text = fh.read()
+    assert not [word for word in ("restart_cap", "events", "lexsort")
+                if word in text]
     # the restart loop compares nothing with an integer literal
     restart = next(node for node in ast.walk(tree)
                    if isinstance(node, ast.FunctionDef)
