@@ -11,7 +11,7 @@ from .measures import (AdmissibilityCertificate, CircleMeasure, DensityMeasure,
                        compute_moments)
 from .secular import (RootReport, SecularSeries, build_secular_series,
                       complex_roots_in, eval_secular, eval_secular_derivative,
-                      eval_secular_truncated, real_roots_in)
+                      real_roots_in)
 from .spectrum import (EigenFunction, SpectrumReport, assemble_spectrum,
                        eigenfunction_at, rayleigh_identity_check)
 from .resolvent import (SpectralVector, apply_adjoint_resolvent,
@@ -21,7 +21,7 @@ from .enclosure import (CheckResult, bound_first_eigenvalue,
                         check_halfplane_exclusion, check_interlacing,
                         check_nested_enclosure, emit_matryoshka_curves,
                         matryoshka_ratio)
-from .numrange import ProbeProfile, blowup_fit, rayleigh_probe, sweep
+from .numrange import blowup_fit, rayleigh_probe, sweep
 from .stochastic import (OccupationHistogram, WalkConfig, compare_stationary,
                          simulate_occupation, stationary_prediction)
 

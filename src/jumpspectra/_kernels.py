@@ -399,14 +399,12 @@ def _walk_shard(seeds, n_steps, dt, btol, domain, draw, n_bins):
         used = np.where(hit, first + 1, rem)       # steps this pass consumed
         live = rows < used
         hc = np.nonzero(hit)[0]
-        # step midpoints, or the old position on the exit step; the radii
-        # and angles are spent
+        # step midpoints, the exit step's included; the radii and angles
+        # are spent
         bx, by = r, ang
         for B, P in ((bx, X), (by, Y)):
             np.add(P[:-1], P[1:], out=B)
             B *= 0.5
-        bx[first[hc], hc] = X[first[hc], hc]
-        by[first[hc], hc] = Y[first[hc], hc]
         # rows past an exit go to the dropped cell hist.size
         cells = np.where(live, domain.bin_index(bx, by, n_bins), hist.size)
         hist += np.bincount(cells.ravel(), minlength=hist.size + 1)[:-1]

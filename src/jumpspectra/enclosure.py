@@ -19,8 +19,8 @@ counterexample to the corresponding enclosure statement.
 Level counting runs over the active (non-inert) poles of the secular
 series: on symmetric domains whole families of modes have identically zero
 mean coefficient and drop out of the series, carrying no obstruction.  The
-literal enumeration threshold is reported alongside in the admissibility
-certificate.
+literal enumeration threshold is computed alongside in the admissibility
+certificate (``threshold_literal``), but no output prints it.
 """
 
 from __future__ import annotations
@@ -165,12 +165,16 @@ def check_interlacing(series: SecularSeries,
 def bound_first_eigenvalue(series: SecularSeries,
                            cert: AdmissibilityCertificate,
                            moments: MeasureMoments) -> CheckResult:
-    """Bracket and two-pole bound for the smallest nonzero real eigenvalue.
+    """Bracket and two-pole bound for the real eigenvalue in the first
+    active gap, between the first two non-inert poles of the series.
 
-    Requires the level-2 hypothesis: a certificate at level k >= 2 implies
-    it, since the smallness threshold only falls as k grows.  Returns the
-    located eigenvalue in the first active gap together with the slack of
-    the two-pole remainder bound evaluated at it.
+    That root need not be the smallest nonzero real eigenvalue: inert
+    Dirichlet values (symmetry-killed poles) below it are not ruled out,
+    and the detail only notes those inside the bracket.  Requires the
+    level-2 hypothesis: a certificate at level k >= 2 implies it, since the
+    smallness threshold only falls as k grows.  Returns the located
+    eigenvalue together with the slack of the two-pole remainder bound
+    evaluated at it.
     """
     name = "first_eigenvalue_bound"
     if cert.k < 2:
@@ -234,8 +238,7 @@ def check_nested_enclosure(report: SpectrumReport,
 
 def ratio_field(basis: BasisSet, re_grid: np.ndarray, im_grid: np.ndarray):
     """Enclosure field on a grid, shape (len(re_grid), len(im_grid))."""
-    RE, IM = np.meshgrid(re_grid, im_grid, indexing="ij")
-    return matryoshka_ratio(RE + 1j * IM, basis)
+    return matryoshka_ratio(re_grid[:, None] + 1j * im_grid, basis)
 
 
 # Cell (i, j) has corners (i, j), (i+1, j), (i+1, j+1), (i, j+1), bits 1, 2,

@@ -596,8 +596,10 @@ class Rectangle:
         return values
 
     def bin_index(self, bx, by, n_bins: int):
-        ix = np.minimum((bx / self.side_x * n_bins).astype(int), n_bins - 1)
-        iy = np.minimum((by / self.side_y * n_bins).astype(int), n_bins - 1)
+        """Cell of each point, clamped to the grid: an exit step's midpoint
+        lies up to half a step outside the wall."""
+        ix = np.clip((bx / self.side_x * n_bins).astype(int), 0, n_bins - 1)
+        iy = np.clip((by / self.side_y * n_bins).astype(int), 0, n_bins - 1)
         return ix * n_bins + iy
 
     def _edges(self, n_bins: int):

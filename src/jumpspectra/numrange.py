@@ -26,6 +26,7 @@ from .measures import MeasureSpec, measure_integral
 
 DIRECTIONS = (1.0 + 0j, -1.0 + 0j, 1j, -1j)
 DIRECTION_LABELS = {1.0: "+1", -1.0: "-1", 1j: "+i", -1j: "-i"}
+BUMP_RADIUS_FRAC = 0.25       # bump radius as a fraction of the inradius
 
 
 def profile(s):
@@ -37,21 +38,6 @@ def profile(s):
 def profile_derivative(s):
     s = np.asarray(s, dtype=float)
     return (1.0 - s) * (1.0 - 3.0 * s)
-
-
-@dataclass(frozen=True)
-class ProbeProfile:
-    """One boundary-layer trial function."""
-
-    direction: complex            # slope of the profile at the boundary
-    epsilon: float
-    bump_radius_frac: float = 0.25
-
-    def __post_init__(self):
-        if self.direction not in DIRECTIONS:
-            raise ValueError("direction must be one of +-1, +-i")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -111,9 +97,8 @@ class _LayerTerms:
     sum_gp_sq: float
 
 
-def _bump_terms(basis: BasisSet, spec: MeasureSpec,
-                frac: float) -> _BumpTerms:
-    theta, theta_grad_sq, rb = _bump(basis.domain, frac)
+def _bump_terms(basis: BasisSet, spec: MeasureSpec) -> _BumpTerms:
+    theta, theta_grad_sq, rb = _bump(basis.domain, BUMP_RADIUS_FRAC)
     theta_mass = measure_integral(spec, basis, theta)
     if abs(theta_mass) < 1e-12:
         raise GeometryError(
@@ -158,8 +143,11 @@ def _layer_terms(basis: BasisSet, spec: MeasureSpec, eps: float,
                        float(np.sum(lw * gp_vals ** 2)))
 
 
-def _quotient(d: complex, layer: _LayerTerms, bump: _BumpTerms,
-              domain) -> RayleighSample:
+def rayleigh_probe(d: complex, layer: _LayerTerms, bump: _BumpTerms,
+                   domain) -> RayleighSample:
+    """Quotient of the generator quadratic form over the trial state of
+    direction ``d`` on one layer width, from that width's direction-free
+    collar sums and the shared bump integrals."""
     eps = layer.epsilon
     b_eps = d * layer.b_raw
     int_phi = d * math.sqrt(eps) * layer.sum_g
@@ -176,23 +164,15 @@ def _quotient(d: complex, layer: _LayerTerms, bump: _BumpTerms,
                           boundary_term, volume_term)
 
 
-def rayleigh_probe(prof: ProbeProfile, basis: BasisSet,
-                   spec: MeasureSpec) -> RayleighSample:
-    """Quotient of the generator quadratic form over the layer trial state."""
-    bump = _bump_terms(basis, spec, prof.bump_radius_frac)
-    layer = _layer_terms(basis, spec, prof.epsilon, bump.radius)
-    return _quotient(complex(prof.direction), layer, bump, basis.domain)
-
-
 def sweep(basis: BasisSet, spec: MeasureSpec,
           epsilons) -> list[RayleighSample]:
     """``rayleigh_probe`` over ``DIRECTIONS`` x epsilons, sharing the
     direction-free layer and bump integrals."""
     epsilons = [float(eps) for eps in epsilons]
-    bump = _bump_terms(basis, spec, ProbeProfile.bump_radius_frac)
+    bump = _bump_terms(basis, spec)
     layers = {eps: _layer_terms(basis, spec, eps, bump.radius)
               for eps in epsilons}
-    return [_quotient(complex(d), layers[eps], bump, basis.domain)
+    return [rayleigh_probe(complex(d), layers[eps], bump, basis.domain)
             for d in DIRECTIONS for eps in epsilons]
 
 

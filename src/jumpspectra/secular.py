@@ -87,26 +87,28 @@ class SecularSeries:
         return self._pole_sum(
             lam, lambda z: self.residues / (self.poles - z) ** 2)
 
-    def anchored_tail_bound(self, lam) -> float:
-        """Error bound of the anchored value (tight for |lam| << cutoff)."""
-        lam = complex(lam)
+    def _tail_bounds(self, lam):
+        """Error bounds at (arrays of) points of the anchored value (tight
+        for |lam| << cutoff) and of the raw truncated sum (tight for lam
+        far left), both infinite where ``cutoff - Re lam <= 0``."""
+        lam = np.asarray(lam, dtype=complex)
         gap = self.cutoff - lam.real
-        if gap <= 0:
-            return math.inf
-        return (abs(lam) ** 2 * self.tail_mass / (self.cutoff ** 2 * gap)
-                + 1e-12 * (1.0 + abs(lam)))
+        # |lam| and |lam|^2 through libm's hypot and pow, the bits of
+        # Python's abs() and ** on one point
+        mod = np.hypot(lam.real, lam.imag)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            anchored = (np.float_power(mod, 2) * self.tail_mass
+                        / (self.cutoff ** 2 * gap)
+                        + 1e-12 * (1.0 + mod))
+            plain = self.tail_mass / gap + 1e-13 * (1.0 + mod)
+        beyond = gap <= 0
+        return (np.where(beyond, np.inf, anchored),
+                np.where(beyond, np.inf, plain))
 
-    def plain_tail_bound(self, lam) -> float:
-        """Error bound of the raw truncated sum (tight for lam far left)."""
-        lam = complex(lam)
-        gap = self.cutoff - lam.real
-        if gap <= 0:
-            return math.inf
-        return self.tail_mass / gap + 1e-13 * (1.0 + abs(lam))
-
-    def tail_bound(self, lam) -> float:
-        """Certified evaluation error bound: best of the two branches."""
-        return min(self.anchored_tail_bound(lam), self.plain_tail_bound(lam))
+    def tail_bound(self, lam):
+        """Certified evaluation error bound at (arrays of) points: the best
+        of the two branches."""
+        return np.minimum(*self._tail_bounds(lam))
 
     def _check_point(self, lam: complex):
         if lam.real > self.cutoff - cutoff_margin(self.cutoff):
@@ -182,16 +184,10 @@ def eval_secular(series: SecularSeries, lam) -> tuple[complex, float]:
     lam = complex(lam)
     series._check_point(lam)
     plain = complex(series.sum_values(np.array([lam]))[0])
-    if series.anchored_tail_bound(lam) <= series.plain_tail_bound(lam):
-        return plain + series.t0 + lam * series.t1, series.anchored_tail_bound(lam)
-    return plain, series.plain_tail_bound(lam)
-
-
-def eval_secular_truncated(series: SecularSeries, lam) -> complex:
-    """Truncated model value (the one all operator algebra is built on)."""
-    lam = complex(lam)
-    series._check_point(lam)
-    return complex(series.sum_values(np.array([lam]))[0])
+    anchored_bound, plain_bound = series._tail_bounds(lam)
+    if anchored_bound <= plain_bound:
+        return plain + series.t0 + lam * series.t1, float(anchored_bound)
+    return plain, float(plain_bound)
 
 
 def eval_secular_derivative(series: SecularSeries, lam) -> complex:
@@ -199,9 +195,8 @@ def eval_secular_derivative(series: SecularSeries, lam) -> complex:
     lam = complex(lam)
     series._check_point(lam)
     plain = complex(series.sum_derivative(np.array([lam]))[0])
-    if series.anchored_tail_bound(lam) <= series.plain_tail_bound(lam):
-        return plain + series.t1
-    return plain
+    anchored_bound, plain_bound = series._tail_bounds(lam)
+    return plain + series.t1 if anchored_bound <= plain_bound else plain
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +294,8 @@ def brentq(f, a, b, xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100):
 
 def _gap_segments(series: SecularSeries, lo: float, hi: float):
     """Open sub-intervals of (lo, hi) between consecutive non-inert poles."""
-    cuts = [lo]
-    for p in series.poles:
-        if lo < p < hi:
-            cuts.append(p)
-    cuts.append(hi)
+    poles = series.poles
+    cuts = [lo, *poles[(lo < poles) & (poles < hi)], hi]
     segs = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         da = 1e-9 * (1.0 + abs(a))
@@ -338,8 +330,7 @@ def real_roots_in(series: SecularSeries, lo: float,
         found[:-1] |= np.sign(vals[:-1]) * np.sign(vals[1:]) < 0
         if not found.any():
             # ambiguous only if the whole segment stays below the tail bound
-            bounds = np.array([series.tail_bound(x) for x in xs])
-            if np.all(np.abs(vals) <= bounds + 1e-12):
+            if np.all(np.abs(vals) <= series.tail_bound(xs) + 1e-12):
                 raise UndecidableError(
                     f"secular values on ({a:.6g}, {b:.6g}) are below the tail "
                     f"bound at cutoff {series.cutoff}; increase the cutoff")
@@ -424,7 +415,7 @@ def _edge_clearance_ok(series: SecularSeries, box) -> bool:
         t = np.linspace(0.0, 1.0, 33)
         z = z0 + (z1 - z0) * t
         vals = np.abs(series.sum_values(z))
-        floor = np.array([max(series.tail_bound(zz), 1e-11) for zz in z])
+        floor = np.maximum(series.tail_bound(z), 1e-11)
         if np.any(vals <= floor):
             return False
         if series.poles.size:
@@ -473,10 +464,10 @@ def _search_box(series, box, found, boxes, depth=0):
     if count == 0:
         return
     re_lo, re_hi, im_lo, im_hi = shifted
-    if count == 1 or depth >= 40:
+    if count == 1:
         z = _newton_refine(series, complex(0.5 * (re_lo + re_hi),
                                            0.5 * (im_lo + im_hi)), shifted)
-        if z is not None and count == 1:
+        if z is not None:
             found.append(z)
             return
     if depth >= 40:
@@ -501,11 +492,10 @@ def complex_roots_in(series: SecularSeries, box) -> RootReport:
     """
     re_lo, re_hi, im_lo, im_hi = (float(v) for v in box)
     series._check_point(complex(re_hi, 0.0))
-    if im_lo < 0.0:
-        if abs(im_lo + im_hi) > 1e-12:
-            raise ValueError("boxes crossing the real axis must be symmetric")
+    if im_lo < 0.0 and abs(im_lo + im_hi) > 1e-12:
+        raise ValueError("boxes crossing the real axis must be symmetric")
+    if im_lo <= 0.0:
         im_lo = _AXIS_BAND
-    im_lo = max(im_lo, _AXIS_BAND) if im_lo <= 0 else im_lo
     found: list[complex] = []
     boxes: list[CountedBox] = []
     if im_hi > im_lo:

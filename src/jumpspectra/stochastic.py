@@ -10,7 +10,7 @@ of the adjoint generator.
 The boundary band default ``0.5826 sqrt(2 dt)`` offsets the mean overshoot
 of discrete exits past the boundary (the standard half-order correction for
 killed diffusions); exit positions are tested every step, with occupation
-weights accumulated at step midpoints.
+weights accumulated at the midpoint of every step, the exit step included.
 """
 
 from __future__ import annotations

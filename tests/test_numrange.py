@@ -18,17 +18,15 @@ def test_profile_constraints():
     assert np.abs(fd - nr.profile_derivative(s)).max() < 1e-6
 
 
-def test_probe_validation():
-    with pytest.raises(ValueError):
-        nr.ProbeProfile(2.0 + 0j, 1e-3)
-    with pytest.raises(ValueError):
-        nr.ProbeProfile(1.0 + 0j, -1e-3)
+def sample(basis, spec, direction, eps):
+    """The sweep's sample of one direction at one layer width."""
+    return next(s for s in nr.sweep(basis, spec, [eps])
+                if s.direction == direction)
 
 
 def test_layer_overlap_guard(disk_basis_small):
     with pytest.raises(GeometryError):
-        nr.rayleigh_probe(nr.ProbeProfile(1.0 + 0j, 0.9), disk_basis_small,
-                          measures.UniformMeasure())
+        nr.sweep(disk_basis_small, measures.UniformMeasure(), [0.9])
 
 
 @pytest.fixture(scope="module")
@@ -38,20 +36,17 @@ def disk_sweep(disk_basis_small):
 
 
 def test_quotient_leading_order(disk_basis_small):
-    s = nr.rayleigh_probe(nr.ProbeProfile(1.0 + 0j, 1e-4), disk_basis_small,
-                          measures.UniformMeasure())
+    s = sample(disk_basis_small, measures.UniformMeasure(), 1.0, 1e-4)
     # perimeter/area = 2 on the unit disk: leading term 2/sqrt(eps) = 200
     assert s.quotient.real == pytest.approx(200.0, abs=1.0)
     assert abs(s.quotient.imag) < 1e-10
-    si = nr.rayleigh_probe(nr.ProbeProfile(1j, 1e-4), disk_basis_small,
-                           measures.UniformMeasure())
+    si = sample(disk_basis_small, measures.UniformMeasure(), 1j, 1e-4)
     assert si.quotient.imag == pytest.approx(200.0, abs=1.0)
     assert abs(si.quotient.real) < 1.0
 
 
 def test_norm_approaches_area(disk_basis_small):
-    s = nr.rayleigh_probe(nr.ProbeProfile(1.0 + 0j, 1e-4), disk_basis_small,
-                          measures.UniformMeasure())
+    s = sample(disk_basis_small, measures.UniformMeasure(), 1.0, 1e-4)
     assert abs(s.norm_sq - math.pi) / math.pi < 0.02
 
 
@@ -77,10 +72,8 @@ def test_blowup_fits(disk_sweep):
 
 
 def test_sign_flip_between_directions(disk_basis_small):
-    plus = nr.rayleigh_probe(nr.ProbeProfile(1.0 + 0j, 1e-3),
-                             disk_basis_small, measures.UniformMeasure())
-    minus = nr.rayleigh_probe(nr.ProbeProfile(-1.0 + 0j, 1e-3),
-                              disk_basis_small, measures.UniformMeasure())
+    plus = sample(disk_basis_small, measures.UniformMeasure(), 1.0, 1e-3)
+    minus = sample(disk_basis_small, measures.UniformMeasure(), -1.0, 1e-3)
     assert plus.quotient.real > 0 > minus.quotient.real
     assert plus.boundary_term == pytest.approx(-minus.boundary_term)
 
@@ -88,25 +81,20 @@ def test_sign_flip_between_directions(disk_basis_small):
 def test_four_direction_escape(disk_basis_small):
     # for every radius R there are probes beyond R in all four directions
     R = 500.0
-    eps = 1e-5
-    for d in nr.DIRECTIONS:
-        s = nr.rayleigh_probe(nr.ProbeProfile(d, eps), disk_basis_small,
-                              measures.UniformMeasure())
-        assert (s.quotient * np.conj(d)).real > R
+    for s in nr.sweep(disk_basis_small, measures.UniformMeasure(), [1e-5]):
+        assert (s.quotient * np.conj(s.direction)).real > R
 
 
 def test_rectangle_probe_runs():
     basis = geometry.build_basis(geometry.rectangle(math.pi, math.pi), 100.0)
-    s = nr.rayleigh_probe(nr.ProbeProfile(1.0 + 0j, 1e-3), basis,
-                          measures.UniformMeasure())
+    s = sample(basis, measures.UniformMeasure(), 1.0, 1e-3)
     beta_over_area = (4 * math.pi) / math.pi ** 2
     assert s.quotient.real == pytest.approx(
         beta_over_area / math.sqrt(1e-3), rel=0.02)
 
 
 def test_ground_state_measure_probe(disk_basis_small):
-    s = nr.rayleigh_probe(nr.ProbeProfile(1.0 + 0j, 1e-4), disk_basis_small,
-                          measures.GroundStateMeasure())
+    s = sample(disk_basis_small, measures.GroundStateMeasure(), 1.0, 1e-4)
     assert s.quotient.real == pytest.approx(200.0, abs=2.0)
     assert s.mean_defect < 1e-8
 
@@ -120,10 +108,20 @@ def test_sweep_csv(disk_sweep):
 
 @pytest.mark.parametrize("spec", [measures.UniformMeasure(),
                                   measures.DiracMeasure(0.1, 0.0)])
-def test_sweep_matches_probes(disk_basis_small, spec):
-    samples = nr.sweep(disk_basis_small, spec, [1e-4, 3e-3])
+def test_sweep_forms_each_quotient_through_rayleigh_probe(
+        monkeypatch, disk_basis_small, spec):
+    # one call per direction and layer width, looked up by the module name,
+    # so that a wrapper bound to that name counts every quotient
+    calls = []
+    probe = nr.rayleigh_probe
+
+    def counted(*args):
+        calls.append(args[0])
+        return probe(*args)
+
+    monkeypatch.setattr(nr, "rayleigh_probe", counted)
+    epsilons = [1e-4, 1e-3, 3e-3]
+    samples = nr.sweep(disk_basis_small, spec, epsilons)
+    assert len(calls) == 4 * len(epsilons)
     assert [(s.direction, s.epsilon) for s in samples] == [
-        (d, e) for d in nr.DIRECTIONS for e in (1e-4, 3e-3)]
-    for s in samples:
-        probe = nr.ProbeProfile(s.direction, s.epsilon)
-        assert s == nr.rayleigh_probe(probe, disk_basis_small, spec)
+        (d, e) for d in nr.DIRECTIONS for e in epsilons]

@@ -42,8 +42,23 @@ def test_uniform_disk_value_at_zero(uniform_disk):
     assert abs(val.real - 0.125) < 1e-8
     assert abs(val.imag) == 0.0
     # the raw truncation is visibly worse than the anchored value
-    raw = secular.eval_secular_truncated(uniform_disk, 0.0)
+    raw = uniform_disk.sum_values(0.0)
     assert abs(raw.real - 0.125) > 1e-6
+
+
+def test_tail_bound_takes_arrays(uniform_disk):
+    # the bound of an array is its per-point bounds, infinite at and beyond
+    # the cutoff, and below the margin it is the bound eval_secular returns
+    c = uniform_disk.cutoff
+    lam = np.array([-1e6, -50.0, 0.0, 3.0 + 2.0j, 0.5 * c - 40.0j,
+                    c - 1.0, c, c + 5.0j, 2.0 * c])
+    bounds = uniform_disk.tail_bound(lam)
+    assert np.array_equal(bounds, [uniform_disk.tail_bound(z) for z in lam])
+    assert np.array_equal(uniform_disk.tail_bound(lam.reshape(3, 3)),
+                          bounds.reshape(3, 3))
+    assert np.all(np.isfinite(bounds[:6])) and np.all(bounds[6:] == np.inf)
+    for z, bound in zip(lam[:5], bounds[:5]):
+        assert secular.eval_secular(uniform_disk, z)[1] == bound
 
 
 def test_uniform_disk_derivative_at_zero(uniform_disk):

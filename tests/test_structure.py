@@ -7,7 +7,8 @@ its checks in one place and the enclosure checkers gate admissibility in
 one place.  Only the domain knows its occupation cells.  Integrands meet a
 quadrature rule through ``rule.values``, on the rule's tensor factors.  The
 Dirichlet basis is one table of parameter rows, with no per-mode object, and
-a mode perturbation is its coefficient vector."""
+a mode perturbation is its coefficient vector.  A boundary-layer quotient and
+the secular tail bound each have one function that computes them."""
 
 import ast
 import dataclasses
@@ -19,7 +20,7 @@ import pytest
 
 import jumpspectra
 from jumpspectra import (_kernels, cli, enclosure, geometry, measures,
-                         stochastic)
+                         numrange, secular, stochastic)
 
 SRC = os.path.dirname(os.path.abspath(jumpspectra.__file__))
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -241,3 +242,34 @@ def test_perturbation_is_its_coefficients():
     assert not [node for node in ast.walk(make)
                 if isinstance(node, (ast.FunctionDef, ast.Lambda))
                 and node is not make]
+
+
+def test_one_quotient_and_one_tail_bound():
+    # the sweep forms every quotient through rayleigh_probe from the shared
+    # layer and bump terms; the tail bound is one array method, which no
+    # loop calls point by point
+    assert not hasattr(numrange, "ProbeProfile")
+    assert list(inspect.signature(numrange.rayleigh_probe).parameters) == [
+        "d", "layer", "bump", "domain"]
+    assert not hasattr(secular, "eval_secular_truncated")
+    for name in ("anchored_tail_bound", "plain_tail_bound"):
+        assert not hasattr(secular.SecularSeries, name)
+    # no loop passes its own variable, one point, to tail_bound
+    looped = []
+    for node in ast.walk(parse("secular.py")):
+        if isinstance(node, ast.For):
+            targets = [node.target]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                               ast.GeneratorExp)):
+            targets = [gen.target for gen in node.generators]
+        else:
+            continue
+        names = {name.id for target in targets for name in ast.walk(target)
+                 if isinstance(name, ast.Name)}
+        looped += [call for call in ast.walk(node)
+                   if isinstance(call, ast.Call)
+                   and getattr(call.func, "attr", None) == "tail_bound"
+                   and names & {name.id for arg in call.args
+                                for name in ast.walk(arg)
+                                if isinstance(name, ast.Name)}]
+    assert not looped
