@@ -22,8 +22,8 @@ and in-place ufuncs that keep the order of every float operation, so each
 value keeps its bits.
 
 The counters also let a restart draw several rejection rounds at once: round
-j of a path's candidates takes its uniforms from ``state + j u gamma``, with
-``u`` the uniforms one candidate takes.  Each path keeps its first accepted
+j of a path's candidates takes its uniforms from ``state + j k gamma``, with
+``k`` the uniforms one candidate takes.  Each path keeps its first accepted
 candidate and advances its counter by the rounds it used, which gives the
 bits, counters and counts of drawing one round at a time.
 
@@ -34,12 +34,13 @@ and counters, which are summed, so the result has the same bits at any shard
 count.
 
 The domain object supplies the interior test, the uniform sampler and the
-occupation cells.  The restart measure supplies a draw ``draw(state, idx) ->
-(px, py, placed)``: candidate restart points for the paths ``idx``, taking
-their uniforms from ``state``, and the accept mask of a rejection sampler,
-or None when every candidate stands.  A candidate in the boundary band is
-drawn again.  ``draw.uniforms`` is the number of uniforms one candidate
-takes from its stream.
+occupation cells.  The restart measure supplies a draw ``draw(u) -> (px, py,
+placed)``, a pure map from uniforms to candidate restart points: ``u`` has
+one column per candidate and ``draw.uniforms`` rows, the uniforms that one
+candidate takes, and ``placed`` is the accept mask of a rejection sampler,
+or None when every candidate stands.  Only this module advances a stream: a
+restart makes every candidate's uniforms in one batch and hands them to the
+draw.  A candidate in the boundary band is drawn again.
 """
 
 from __future__ import annotations
@@ -117,26 +118,19 @@ def derive_seeds(seed: int, n_paths: int) -> np.ndarray:
     return _mix(s, np.empty_like(s))
 
 
-def _np_uniform(state, idx):
-    state[idx] += _GOLDEN
-    s = state[idx]
-    return _unit(s, np.empty_like(s), np.empty(s.shape))
-
-
 def fixed_draw(x0, y0):
     """Restarts at the point (x0, y0); no uniform is drawn."""
-    def draw(state, idx):
-        return np.full(idx.size, x0), np.full(idx.size, y0), None
+    def draw(u):
+        return np.full(u.shape[1], x0), np.full(u.shape[1], y0), None
     draw.uniforms = 0
     return draw
 
 
 def circle_draw(r0):
     """Restarts uniform on the centred circle of radius r0: one uniform."""
-    def draw(state, idx):
-        u1 = _np_uniform(state, idx)
-        return (r0 * np.cos(2.0 * math.pi * u1),
-                r0 * np.sin(2.0 * math.pi * u1), None)
+    def draw(u):
+        return (r0 * np.cos(2.0 * math.pi * u[0]),
+                r0 * np.sin(2.0 * math.pi * u[0]), None)
     draw.uniforms = 1
     return draw
 
@@ -145,14 +139,11 @@ def uniform_draw(domain, ratio=None):
     """Restarts uniform over the domain from two uniforms.  With ``ratio``,
     a third uniform accepts the point with probability ``ratio(u1, fx, fy)``
     (``fx, fy`` its bounding-box fractions)."""
-    def draw(state, idx):
-        u1 = _np_uniform(state, idx)
-        u2 = _np_uniform(state, idx)
-        px, py, fx, fy = domain.uniform_point(u1, u2)
+    def draw(u):
+        px, py, fx, fy = domain.uniform_point(u[0], u[1])
         if ratio is None:
             return px, py, None
-        u3 = _np_uniform(state, idx)
-        return px, py, u3 <= ratio(u1, fx, fy)
+        return px, py, u[2] <= ratio(u[0], fx, fy)
     draw.uniforms = 2 if ratio is None else 3
     return draw
 
@@ -200,20 +191,23 @@ def _np_restart(state, idx, draw, domain, btol, stats, x, y):
     """Restart the paths ``idx`` from ``draw``, advancing their counters.
 
     Every pending path draws ``_ROUNDS`` candidates at once; those of round
-    j take their uniforms from ``state + j u gamma``, where ``u`` is the
-    count one candidate takes (``draw.uniforms``).  A path keeps its first
+    j take their uniforms from ``state + j k gamma``, where ``k`` is the
+    count one candidate takes (``draw.uniforms``), and the i-th uniform of a
+    candidate at ``c`` comes from ``c + i gamma``.  A path keeps its first
     candidate that is accepted and off the band, and its counter advances
     by the rounds it used, so the points, counters and counts are those of
     drawing one round at a time.  Attempts and accepts count the rounds
     used, and the acceptance floor is checked after each of them."""
-    # j u gamma for j = 0 .. _ROUNDS, as arrays, which wrap without a warning
-    offset = np.arange(_ROUNDS + 1, dtype=np.uint64) * (
-        np.array([draw.uniforms], dtype=np.uint64) * _GOLDEN)
+    k = np.uint64(draw.uniforms)
+    # j k gamma for j = 0 .. _ROUNDS and i gamma for i = 1 .. k, as arrays,
+    # which wrap without a warning
+    offset = np.arange(_ROUNDS + 1, dtype=np.uint64) * k * _GOLDEN
+    steps = np.arange(1, k + 1, dtype=np.uint64) * _GOLDEN
     rounds = np.arange(_ROUNDS)[:, None]
     while idx.size:
         n = idx.size
-        cand = (state[idx] + offset[:_ROUNDS, None]).ravel()
-        px, py, placed = draw(cand, np.arange(cand.size))
+        s = (state[idx] + offset[:_ROUNDS, None]).ravel() + steps[:, None]
+        px, py, placed = draw(_unit(s, np.empty_like(s), np.empty(s.shape)))
         ok = ~domain.outside(px, py, btol)
         if placed is not None:
             ok &= placed
@@ -294,7 +288,8 @@ def run_walk(seeds, n_steps, dt, btol, domain, draw, n_bins):
 
     The histogram counts the domain's occupation cells for ``n_bins``, and
     ``stats`` holds the restart count, the rejection attempts and the
-    rejection accepts.
+    rejection accepts; ``RejectionEfficiencyError`` is raised when the
+    accepts fall below the floor.
 
     The paths are split into contiguous shards (``_shard_count``); shard 0
     walks here and each other shard in a forked child, which inherits
@@ -329,6 +324,8 @@ def run_walk(seeds, n_steps, dt, btol, domain, draw, n_bins):
                 pass
 
     hist, stats = map(sum, zip(*parts))
+    # a shard checks the floor itself only from _FLOOR_ATTEMPTS attempts on
+    check_acceptance(int(stats[1]), int(stats[2]))
     # the middle slot stays: perfbench/tracer.py reads stats as out[2]
     # (ROADMAP G)
     return hist, None, stats

@@ -300,27 +300,21 @@ class Disk:
                 f"quadrature ({r.size} radial x {theta.size} angular nodes) cannot "
                 f"resolve modes up to cutoff {cutoff}")
 
-    def mode_rows(self, params, rule: QuadratureRule) -> np.ndarray:
-        """Values of the modes of ``params`` at every node: O(n_modes (n_r +
-        n_theta)) Bessel and trig evaluations on the tensor rule."""
-        r, _, theta = rule.axes
-        rows = (self._radial(params, r)[:, :, None]
-                * self._angular(params, theta)[:, None, :])
-        return rows.reshape(len(params), rule.n_nodes)
-
     def moments(self, values, basis: BasisSet) -> np.ndarray:
-        """Moments of node-sampled ``values`` against every basis mode,
-        walking the modes in blocks.  The reduction is numpy's, not a BLAS
-        matrix-vector product, whose bits depend on the thread count."""
+        """Moments of node-sampled ``values`` against every basis mode, on
+        the rule's factors: the weighted values meet one angular row per
+        distinct (order, sine) on the angles, then each mode's radial row on
+        the radii.  The reductions are numpy's, not BLAS products, whose
+        bits depend on the thread count."""
         rule = basis.quadrature
-        weighted = rule.w * values
-        out = np.empty(len(basis))
-        block = 256
-        for lo in range(0, len(basis), block):
-            out[lo:lo + block] = np.einsum(
-                "mn,n->m", self.mode_rows(basis.params[lo:lo + block], rule),
-                weighted)
-        return out
+        r, _, theta = rule.axes
+        weighted = (rule.w * values).reshape(r.size, theta.size)
+        _, first, which = np.unique(basis.params[:, [0, 3]], axis=0,
+                                    return_index=True, return_inverse=True)
+        angular = np.einsum("ik,dk->di", weighted,
+                            self._angular(basis.params[first], theta))
+        return np.einsum("mi,mi->m", self._radial(basis.params, r),
+                         angular[which.ravel()])
 
     def layer_quadrature(self, eps: float, n_s: int, n_tan: int):
         s, ws = _gl_nodes(n_s, 0.0, 1.0)

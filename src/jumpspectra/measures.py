@@ -104,9 +104,10 @@ class _Density(_Variant):
         w = self.density(basis)
         x_lo, x_hi, y_lo, y_hi = domain.bounding_box
         n = 257
-        X, Y = np.meshgrid(np.linspace(x_lo, x_hi, n),
-                           np.linspace(y_lo, y_hi, n), indexing="ij")
-        vals = domain.mask_outside(X, Y, w(X, Y))
+        # an open mesh, rows along x; a density of one coordinate broadcasts
+        X = np.linspace(x_lo, x_hi, n)[:, None]
+        Y = np.linspace(y_lo, y_hi, n)[None, :]
+        vals = np.broadcast_to(domain.mask_outside(X, Y, w(X, Y)), (n, n))
         vmax = float(np.max(vals))
         if vmax <= 0:
             raise UnsupportedMeasureError("density table is identically zero")
@@ -285,8 +286,12 @@ class CircleMeasure(_Variant):
             raise UnsupportedMeasureError("circle measures are defined on the disk only")
         if not 0.0 < self.r0 < 1.0:
             raise MeasureError("circle radius must lie in (0, 1)")
-        values = basis.mode_values(slice(None), *self._points(1024))
-        return MeasureMoments(self, basis, np.mean(values, axis=1), None)
+        # the angular modes average to 0 on the centred circle, and an
+        # order-0 mode is constant on it: its value at (r0, 0)
+        at = basis.mode_values(slice(None), np.array([self.r0]),
+                               np.array([0.0]))[:, 0]
+        return MeasureMoments(self, basis,
+                              np.where(basis.params[:, 0] == 0, at, 0.0), None)
 
     def restart(self, domain: Domain, basis: BasisSet | None):
         if not isinstance(domain, Disk):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BasisSet, Domain
-from ._kernels import check_acceptance, derive_seeds, run_walk
+from ._kernels import derive_seeds, run_walk
 from .measures import MeasureSpec
 
 _OVERSHOOT = 0.5826          # mean discrete-exit overshoot, units of sqrt(2 dt)
@@ -65,8 +65,6 @@ def simulate_occupation(config: WalkConfig, domain: Domain,
         derive_seeds(config.seed, config.n_paths), config.n_steps,
         config.step_dt, band, domain, spec.restart(domain, basis),
         config.n_bins)
-    # a shard checks the floor itself only from _FLOOR_ATTEMPTS attempts on
-    check_acceptance(int(stats[1]), int(stats[2]))
     areas = domain.cell_areas(config.n_bins)
     density = hist / float(np.sum(hist)) / areas
     return OccupationHistogram(domain, config, hist, density, areas,

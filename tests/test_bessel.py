@@ -121,13 +121,18 @@ def test_no_zero_below_the_first(cutoff):
 
 
 def test_batched_moments_match_per_mode_loop(disk_basis):
-    # the point and circle moments evaluate every mode in one Bessel call;
-    # the per-mode loop is the reference, bit for bit
-    for spec, points in ((measures.DiracMeasure(0.3, -0.2),
-                          (np.array([0.3]), np.array([-0.2]))),
-                         (measures.CircleMeasure(0.5),
-                          measures.CircleMeasure(0.5)._points(1024))):
+    # the point and circle moments evaluate their modes in one Bessel call;
+    # the per-mode loop is the reference, bit for bit.  On the centred
+    # circle the angular modes average to 0 and an order-0 mode is its value
+    # at (r0, 0)
+    order0 = disk_basis.params[:, 0] == 0
+    for spec, point, keep in ((measures.DiracMeasure(0.3, -0.2), (0.3, -0.2),
+                               np.ones(len(disk_basis), dtype=bool)),
+                              (measures.CircleMeasure(0.5), (0.5, 0.0),
+                               order0)):
         got = measures.compute_moments(spec, disk_basis).moments
-        want = np.array([np.mean(disk_basis.mode_values(i, *points))
-                         for i in range(len(disk_basis))])
+        want = np.array([
+            disk_basis.mode_values(i, np.array([point[0]]),
+                                   np.array([point[1]]))[0] if keep[i]
+            else 0.0 for i in range(len(disk_basis))])
         assert np.array_equal(got, want)

@@ -21,7 +21,8 @@ J01 = 2.404825557695773
 
 def mode_matrix(basis):
     """All mode values at all quadrature nodes; (n_modes, n_nodes)."""
-    return basis.domain.mode_rows(basis.params, basis.quadrature)
+    rule = basis.quadrature
+    return basis.mode_values(slice(None), rule.x, rule.y)
 
 
 def test_uniform_moments(disk_basis):
@@ -167,18 +168,20 @@ def test_measure_integral_variants(disk_basis):
 # torsion anchors, recorded before each variant owned its integral and moments;
 # the disk density and perturbed cases again once the disk moments stopped
 # depending on the BLAS thread count, and the perturbed cases once more when
-# their moments and norms became exact sums over the coefficients
+# their moments and norms became exact sums over the coefficients; the disk
+# density once more when its moments were reduced on the rule's factors, and
+# the circle when its moments became a closed form
 PINNED = {
     "disk-uniform":
         "2fbb28d619956fcbda80850c973f5c9225afdd21184bad9796fa3dc812236136",
     "disk-ground_state":
         "b37324bc526442fe62174604f71b58dd2867f51ac22c7a552b8336ed51e024c2",
     "disk-density":
-        "ff6227ce369761f86a485d84a98f21be92a51b1c57af66157cf12356b638f770",
+        "a82dcc5183d007077ea13e03a02ef2a57d57caee70d8cc8716d066a0ac70326d",
     "disk-dirac":
         "c6647c5fe965d8c9ae7e3e2b3b87df19a2de0932b9695458253995568e498ec8",
     "disk-circle":
-        "582959e13be2effad389a76f188f90a47a0848a0ddb9594bf15040451a2fde74",
+        "34459bc1ee5d28a5285332ec19a37c52a5becaca5792e789cdc4ceb9b8a66869",
     "disk-perturbed_uniform":
         "b228cda110191c4104c7c78e8dcd8c18d4d74153105de6508b32d3039a06a20b",
     "disk-perturbed_ground_state":
@@ -340,23 +343,31 @@ def test_admissibility_rejects_large_v(rect_basis):
     assert cert.margin < 0
 
 
-# the disk density's moments go through Disk.moments' node quadrature, and
-# the perturbations' moments and norms are sums over their coefficients
-QUADRATURE_DISK = ("disk-density", "disk-perturbed_ground_state",
-                   "disk-perturbed_uniform")
+# the disk density's moments go through Disk.moments' node quadrature, the
+# perturbations' moments and norms are sums over their coefficients, and the
+# rectangle's density and point-mass anchors integrate the torsion on the
+# nodes
+THREAD_CASES = ("disk-density", "disk-perturbed_ground_state",
+                "disk-perturbed_uniform", "rect-density", "rect-dirac")
 
 
 def test_disk_moments_independent_of_blas_threads():
     """Disk moments are a numpy reduction, not a BLAS matrix-vector product
     whose summation order follows the thread count: the pinned digests come
-    out bit for bit at one and at two OpenBLAS threads."""
+    out bit for bit at one and at two OpenBLAS threads, as do those of the
+    rectangle's integrated torsion anchors."""
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(os.path.abspath(measures.__file__)))
-    script = ("import json\nfrom jumpspectra import geometry\n"
+    script = ("import json, math\nfrom jumpspectra import geometry\n"
+              "from conftest import RATIO\n"
               "from test_measures import measure_digest, pinned_spec\n"
-              "basis = geometry.build_basis(geometry.unit_disk(), 2000.0)\n"
-              "print(json.dumps([measure_digest(pinned_spec(n, basis), basis)"
-              f" for n in {QUADRATURE_DISK!r}]))")
+              "bases = {'disk': geometry.unit_disk(), 'rect': geometry."
+              "rectangle(math.pi, RATIO * math.pi)}\n"
+              "bases = {k: geometry.build_basis(d, 2000.0)"
+              " for k, d in bases.items()}\n"
+              "print(json.dumps([measure_digest(pinned_spec(n, b), b)"
+              " for n in %r for b in [bases[n.split('-')[0]]]]))"
+              % (THREAD_CASES,))
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
@@ -367,4 +378,4 @@ def test_disk_moments_independent_of_blas_threads():
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         digests.append(json.loads(done.stdout.splitlines()[-1]))
-    assert digests[0] == digests[1] == [PINNED[n] for n in QUADRATURE_DISK]
+    assert digests[0] == digests[1] == [PINNED[n] for n in THREAD_CASES]

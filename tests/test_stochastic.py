@@ -105,13 +105,24 @@ def test_engine_pinned_digest(name, walk_domains):
     assert h.hexdigest() == PINNED[name]
 
 
+def next_uniform(state, idx):
+    """The next uniform of each stream ``state[idx]``, advancing it by one
+    draw: the reference loops take their uniforms one at a time."""
+    state[idx] += _kernels._GOLDEN
+    s = state[idx]
+    return _kernels._unit(s, np.empty_like(s), np.empty(s.shape))
+
+
 def one_round_restart(state, mask, draw, domain, btol, stats, x, y):
     """Restart the paths of ``mask`` one rejection round at a time: the
     reference for the kernel's batched rounds."""
     pending = mask.copy()
     while np.any(pending):
         idx = np.nonzero(pending)[0]
-        px, py, placed = draw(state, idx)
+        u = np.empty((draw.uniforms, idx.size))
+        for row in u:
+            row[:] = next_uniform(state, idx)
+        px, py, placed = draw(u)
         ok = ~domain.outside(px, py, btol)
         if placed is not None:
             stats[1] += idx.size
@@ -148,8 +159,8 @@ def step_loop(seeds, n_steps, dt, btol, domain, draw, n_bins):
     exits = []
     everyone = np.arange(n)
     for t in range(n_steps):
-        u1 = _kernels._np_uniform(state, everyone)
-        u2 = _kernels._np_uniform(state, everyone)
+        u1 = next_uniform(state, everyone)
+        u2 = next_uniform(state, everyone)
         r = np.sqrt(-2.0 * np.log(u1))
         xn = x + step * (r * np.cos(2.0 * math.pi * u2))
         yn = y + step * (r * np.sin(2.0 * math.pi * u2))
@@ -272,9 +283,9 @@ def walk_with_draw_failing(walk_domains, in_parent, in_child):
     draw = spec.restart(domain, basis)
     parent = os.getpid()
 
-    def failing(state, idx):
+    def failing(u):
         (in_parent if os.getpid() == parent else in_child)()
-        return draw(state, idx)
+        return draw(u)
 
     failing.uniforms = draw.uniforms
 
@@ -492,9 +503,9 @@ def test_shard_rejection_floor_reraised(force_shards, disk):
     force_shards(2)
     parent = os.getpid()
 
-    def draw(state, idx):
-        at = np.zeros(idx.size)
-        return at, at.copy(), np.full(idx.size, os.getpid() == parent)
+    def draw(u):
+        at = np.zeros(u.shape[1])
+        return at, at.copy(), np.full(u.shape[1], os.getpid() == parent)
 
     draw.uniforms = 0
 
@@ -526,11 +537,14 @@ def test_batched_restart_matches_one_round(name, walk_domains):
     draw = make(domain)
     n = 300
     mask = np.arange(n) % 3 != 1                 # the paths that restart
-    rounds = np.zeros(n, dtype=int)
+    calls = []
 
-    def counted(state, idx):
-        rounds[idx] += 1
-        return draw(state, idx)
+    def counted(u):
+        # one reference call is one round of every pending path
+        calls.append(u.shape[1])
+        return draw(u)
+
+    counted.uniforms = draw.uniforms
 
     want = (derive_seeds(3, n), np.zeros(3, dtype=np.int64),
             np.full(n, np.nan), np.full(n, np.nan))
@@ -541,7 +555,7 @@ def test_batched_restart_matches_one_round(name, walk_domains):
     for a, b in zip(got, want):
         assert np.array_equal(a, b, equal_nan=True)
     assert np.isnan(got[2]).sum() == n - mask.sum()
-    assert (rounds.max() > _kernels._ROUNDS) == crosses
+    assert (len(calls) > _kernels._ROUNDS) == crosses
 
 
 @pytest.mark.parametrize("batched", [False, True])

@@ -1,6 +1,7 @@
 """The restart measure is one abstraction: the walk and the boundary-layer
 probes ask the measure, never test its class, and the walk kernel takes the
-measure's draw instead of a restart code.  Every walk takes the kernel's one
+measure's draw instead of a restart code; only the kernel advances a random
+stream, and a draw maps uniforms to points.  Every walk takes the kernel's one
 sharded path.  Marching squares works on whole arrays, not cell by cell.
 Every function, class and method has a caller or a test.  The CLI guards
 its checks in one place and the enclosure checkers gate admissibility in
@@ -79,6 +80,37 @@ def test_kernel_has_no_restart_code():
                 and any(isinstance(side, ast.Constant)
                         and type(side.value) is int
                         for side in (node.left, *node.comparators))]
+
+
+def test_kernel_owns_the_streams():
+    # a draw is a map of one array of uniforms; the kernel makes a restart
+    # pass's uniforms in one _unit call, and only the seeds, the restart and
+    # the shard step a stream by gamma
+    assert not hasattr(_kernels, "_np_uniform")
+    disk = geometry.unit_disk()
+    for draw in (_kernels.fixed_draw(0.1, 0.2), _kernels.circle_draw(0.5),
+                 _kernels.uniform_draw(disk),
+                 _kernels.uniform_draw(disk, lambda u1, fx, fy: u1)):
+        assert list(inspect.signature(draw).parameters) == ["u"]
+    tree = parse("_kernels.py")
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def names(function):
+        return {node.id for node in ast.walk(function)
+                if isinstance(node, ast.Name)}
+
+    assert {name for name, node in functions.items()
+            if "_GOLDEN" in names(node)} == {
+        "derive_seeds", "_np_restart", "_walk_shard"}
+    assert [node.func.id for node in ast.walk(functions["_np_restart"])
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "_unit"] == ["_unit"]
+    # the final acceptance floor is the kernel's, not the stochastic layer's
+    assert "check_acceptance" in names(functions["run_walk"])
+    assert "check_acceptance" not in {
+        alias.name for node in ast.walk(parse("stochastic.py"))
+        if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
 def test_one_walk_path():
