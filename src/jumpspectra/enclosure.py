@@ -145,7 +145,8 @@ def check_interlacing(series: SecularSeries,
     if len(series.poles) < k:
         return CheckResult(name, INAPPLICABLE, f"fewer than {k} active poles")
     # each of the first k active poles must be a simple Dirichlet eigenvalue
-    degenerate = np.flatnonzero(series.pole_sizes[:k] > 1)
+    sizes = series.basis.cluster_sizes[series.live]
+    degenerate = np.flatnonzero(sizes[:k] > 1)
     if degenerate.size:
         i = int(degenerate[0])
         return CheckResult(name, INAPPLICABLE, f"active pole {i + 1} at "
@@ -197,10 +198,10 @@ def bound_first_eigenvalue(series: SecularSeries,
     slack = rhs - lhs
     detail = (f"eigenvalue {root:.9g} in ({lo:.6g}, {hi:.6g}); two-pole bound "
               f"{lhs:.4e} <= {rhs:.4e}")
-    undetermined_below = [p for p in series.inert_poles if lo < p < root]
-    if undetermined_below:
-        detail += (f"; note {len(undetermined_below)} inert Dirichlet values "
-                   f"in the bracket below it")
+    inert = series.basis.cluster_means[~series.live]
+    if below := np.count_nonzero((lo < inert) & (inert < root)):
+        detail += (f"; note {below} inert Dirichlet values in the bracket "
+                   f"below it")
     return CheckResult(name, PASS if slack >= 0 else FAIL, detail,
                        margin=slack)
 

@@ -96,6 +96,11 @@ class QuadratureRule:
         return np.sum(self.w * values)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=64)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per order.
@@ -103,9 +108,7 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     The arrays are shared by every caller, so they are returned read-only.
     """
     t, w = leggauss(n)
-    t.flags.writeable = False
-    w.flags.writeable = False
-    return t, w
+    return _read_only(t), _read_only(w)
 
 
 def _gl_nodes(n: int, lo: float, hi: float):
@@ -669,29 +672,37 @@ class BasisSet:
         return values[0] if rows.ndim == 1 else values
 
     @cached_property
-    def _cluster_table(self):
-        groups: list[list[int]] = []
+    def cluster_starts(self) -> np.ndarray:
+        """First mode of each cluster.  With ``cluster_sizes`` and
+        ``cluster_means`` it makes the cluster table: one row per cluster,
+        read-only columns built on first use.  A mode opens a new cluster
+        unless it lies within ``CLUSTER_RTOL * (1 + lambda)`` of the open
+        cluster's first mode, so a cluster is a run of consecutive modes."""
         eigs = self.eigenvalues.tolist()
+        starts = [0]
         for i, lam in enumerate(eigs):
-            if groups and lam - eigs[groups[-1][0]] <= CLUSTER_RTOL * (1.0 + lam):
-                groups[-1].append(i)
-            else:
-                groups.append([i])
-        # np.mean of one value is that value, so only clusters of two or
-        # more modes call it
-        means = np.array([eigs[g[0]] if len(g) == 1
-                          else np.mean(self.eigenvalues[g]) for g in groups])
-        means.flags.writeable = False
-        return tuple(tuple(g) for g in groups), means
+            if lam - eigs[starts[-1]] > CLUSTER_RTOL * (1.0 + lam):
+                starts.append(i)
+        return _read_only(np.array(starts))
 
-    def clusters(self) -> tuple[tuple[int, ...], ...]:
-        """Indices grouped by equal eigenvalue (tolerance 1e-9 * (1+lambda)),
-        computed once per basis."""
-        return self._cluster_table[0]
+    @cached_property
+    def cluster_sizes(self) -> np.ndarray:
+        return _read_only(np.diff(self.cluster_starts, append=len(self)))
 
+    @cached_property
     def cluster_means(self) -> np.ndarray:
-        """Mean eigenvalue of each cluster, ascending (read-only)."""
-        return self._cluster_table[1]
+        return _read_only(self.cluster_sums(self.eigenvalues)
+                          / self.cluster_sizes)
+
+    def cluster_sums(self, values: np.ndarray) -> np.ndarray:
+        """Sum of the per-mode ``values`` over each cluster, added left to
+        right (``np.sum``'s order below 8 terms, bit for bit; from 8 on
+        ``np.sum`` adds pairwise): the columns of a zero-padded table of
+        clusters x largest size, added in turn."""
+        width = np.arange(self.cluster_sizes.max())
+        index = np.where(width < self.cluster_sizes[:, None],
+                         self.cluster_starts[:, None] + width, len(self))
+        return sum(np.append(values, 0.0)[index].T)
 
 
 def build_basis(domain: Domain, cutoff: float,

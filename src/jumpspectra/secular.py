@@ -33,7 +33,6 @@ from .geometry import BasisSet, _leggauss
 from .measures import MeasureMoments
 
 INERT_TOL = 1e-12
-WARN_TOL = 1e-8
 _ROOT_GRID = 256          # sign-test nodes per inter-pole gap of real_roots_in
 _AXIS_BAND = 1e-6         # |Im| below which complex_roots_in does not search
 # Points x poles per block of the pole sums: their complex temporaries (64
@@ -54,16 +53,14 @@ class SecularSeries:
 
     basis: BasisSet
     moments: MeasureMoments
-    poles: np.ndarray            # distinct non-inert poles, strictly increasing
-    residues: np.ndarray         # aggregated residues at those poles
-    pole_sizes: np.ndarray       # modes in the cluster of each of those poles
-    inert_poles: np.ndarray      # eigenvalues whose residue is symmetry-killed
+    live: np.ndarray             # per basis cluster: |residue| > INERT_TOL
+    poles: np.ndarray            # the live clusters' means, strictly increasing
+    residues: np.ndarray         # the live clusters' residues
     cutoff: float
     t0: float                    # tail of sum alpha/lambda   beyond the cutoff
     t1: float                    # tail of sum alpha/lambda^2 beyond the cutoff
     tail_mass: float             # bound on sum |alpha| over the dropped tail
     heuristic_tail: bool
-    conditioning_warnings: tuple = ()
 
     # -- raw sums ----------------------------------------------------------
 
@@ -124,26 +121,12 @@ class SecularSeries:
 
 def build_secular_series(basis: BasisSet,
                          moments: MeasureMoments) -> SecularSeries:
-    """Aggregate residues over eigenvalue clusters and compute tail anchors."""
+    """Residue of each eigenvalue cluster, the sum of ``(1, chi) <chi>_mu``
+    over its modes; a cluster is a pole when that residue is live (not
+    symmetry-killed).  Also computes the tail anchors."""
     alpha = basis.one_coeffs * moments.moments
-    pole_vals, pole_res, pole_sizes, inert = [], [], [], []
-    warnings = []
-    for group, lam in zip(basis.clusters(), basis.cluster_means().tolist()):
-        # np.sum of one value is that value, so only clusters of two or
-        # more modes call it
-        res = float(alpha[group[0]] if len(group) == 1
-                    else np.sum(alpha[list(group)]))
-        if abs(res) <= INERT_TOL:
-            inert.append(lam)
-        else:
-            if abs(res) < WARN_TOL:
-                warnings.append((lam, res))
-            pole_vals.append(lam)
-            pole_res.append(res)
-            pole_sizes.append(len(group))
-
-    poles = np.asarray(pole_vals)
-    residues = np.asarray(pole_res)
+    residue = basis.cluster_sums(alpha)
+    live = np.abs(residue) > INERT_TOL
 
     # exact full-series anchors: <R_D(0) 1>_mu and <R_D(0)^2 1>_mu
     m0_full, m1_full = moments.spec.anchors(basis)
@@ -164,10 +147,9 @@ def build_secular_series(basis: BasisSet,
         tail_mass = 10.0 * float(np.sum(np.abs(alpha[lo]))) + 1e-12
         heuristic = True
 
-    return SecularSeries(basis, moments, poles, residues,
-                         np.asarray(pole_sizes, dtype=int), np.asarray(inert),
-                         basis.cutoff, t0, t1, tail_mass, heuristic,
-                         tuple(warnings))
+    return SecularSeries(basis, moments, live, basis.cluster_means[live],
+                         residue[live], basis.cutoff, t0, t1, tail_mass,
+                         heuristic)
 
 
 # ---------------------------------------------------------------------------

@@ -90,15 +90,16 @@ class SpectrumReport:
 
 
 def _classify_dirichlet(series: SecularSeries, window):
-    """Embedded/undetermined split of Dirichlet eigenvalues in the window."""
+    """Embedded/undetermined split of the Dirichlet clusters in the window:
+    the rows of the basis's cluster table whose mean lies in it."""
     basis = series.basis
-    re_lo, re_hi = window[0], window[1]
+    lo = np.searchsorted(basis.cluster_means, window[0], side="left")
+    hi = np.searchsorted(basis.cluster_means, window[1], side="right")
     entries = []
-    for group, lam in zip(basis.clusters(), basis.cluster_means().tolist()):
-        if lam < re_lo or lam > re_hi:
-            continue
-        mvec = series.moments.moments[list(group)]
-        dim = len(group)
+    for lam, start, dim in zip(basis.cluster_means[lo:hi].tolist(),
+                               basis.cluster_starts[lo:hi].tolist(),
+                               basis.cluster_sizes[lo:hi].tolist()):
+        mvec = series.moments.moments[start:start + dim]
         mnorm = float(np.linalg.norm(mvec))
         if mnorm <= _MOMENT_ZERO_TOL:
             entries.append(SpectrumEntry(

@@ -70,7 +70,7 @@ def render_enclosure_svg(curves: EnclosureCurves, basis: BasisSet) -> str:
                          f'stroke="{color}" stroke-width="{width}"{dash_attr}/>')
 
     # Dirichlet eigenvalues as black dots, one per cluster
-    for lam in basis.cluster_means():
+    for lam in basis.cluster_means:
         if lam > re_hi:
             break
         px, py = to_px(lam, 0.0)

@@ -381,10 +381,14 @@ def test_cluster_table_matches_per_cluster_mean(name, request):
             groups[-1].append(i)
         else:
             groups.append([i])
-    assert basis.clusters() == tuple(tuple(g) for g in groups)
+    assert basis.cluster_starts.tolist() == [g[0] for g in groups]
+    assert basis.cluster_sizes.tolist() == [len(g) for g in groups]
     assert np.array_equal(
-        basis.cluster_means(),
+        basis.cluster_means,
         np.array([np.mean(basis.eigenvalues[g]) for g in groups]))
+    for column in (basis.cluster_starts, basis.cluster_sizes,
+                   basis.cluster_means):
+        assert not column.flags.writeable
 
 
 def test_gauss_legendre_cache_read_only():

@@ -25,8 +25,8 @@ def resum_pointwise(vec: SpectralVector, basis: BasisSet, x, y,
     y = np.atleast_1d(np.asarray(y, dtype=float))
     acc = np.full(x.shape, complex(vec.constant))
     partials = []
-    for group in basis.clusters():
-        live = [i for i in group if vec.coeffs[i] != 0]
+    for start, size in zip(basis.cluster_starts, basis.cluster_sizes):
+        live = [i for i in range(start, start + size) if vec.coeffs[i] != 0]
         if not live:
             continue
         for i in live:

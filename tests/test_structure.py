@@ -9,7 +9,9 @@ one place.  Only the domain knows its occupation cells.  Integrands meet a
 quadrature rule through ``rule.values``, on the rule's tensor factors.  The
 Dirichlet basis is one table of parameter rows, with no per-mode object, and
 a mode perturbation is its coefficient vector.  A boundary-layer quotient and
-the secular tail bound each have one function that computes them."""
+the secular tail bound each have one function that computes them.  The
+eigenvalue clusters are one table whose columns the secular poles, the
+Dirichlet classification and the theorem checks read."""
 
 import ast
 import dataclasses
@@ -305,3 +307,27 @@ def test_one_quotient_and_one_tail_bound():
                                 for name in ast.walk(arg)
                                 if isinstance(name, ast.Name)}]
     assert not looped
+
+
+def test_clusters_are_one_table():
+    # a cluster is a row of the basis's cluster table; the series keeps one
+    # live mask over its rows, and no loop in the readers walks the table:
+    # a loop that reads a column reads a window of its rows
+    assert not hasattr(geometry.BasisSet, "clusters")
+    fields = {f.name for f in dataclasses.fields(secular.SecularSeries)}
+    assert not fields & {"inert_poles", "pole_sizes", "conditioning_warnings"}
+    assert "live" in fields and not hasattr(secular, "WARN_TOL")
+    columns = {"clusters", "cluster_starts", "cluster_sizes", "cluster_means",
+               "cluster_sums", "live"}
+    whole = []
+    for module in ("secular.py", "spectrum.py", "enclosure.py"):
+        for loop in ast.walk(parse(module)):
+            if not isinstance(loop, (ast.For, ast.comprehension)):
+                continue
+            windowed = {id(node.value) for node in ast.walk(loop.iter)
+                        if isinstance(node, ast.Subscript)
+                        and isinstance(node.slice, ast.Slice)}
+            whole += [(module, node.attr) for node in ast.walk(loop.iter)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr in columns and id(node) not in windowed]
+    assert whole == []
