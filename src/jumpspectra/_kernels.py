@@ -159,23 +159,27 @@ def radial_ratio(table):
     return ratio
 
 
+def bilinear(table2d, fx, fy):
+    """``table2d``, the values on a regular lattice over the bounding box
+    (rows along x), bilinearly interpolated at the box fractions ``fx, fy``;
+    a fraction outside [0, 1) is clamped to the lattice."""
+    nx, ny = table2d.shape
+    px = np.clip(fx * (nx - 1), 0, nx - 1 - 1e-12)
+    py = np.clip(fy * (ny - 1), 0, ny - 1 - 1e-12)
+    i = px.astype(int)
+    j = py.astype(int)
+    tx = px - i
+    ty = py - j
+    return ((1 - tx) * (1 - ty) * table2d[i, j]
+            + tx * (1 - ty) * table2d[i + 1, j]
+            + (1 - tx) * ty * table2d[i, j + 1]
+            + tx * ty * table2d[i + 1, j + 1])
+
+
 def grid_ratio(table2d):
     """Acceptance ratio of a uniform point: ``table2d`` over the bounding
     box fractions, bilinearly interpolated."""
-    nx, ny = table2d.shape
-
-    def ratio(u1, fx, fy):
-        px = fx * (nx - 1)
-        py = fy * (ny - 1)
-        i = np.minimum(px.astype(int), nx - 2)
-        j = np.minimum(py.astype(int), ny - 2)
-        tx = px - i
-        ty = py - j
-        return (table2d[i, j] * (1 - tx) * (1 - ty)
-                + table2d[i + 1, j] * tx * (1 - ty)
-                + table2d[i, j + 1] * (1 - tx) * ty
-                + table2d[i + 1, j + 1] * tx * ty)
-    return ratio
+    return lambda u1, fx, fy: bilinear(table2d, fx, fy)
 
 
 def check_acceptance(attempts, accepts):

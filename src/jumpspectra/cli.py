@@ -52,10 +52,8 @@ _DEFAULTS = {
 @dataclasses.dataclass
 class Experiment:
     config: dict
-    domain: object
     basis: BasisSet
     measure: ms.MeasureSpec
-    moments: ms.MeasureMoments
     series: sec.SecularSeries
     out_dir: str
     k: int
@@ -209,25 +207,24 @@ def make_mode_perturbation(basis: BasisSet, coefficients: dict,
     return v
 
 
-def _build_measure(cfg: dict, domain, basis: BasisSet) -> ms.MeasureSpec:
+def _build_measure(cfg: dict, basis: BasisSet) -> ms.MeasureSpec:
     mcfg = _block(cfg, "measure")
     variant = mcfg.get("variant")
 
     def read(key, default=None, convert=_finite):
         return _read(mcfg, key, default, convert, where="measure.")
 
-    bm = read("boundary_mass", 0.0)
     if variant == "uniform":
-        return ms.UniformMeasure(bm)
+        return ms.UniformMeasure()
     if variant == "ground_state":
-        return ms.GroundStateMeasure(bm)
+        return ms.GroundStateMeasure()
     if variant == "dirac":
-        return ms.DiracMeasure(read("x0"), read("y0"), bm)
+        return ms.DiracMeasure(read("x0"), read("y0"))
     if variant == "circle":
-        return ms.CircleMeasure(read("r0"), bm)
+        return ms.CircleMeasure(read("r0"))
     if variant == "density_grid":
         grid = _load_density_grid(mcfg)
-        return ms.DensityMeasure(ms.density_from_grid(grid, domain), bm)
+        return ms.DensityMeasure(ms.density_from_grid(grid, basis.domain))
     if variant == "perturbed":
         base_name = mcfg.get("base", "uniform")
         if base_name == "uniform":
@@ -239,7 +236,7 @@ def _build_measure(cfg: dict, domain, basis: BasisSet) -> ms.MeasureSpec:
         modes = read("v_modes", {}, lambda m: {
             int(i): _finite(c) for i, c in dict(m).items()})
         v = make_mode_perturbation(basis, modes, read("v_scale", 1.0))
-        return ms.PerturbedMeasure(base, v, bm)
+        return ms.PerturbedMeasure(base, v)
     raise ConfigError(f"unknown measure variant {variant!r}")
 
 
@@ -250,7 +247,6 @@ def _walk_settings(cfg: dict, domain) -> tuple[st.WalkConfig, float]:
     def read(key, default, convert, positive=True):
         return _read(wcfg, key, default, convert, positive, where="walk.")
 
-    tol = wcfg.get("boundary_tolerance")
     default = st.WalkConfig()
     config = st.WalkConfig(
         step_dt=read("step_dt", default.step_dt, float),
@@ -258,8 +254,6 @@ def _walk_settings(cfg: dict, domain) -> tuple[st.WalkConfig, float]:
         n_paths=read("n_paths", default.n_paths, _integer),
         seed=read("seed", _read(cfg, "seed", None, _integer), _integer,
                   positive=False),
-        boundary_tolerance=None if tol is None
-        else read("boundary_tolerance", None, float),
         n_bins=read("n_bins", default.n_bins, _integer))
     # restarts land only where the band leaves room
     if config.band() >= domain.inradius:
@@ -292,7 +286,7 @@ def build_experiment(cfg: dict, out_dir: str | None = None) -> Experiment:
     walk, l1_threshold = _walk_settings(merged, domain)
     try:
         basis = build_basis(domain, cutoff)
-        measure = _build_measure(merged, domain, basis)
+        measure = _build_measure(merged, basis)
         moments = ms.compute_moments(measure, basis)
     except JumpSpectraError as exc:
         raise ConfigError(str(exc)) from exc
@@ -302,10 +296,9 @@ def build_experiment(cfg: dict, out_dir: str | None = None) -> Experiment:
         except ValueError as exc:
             raise ConfigError(f"walk: {exc} {walk.band():g}") from exc
     series = sec.build_secular_series(basis, moments)
-    out = out_dir or merged.get("output_dir", "out")
     merged["window"] = window
-    return Experiment(merged, domain, basis, measure, moments, series, out,
-                      k, thresholds, walk, l1_threshold)
+    return Experiment(merged, basis, measure, series, out_dir or "out", k,
+                      thresholds, walk, l1_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +360,7 @@ _THEOREMS = {
     "enclosure_thm3": lambda exp, rep: en.check_nested_enclosure(
         rep, exp.admissibility, exp.basis),
     "prop_real": lambda exp, rep: en.bound_first_eigenvalue(
-        exp.series, exp.admissibility, exp.moments),
+        exp.series, exp.admissibility),
 }
 
 
@@ -410,7 +403,7 @@ def _task_numrange(exp: Experiment, rep):
 
 
 def _task_simulate(exp: Experiment, rep):
-    hist = st.simulate_occupation(exp.walk, exp.domain, exp.measure, exp.basis)
+    hist = st.simulate_occupation(exp.walk, exp.measure, exp.basis)
     pred = st.stationary_prediction(exp.series, hist)
     dist = st.compare_stationary(hist, pred)
     _write(os.path.join(exp.out_dir, "occupation.csv"),
@@ -451,12 +444,8 @@ def run_experiment(exp: Experiment) -> list:
     os.makedirs(exp.out_dir, exist_ok=True)
     rows = _check_rows(exp, [(name, functools.partial(_RUNNERS[name], exp))
                              for name in names])
-    summary = {
-        "version": CONFIG_VERSION,
-        "config": {k: v for k, v in exp.config.items()
-                   if k not in ("output_dir",)},
-        "results": rows,
-    }
+    summary = {"version": CONFIG_VERSION, "config": exp.config,
+               "results": rows}
     _write(os.path.join(exp.out_dir, "summary.json"),
            json.dumps(summary, sort_keys=True, indent=2, default=str) + "\n")
     return rows
@@ -468,7 +457,7 @@ def run_experiment(exp: Experiment) -> list:
 
 def verify_experiment(exp: Experiment, inject_fault: str | None = None) -> list:
     series = exp.series
-    moments = exp.moments
+    moments = series.moments
     tampered = None
     if inject_fault == "moments":
         tampered = moments.with_moments(moments.moments + 1e-3)
@@ -558,15 +547,14 @@ def main(argv=None) -> int:
     p_fig = sub.add_parser("figure1", help="emit the nested-enclosure figure")
     p_fig.add_argument("--thresholds", default="0.1,0.2,0.3,0.4")
     p_fig.add_argument("--domain", default="disk", choices=["disk", "rectangle"])
-    p_fig.add_argument("--side-x", type=float, default=math.pi)
-    p_fig.add_argument("--side-y", type=float, default=math.pi)
     p_fig.add_argument("--out", default="out")
 
     args = parser.parse_args(argv)
     try:
         if args.command == "figure1":
-            cfg = {"domain": {"kind": args.domain, "side_x": args.side_x,
-                              "side_y": args.side_y},
+            # summary.json prints this block, sides included for the disk
+            cfg = {"domain": {"kind": args.domain, "side_x": math.pi,
+                              "side_y": math.pi},
                    "measure": {"variant": "uniform"},
                    "tasks": ["figure1"],
                    "thresholds": list(_read(

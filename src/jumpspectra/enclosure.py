@@ -18,9 +18,7 @@ counterexample to the corresponding enclosure statement.
 
 Level counting runs over the active (non-inert) poles of the secular
 series: on symmetric domains whole families of modes have identically zero
-mean coefficient and drop out of the series, carrying no obstruction.  The
-literal enumeration threshold is computed alongside in the admissibility
-certificate (``threshold_literal``), but no output prints it.
+mean coefficient and drop out of the series, carrying no obstruction.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import BasisSet
-from .measures import AdmissibilityCertificate, MeasureMoments
+from .measures import AdmissibilityCertificate
 from .secular import SecularSeries, real_roots_in
 from .spectrum import SpectrumReport
 
@@ -164,8 +162,7 @@ def check_interlacing(series: SecularSeries,
 
 
 def bound_first_eigenvalue(series: SecularSeries,
-                           cert: AdmissibilityCertificate,
-                           moments: MeasureMoments) -> CheckResult:
+                           cert: AdmissibilityCertificate) -> CheckResult:
     """Bracket and two-pole bound for the real eigenvalue in the first
     active gap, between the first two non-inert poles of the series.
 
@@ -193,8 +190,8 @@ def bound_first_eigenvalue(series: SecularSeries,
     a1, a2 = series.residues[0], series.residues[1]
     p1, p2, p3 = series.poles[0], series.poles[1], series.poles[2]
     lhs = abs(a1 / (p1 - root) + a2 / (p2 - root))
-    rhs = (math.sqrt(series.basis.domain.area) * moments.l2_density_norm
-           / (p3 - p2))
+    rhs = (math.sqrt(series.basis.domain.area)
+           * series.moments.l2_density_norm / (p3 - p2))
     slack = rhs - lhs
     detail = (f"eigenvalue {root:.9g} in ({lo:.6g}, {hi:.6g}); two-pole bound "
               f"{lhs:.4e} <= {rhs:.4e}")

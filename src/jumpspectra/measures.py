@@ -7,15 +7,14 @@ the same calls: ``density(basis)`` (None when singular), ``integral(basis,
 f)``, ``moments(basis)`` (the sequence ``<chi_n>_mu`` that drives the
 secular series, in closed form whenever the variant admits one),
 ``anchors(basis)`` (the secular series' tail anchors, in closed form for the
-uniform, ground-state and perturbed variants), ``restart(domain, basis)``
-(the walk's draw of restart points) and ``check_band(domain, band)``
-(rejects a support the walk's boundary band would kill at once).  The
-singular variants also give ``support_distance(domain)``, the boundary
+uniform, ground-state and perturbed variants), ``restart(basis)`` (the
+walk's draw of restart points on ``basis.domain``) and ``check_band(domain,
+band)`` (rejects a support the walk's boundary band would kill at once).
+The singular variants also give ``support_distance(domain)``, the boundary
 distance of their support.
 
-A measure supported partly on the boundary reduces to its interior part
-renormalised to unit mass, so the optional ``boundary_mass`` field only
-records the reduction and is validated to lie in [0, 1) on construction.
+A restart measure is a probability measure on the open domain, so no mass
+on the boundary enters the generator.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from ._kernels import (circle_draw, fixed_draw, grid_ratio, radial_ratio,
-                       uniform_draw)
+from ._kernels import (bilinear, circle_draw, fixed_draw, grid_ratio,
+                       radial_ratio, uniform_draw)
 from .errors import (MassDeficitError, MeasureError, NegativeDensityError,
                      UnsupportedMeasureError)
 from .bessel import bessel_zero, jv
@@ -49,7 +48,6 @@ class MeasureMoments:
     """Moment sequence of the measure against the basis modes."""
 
     spec: MeasureSpec
-    basis: BasisSet
     moments: np.ndarray
     l2_density_norm: float | None          # None for singular measures
 
@@ -63,12 +61,8 @@ class MeasureMoments:
 # ---------------------------------------------------------------------------
 
 class _Variant:
-    """Validates ``boundary_mass`` when a variant is built, and integrates
-    the tail anchors against the measure where no closed form is known."""
-
-    def __post_init__(self):
-        if not 0.0 <= self.boundary_mass < 1.0:
-            raise MeasureError("boundary_mass must lie in [0, 1)")
+    """Integrates the tail anchors against the measure where no closed form
+    is known."""
 
     def anchors(self, basis: BasisSet) -> tuple[float, float]:
         """``<R_D(0) 1>_mu`` and ``<R_D(0)^2 1>_mu``: the torsion function
@@ -97,10 +91,9 @@ class _Density(_Variant):
         w = self.node_values(basis)
         return float(np.real(rule.integrate(rule.values(f) * w)))
 
-    def restart(self, domain: Domain, basis: BasisSet | None):
+    def restart(self, basis: BasisSet):
         """Rejection against a density table over the bounding box."""
-        if basis is None:
-            raise ValueError("density restarts need a basis for evaluation")
+        domain = basis.domain
         w = self.density(basis)
         x_lo, x_hi, y_lo, y_hi = domain.bounding_box
         n = 257
@@ -119,30 +112,25 @@ class _Density(_Variant):
 
 @dataclass(frozen=True)
 class UniformMeasure(_Density):
-    boundary_mass: float = 0.0
-
     def density(self, basis: BasisSet) -> Callable:
         inv_area = 1.0 / basis.domain.area
         return lambda x, y: np.full(np.shape(np.asarray(x)), inv_area)
 
     def moments(self, basis: BasisSet) -> MeasureMoments:
         area = basis.domain.area
-        return MeasureMoments(self, basis, basis.one_coeffs / area,
-                              area ** -0.5)
+        return MeasureMoments(self, basis.one_coeffs / area, area ** -0.5)
 
     def anchors(self, basis: BasisSet) -> tuple[float, float]:
         area = basis.domain.area
         g, g2 = basis.domain.torsion_integrals()
         return g / area, g2 / area
 
-    def restart(self, domain: Domain, basis: BasisSet | None):
-        return uniform_draw(domain)
+    def restart(self, basis: BasisSet):
+        return uniform_draw(basis.domain)
 
 
 @dataclass(frozen=True)
 class GroundStateMeasure(_Density):
-    boundary_mass: float = 0.0
-
     def density(self, basis: BasisSet) -> Callable:
         scale = 1.0 / float(basis.one_coeffs[0])
         return lambda x, y: scale * basis.mode_values(0, x, y)
@@ -152,7 +140,7 @@ class GroundStateMeasure(_Density):
         norm = 1.0 / float(basis.one_coeffs[0])
         moments = np.zeros(len(basis))
         moments[0] = norm
-        return MeasureMoments(self, basis, moments, norm)
+        return MeasureMoments(self, moments, norm)
 
     def anchors(self, basis: BasisSet) -> tuple[float, float]:
         # (g, chi_1) = (1, chi_1)/lambda_1 and (g2, chi_1) = (1,
@@ -160,13 +148,13 @@ class GroundStateMeasure(_Density):
         lam = float(basis.eigenvalues[0])
         return 1.0 / lam, 1.0 / lam ** 2
 
-    def restart(self, domain: Domain, basis: BasisSet | None):
+    def restart(self, basis: BasisSet):
         """Rejection against J0(j_01 r) over the radius on the disk, against
         the grid table elsewhere."""
-        if not isinstance(domain, Disk):
-            return super().restart(domain, basis)
+        if not isinstance(basis.domain, Disk):
+            return super().restart(basis)
         r = np.linspace(0.0, 1.0, 4097)
-        return uniform_draw(domain, radial_ratio(
+        return uniform_draw(basis.domain, radial_ratio(
             np.clip(jv(0, bessel_zero(0, 1) * r), 0.0, None)))
 
 
@@ -174,7 +162,6 @@ class GroundStateMeasure(_Density):
 class DensityMeasure(_Density):
     """Absolutely continuous measure with density ``w(x, y)``."""
     w: Callable
-    boundary_mass: float = 0.0
 
     def density(self, basis: BasisSet) -> Callable:
         return self.w
@@ -185,7 +172,7 @@ class DensityMeasure(_Density):
         mass = float(np.real(rule.integrate(w)))
         if abs(mass - 1.0) > _MASS_TOL:
             raise MassDeficitError(f"density mass {mass!r} deviates from 1")
-        return MeasureMoments(self, basis, basis.domain.moments(w, basis),
+        return MeasureMoments(self, basis.domain.moments(w, basis),
                               float(np.sqrt(np.real(rule.integrate(w * w)))))
 
 
@@ -196,7 +183,6 @@ class PerturbedMeasure(_Density):
     moments, mean and norms are exact sums over them."""
     base: Union[UniformMeasure, GroundStateMeasure]
     v: np.ndarray
-    boundary_mass: float = 0.0
 
     def coefficients(self, basis: BasisSet) -> np.ndarray:
         """``v``, checked to hold one coefficient per mode of ``basis``."""
@@ -220,7 +206,7 @@ class PerturbedMeasure(_Density):
             raise MassDeficitError(f"perturbation has nonzero mean {mean!r}")
         base = self.base.moments(basis)
         # Parseval: |w_base + v|^2 = |w_base|^2 + 2 (w_base, v) + |v|^2
-        return MeasureMoments(self, basis, base.moments + v, math.sqrt(
+        return MeasureMoments(self, base.moments + v, math.sqrt(
             base.l2_density_norm ** 2 + 2.0 * (v @ base.moments) + v @ v))
 
     def anchors(self, basis: BasisSet) -> tuple[float, float]:
@@ -238,7 +224,6 @@ class DiracMeasure(_Variant):
     """Point mass at an interior point (distance >= 1e-6 from the boundary)."""
     x0: float
     y0: float
-    boundary_mass: float = 0.0
 
     def density(self, basis: BasisSet) -> None:
         return None
@@ -252,9 +237,9 @@ class DiracMeasure(_Variant):
             raise MeasureError("point mass must sit at least 1e-6 inside the domain")
         values = basis.mode_values(slice(None), np.array([self.x0]),
                                    np.array([self.y0]))
-        return MeasureMoments(self, basis, values[:, 0], None)
+        return MeasureMoments(self, values[:, 0], None)
 
-    def restart(self, domain: Domain, basis: BasisSet | None):
+    def restart(self, basis: BasisSet):
         return fixed_draw(self.x0, self.y0)
 
     def support_distance(self, domain: Domain) -> float:
@@ -269,7 +254,6 @@ class DiracMeasure(_Variant):
 class CircleMeasure(_Variant):
     """Uniform measure on the circle of radius r0 inside the unit disk."""
     r0: float
-    boundary_mass: float = 0.0
 
     def density(self, basis: BasisSet) -> None:
         return None
@@ -290,11 +274,11 @@ class CircleMeasure(_Variant):
         # order-0 mode is constant on it: its value at (r0, 0)
         at = basis.mode_values(slice(None), np.array([self.r0]),
                                np.array([0.0]))[:, 0]
-        return MeasureMoments(self, basis,
-                              np.where(basis.params[:, 0] == 0, at, 0.0), None)
+        return MeasureMoments(self, np.where(basis.params[:, 0] == 0, at, 0.0),
+                              None)
 
-    def restart(self, domain: Domain, basis: BasisSet | None):
-        if not isinstance(domain, Disk):
+    def restart(self, basis: BasisSet):
+        if not isinstance(basis.domain, Disk):
             raise UnsupportedMeasureError("circle restarts need the disk")
         return circle_draw(self.r0)
 
@@ -320,21 +304,11 @@ def density_from_grid(values: np.ndarray, domain: Domain) -> Callable:
     if values.ndim != 2 or min(values.shape) < 2:
         raise MeasureError("grid density must be a 2-D array with >= 2 points per axis")
     x_lo, x_hi, y_lo, y_hi = domain.bounding_box
-    nx, ny = values.shape
 
     def w(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        fx = np.clip((x - x_lo) / (x_hi - x_lo) * (nx - 1), 0, nx - 1 - 1e-12)
-        fy = np.clip((y - y_lo) / (y_hi - y_lo) * (ny - 1), 0, ny - 1 - 1e-12)
-        ix = fx.astype(int)
-        iy = fy.astype(int)
-        tx = fx - ix
-        ty = fy - iy
-        return ((1 - tx) * (1 - ty) * values[ix, iy]
-                + tx * (1 - ty) * values[ix + 1, iy]
-                + (1 - tx) * ty * values[ix, iy + 1]
-                + tx * ty * values[ix + 1, iy + 1])
+        return bilinear(values,
+                        (np.asarray(x, dtype=float) - x_lo) / (x_hi - x_lo),
+                        (np.asarray(y, dtype=float) - y_lo) / (y_hi - y_lo))
 
     return w
 
@@ -363,9 +337,10 @@ class AdmissibilityCertificate:
 
     ``threshold`` skips modes whose mean coefficient vanishes identically
     (symmetry zeros), which is the reading under which the interlacing
-    machinery operates; ``threshold_literal`` takes the first k modes of the
-    raw enumeration.  On domains with symmetries the literal threshold is 0
-    for every k >= 2, so only ``k = 1`` is literally satisfiable there.
+    machinery operates.  The literal reading, the first k modes of the raw
+    enumeration, is not used: on the disk and on every rectangle the second
+    mode (an angular mode, or two half-waves along one side) has zero mean,
+    so the literal threshold is 0 for every k >= 2.
     """
 
     passed: bool
@@ -373,8 +348,6 @@ class AdmissibilityCertificate:
     v_norm: float
     threshold: float
     margin: float
-    threshold_literal: float
-    literal_passed: bool
     zero_mean_ok: bool
     lower_bound_ok: bool
     base_kind: str
@@ -397,8 +370,6 @@ def check_hypothesis_v(spec: PerturbedMeasure, basis: BasisSet,
 
     if isinstance(spec.base, UniformMeasure):
         ocs = np.abs(basis.one_coeffs)
-        lit = ocs[:k]
-        threshold_literal = float(np.min(lit) / basis.domain.area) if len(lit) >= k else 0.0
         live = ocs[ocs > _INERT_TOL]
         if len(live) >= k:
             threshold = float(np.min(live[:k]) / basis.domain.area)
@@ -406,14 +377,12 @@ def check_hypothesis_v(spec: PerturbedMeasure, basis: BasisSet,
             threshold = 0.0
         base_kind = "uniform"
     else:
-        threshold = threshold_literal = basis.domain.area ** -0.5
+        threshold = basis.domain.area ** -0.5
         base_kind = "ground_state"
 
     small_ok = v_norm < threshold
     passed = zero_mean_ok and lower_bound_ok and small_ok
-    literal_passed = zero_mean_ok and lower_bound_ok and v_norm < threshold_literal
     return AdmissibilityCertificate(
         passed=passed, k=k, v_norm=v_norm, threshold=threshold,
-        margin=threshold - v_norm, threshold_literal=threshold_literal,
-        literal_passed=literal_passed, zero_mean_ok=zero_mean_ok,
+        margin=threshold - v_norm, zero_mean_ok=zero_mean_ok,
         lower_bound_ok=lower_bound_ok, base_kind=base_kind)

@@ -56,7 +56,6 @@ class SecularSeries:
     live: np.ndarray             # per basis cluster: |residue| > INERT_TOL
     poles: np.ndarray            # the live clusters' means, strictly increasing
     residues: np.ndarray         # the live clusters' residues
-    cutoff: float
     t0: float                    # tail of sum alpha/lambda   beyond the cutoff
     t1: float                    # tail of sum alpha/lambda^2 beyond the cutoff
     tail_mass: float             # bound on sum |alpha| over the dropped tail
@@ -89,13 +88,14 @@ class SecularSeries:
         for |lam| << cutoff) and of the raw truncated sum (tight for lam
         far left), both infinite where ``cutoff - Re lam <= 0``."""
         lam = np.asarray(lam, dtype=complex)
-        gap = self.cutoff - lam.real
+        cutoff = self.basis.cutoff
+        gap = cutoff - lam.real
         # |lam| and |lam|^2 through libm's hypot and pow, the bits of
         # Python's abs() and ** on one point
         mod = np.hypot(lam.real, lam.imag)
         with np.errstate(divide="ignore", invalid="ignore"):
             anchored = (np.float_power(mod, 2) * self.tail_mass
-                        / (self.cutoff ** 2 * gap)
+                        / (cutoff ** 2 * gap)
                         + 1e-12 * (1.0 + mod))
             plain = self.tail_mass / gap + 1e-13 * (1.0 + mod)
         beyond = gap <= 0
@@ -108,9 +108,10 @@ class SecularSeries:
         return np.minimum(*self._tail_bounds(lam))
 
     def _check_point(self, lam: complex):
-        if lam.real > self.cutoff - cutoff_margin(self.cutoff):
+        cutoff = self.basis.cutoff
+        if lam.real > cutoff - cutoff_margin(cutoff):
             raise CutoffExceededError(
-                f"Re lam = {lam.real} too close to cutoff {self.cutoff}")
+                f"Re lam = {lam.real} too close to cutoff {cutoff}")
         if self.poles.size:
             dist = np.abs(self.poles - lam)
             j = int(np.argmin(dist))
@@ -148,8 +149,7 @@ def build_secular_series(basis: BasisSet,
         heuristic = True
 
     return SecularSeries(basis, moments, live, basis.cluster_means[live],
-                         residue[live], basis.cutoff, t0, t1, tail_mass,
-                         heuristic)
+                         residue[live], t0, t1, tail_mass, heuristic)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +315,7 @@ def real_roots_in(series: SecularSeries, lo: float,
             if np.all(np.abs(vals) <= series.tail_bound(xs) + 1e-12):
                 raise UndecidableError(
                     f"secular values on ({a:.6g}, {b:.6g}) are below the tail "
-                    f"bound at cutoff {series.cutoff}; increase the cutoff")
+                    f"bound at cutoff {series.basis.cutoff}; increase the cutoff")
             continue
         for i in np.flatnonzero(found):
             if vals[i] == 0.0:

@@ -7,7 +7,7 @@ occupation histogram is compared in L1 against the spectral prediction: the
 normalised Dirichlet solve of the measure density, which spans the kernel
 of the adjoint generator.
 
-The boundary band default ``0.5826 sqrt(2 dt)`` offsets the mean overshoot
+The boundary band ``0.5826 sqrt(2 dt)`` offsets the mean overshoot
 of discrete exits past the boundary (the standard half-order correction for
 killed diffusions); exit positions are tested every step, with occupation
 weights accumulated at the midpoint of every step, the exit step included.
@@ -33,12 +33,9 @@ class WalkConfig:
     n_steps: int = 100_000
     n_paths: int = 1_000
     seed: int = 20240817
-    boundary_tolerance: float | None = None     # default: overshoot correction
     n_bins: int = 24
 
     def band(self) -> float:
-        if self.boundary_tolerance is not None:
-            return self.boundary_tolerance
         return _OVERSHOOT * math.sqrt(2.0 * self.step_dt)
 
 
@@ -55,16 +52,16 @@ class OccupationHistogram:
     rejection_accepts: int = 0
 
 
-def simulate_occupation(config: WalkConfig, domain: Domain,
-                        spec: MeasureSpec,
-                        basis: BasisSet | None = None) -> OccupationHistogram:
-    """Run the walk ensemble and bin the time-weighted occupation."""
+def simulate_occupation(config: WalkConfig, spec: MeasureSpec,
+                        basis: BasisSet) -> OccupationHistogram:
+    """Run the walk ensemble on ``basis.domain`` and bin the time-weighted
+    occupation."""
+    domain = basis.domain
     band = config.band()
     spec.check_band(domain, band)
     hist, _, stats = run_walk(
         derive_seeds(config.seed, config.n_paths), config.n_steps,
-        config.step_dt, band, domain, spec.restart(domain, basis),
-        config.n_bins)
+        config.step_dt, band, domain, spec.restart(basis), config.n_bins)
     areas = domain.cell_areas(config.n_bins)
     density = hist / float(np.sum(hist)) / areas
     return OccupationHistogram(domain, config, hist, density, areas,

@@ -116,7 +116,7 @@ def test_criterion_2_secular_closed_form(disk_basis):
     with criterion(2, "uniform-disk secular value 1/8 at the origin", 5.0):
         mom = measures.compute_moments(measures.UniformMeasure(), disk_basis)
         series = secular.build_secular_series(disk_basis, mom)
-        assert series.cutoff == 2000.0
+        assert series.basis.cutoff == 2000.0
         val, _ = secular.eval_secular(series, 0.0)
         assert abs(val.real - 0.125) < 1e-6
         assert val.imag == 0.0
@@ -210,7 +210,7 @@ def test_criterion_6_first_eigenvalue_bound(rect_runs):
     with criterion(6, "two-pole remainder bound at the located eigenvalue",
                    60.0):
         for spec, cert, mom, series in rect_runs:
-            res = en.bound_first_eigenvalue(series, cert, mom)
+            res = en.bound_first_eigenvalue(series, cert)
             assert res.verdict == en.PASS, res.detail
             assert res.margin is not None and res.margin >= 0
 
@@ -263,12 +263,11 @@ def test_criterion_9_figure(disk_basis):
         assert svg.startswith("<svg") and "<polyline" in svg
 
 
-def test_criterion_10_stochastic(disk, disk_basis, uniform_disk,
-                                 groundstate_disk):
+def test_criterion_10_stochastic(disk_basis, uniform_disk, groundstate_disk):
     with criterion(10, "occupation histograms match the spectral profile",
                    600.0):
         config = st.WalkConfig()        # dt 1e-5, 1e5 steps, 1e3 paths
-        run_u = st.simulate_occupation(config, disk, measures.UniformMeasure(),
+        run_u = st.simulate_occupation(config, measures.UniformMeasure(),
                                        disk_basis)
         edges = np.linspace(0.0, 1.0, config.n_bins + 1)
         # analytic profile 2(1 - r^2)/pi, averaged exactly per annulus
@@ -278,8 +277,7 @@ def test_criterion_10_stochastic(disk, disk_basis, uniform_disk,
         d_u = st.compare_stationary(run_u, exact)
         assert d_u < 0.05
 
-        run_g = st.simulate_occupation(config, disk,
-                                       measures.GroundStateMeasure(),
+        run_g = st.simulate_occupation(config, measures.GroundStateMeasure(),
                                        disk_basis)
         pred_g = st.stationary_prediction(groundstate_disk, run_g)
         d_g = st.compare_stationary(run_g, pred_g)

@@ -75,7 +75,6 @@ def test_invalid_configs(tmp_path):
              measure={"variant": "circle", "r0": 0.5}),
         dict(DISK_SMALL, measure={"variant": "nope"}),
         dict(DISK_SMALL, measure={"variant": "circle", "r0": 1.5}),
-        dict(DISK_SMALL, measure={"variant": "uniform", "boundary_mass": 1.0}),
         dict(DISK_SMALL, measure={"variant": "dirac", "x0": 2.0, "y0": 0.0}),
         dict(DISK_SMALL, measure={"variant": "density_grid",
                                   "values": [1.0, 2.0]}),
@@ -87,8 +86,6 @@ def test_invalid_configs(tmp_path):
         dict(DISK_SMALL, tasks={"spectrum": False}),
         dict(DISK_SMALL, cutoff="abc"),
         dict(DISK_SMALL, measure={"variant": "dirac", "x0": "abc", "y0": 0.0}),
-        dict(DISK_SMALL, measure={"variant": "uniform",
-                                  "boundary_mass": "abc"}),
         dict(DISK_SMALL, window=["a", 1, 2, 3]),
         dict(DISK_SMALL, k="abc"),
         dict(DISK_SMALL, domain={"kind": "rectangle", "side_x": math.pi,
@@ -122,8 +119,6 @@ def test_invalid_configs(tmp_path):
         dict(DISK_SMALL, measure={"variant": "dirac", "x0": math.nan,
                                   "y0": 0.0}),
         dict(DISK_SMALL, measure={"variant": "circle", "r0": math.inf}),
-        dict(DISK_SMALL, measure={"variant": "uniform",
-                                  "boundary_mass": -math.inf}),
         dict(DISK_SMALL, measure={"variant": "perturbed", "base": "uniform",
                                   "v_modes": {"1": math.nan}}),
         dict(DISK_SMALL, measure={"variant": "perturbed", "base": "uniform",
@@ -141,9 +136,9 @@ def test_invalid_configs(tmp_path):
 
 @pytest.mark.parametrize("walk", [
     {"n_paths": "many"}, {"n_bins": 0}, {"step_dt": -1e-4}, {"n_paths": 0},
-    {"n_steps": -5}, {"boundary_tolerance": -0.01},
-    {"boundary_tolerance": math.nan}, {"l1_threshold": 0.0},
-    {"l1_threshold": math.inf}, {"step_dt": 10.0}, "fast",
+    {"n_steps": -5}, {"seed": True}, {"seed": math.nan},
+    {"l1_threshold": 0.0}, {"l1_threshold": math.inf}, {"step_dt": 10.0},
+    "fast",
     # (walk, measure): the restart point or circle lies in the boundary band
     ({"step_dt": 1e-3}, {"variant": "dirac", "x0": 0.99, "y0": 0.0}),
     ({"step_dt": 1e-3}, {"variant": "circle", "r0": 0.99}),
@@ -151,7 +146,6 @@ def test_invalid_configs(tmp_path):
     {"n_steps": 1.5}, {"n_steps": "12"}, {"n_steps": True},
     {"n_paths": 2.5}, {"n_paths": math.nan}, {"n_bins": math.inf},
     {"n_bins": -math.inf}, {"n_bins": False}, {"seed": 1.5}, {"seed": "7"},
-    {"seed": True}, {"seed": math.nan},
 ])
 def test_invalid_walk_configs(tmp_path, capsys, walk):
     walk, measure = walk if isinstance(walk, tuple) \

@@ -135,8 +135,8 @@ def test_interlacing_degenerate_inapplicable(square_basis):
 
 
 def test_first_eigenvalue_bound(rect_admissible):
-    _, cert, mom, series, _ = rect_admissible
-    res = en.bound_first_eigenvalue(series, cert, mom)
+    _, cert, _, series, _ = rect_admissible
+    res = en.bound_first_eigenvalue(series, cert)
     assert res.verdict == en.PASS
     assert res.margin is not None and res.margin > 0
 
@@ -144,10 +144,10 @@ def test_first_eigenvalue_bound(rect_admissible):
 def test_first_eigenvalue_bound_needs_level_2(rect_admissible, rect_basis):
     # a level-1 certificate does not give the level-2 hypothesis, even for
     # a perturbation that meets it
-    spec, _, mom, series, _ = rect_admissible
+    spec, _, _, series, _ = rect_admissible
     cert = measures.check_hypothesis_v(spec, rect_basis, 1)
     assert cert.passed
-    res = en.bound_first_eigenvalue(series, cert, mom)
+    res = en.bound_first_eigenvalue(series, cert)
     assert res.verdict == en.INAPPLICABLE
     assert "level-2" in res.detail
 
@@ -158,7 +158,7 @@ def test_first_eigenvalue_bound_groundstate_inapplicable(disk_basis):
     cert = measures.check_hypothesis_v(spec, disk_basis, 2)
     mom = measures.compute_moments(spec, disk_basis)
     series = secular.build_secular_series(disk_basis, mom)
-    res = en.bound_first_eigenvalue(series, cert, mom)
+    res = en.bound_first_eigenvalue(series, cert)
     assert res.verdict == en.INAPPLICABLE
 
 
@@ -521,6 +521,13 @@ POINT_MASS = {"version": 1, "domain": {"kind": "disk"},
               "measure": {"variant": "dirac", "x0": 0.034052165372859565,
                           "y0": -0.010954638066593792},
               "cutoff": 2000.0, "tasks": ["figure1"]}
+FIGURE_CONFIGS = {
+    "point_mass": POINT_MASS,
+    # the figure1 subcommand's uniform measure on a pi x 1.2337 pi rectangle
+    "rectangle": dict(POINT_MASS, measure={"variant": "uniform"},
+                      domain={"kind": "rectangle", "side_x": math.pi,
+                              "side_y": 3.8757828567337283}),
+}
 # SHA-256 of the figure-1 files, each level curve one polyline
 PINNED_FIGURES = {
     "rectangle": {
@@ -541,13 +548,8 @@ PINNED_FIGURES = {
 @pytest.mark.parametrize("name", sorted(PINNED_FIGURES))
 def test_figure1_pinned_digests(tmp_path, name):
     out = tmp_path / "out"
-    if name == "rectangle":
-        argv = ["figure1", "--domain", "rectangle",
-                "--side-y", "3.8757828567337283"]
-    else:
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps(POINT_MASS))
-        argv = ["run", str(config)]
-    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_PASS
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(FIGURE_CONFIGS[name]))
+    assert cli.main(["run", str(config), "--out", str(out)]) == cli.EXIT_PASS
     assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
             for f in PINNED_FIGURES[name]} == PINNED_FIGURES[name]

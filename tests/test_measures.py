@@ -280,17 +280,6 @@ def test_anchors_integrate_only_without_closed_form(name, disk_basis,
     assert len(calls) == (0 if closed else 2)
 
 
-def test_boundary_mass_validation(disk_basis):
-    with pytest.raises(ValueError):
-        measures.compute_moments(measures.UniformMeasure(boundary_mass=1.0),
-                                 disk_basis)
-    mom = measures.compute_moments(measures.UniformMeasure(boundary_mass=0.3),
-                                   disk_basis)
-    # interior part is already normalised: reduction is the identity
-    uni = measures.compute_moments(measures.UniformMeasure(), disk_basis)
-    assert np.allclose(mom.moments, uni.moments)
-
-
 def test_density_from_grid(disk_basis):
     grid = np.full((33, 33), 1.0 / math.pi)
     w = measures.density_from_grid(grid, disk_basis.domain)
@@ -306,7 +295,7 @@ def test_admissibility_v_zero(disk_basis):
     spec = measures.PerturbedMeasure(
         measures.UniformMeasure(), np.zeros(len(disk_basis)))
     cert = measures.check_hypothesis_v(spec, disk_basis, 1)
-    assert cert.passed and cert.literal_passed
+    assert cert.passed
     assert cert.margin == pytest.approx(cert.threshold)
     assert cert.threshold == pytest.approx(
         disk_basis.one_coeffs[0] / math.pi, rel=1e-12)
@@ -319,8 +308,6 @@ def test_admissibility_disk_k2_literal_zero(disk_basis):
     spec = measures.PerturbedMeasure(
         measures.UniformMeasure(), np.zeros(len(disk_basis)))
     cert = measures.check_hypothesis_v(spec, disk_basis, 2)
-    assert cert.threshold_literal == 0.0
-    assert not cert.literal_passed
     assert cert.threshold > 0.0           # active-pole reading stays usable
     assert cert.threshold == pytest.approx(
         disk_basis.one_coeffs[5] / math.pi, rel=1e-12)

@@ -49,7 +49,7 @@ def test_uniform_disk_value_at_zero(uniform_disk):
 def test_tail_bound_takes_arrays(uniform_disk):
     # the bound of an array is its per-point bounds, infinite at and beyond
     # the cutoff, and below the margin it is the bound eval_secular returns
-    c = uniform_disk.cutoff
+    c = uniform_disk.basis.cutoff
     lam = np.array([-1e6, -50.0, 0.0, 3.0 + 2.0j, 0.5 * c - 40.0j,
                     c - 1.0, c, c + 5.0j, 2.0 * c])
     bounds = uniform_disk.tail_bound(lam)

@@ -26,18 +26,16 @@ SMALL = st.WalkConfig(step_dt=1e-4, n_steps=3000, n_paths=300, seed=11,
 
 
 @pytest.fixture(scope="module")
-def small_uniform_run(disk, disk_basis):
-    return st.simulate_occupation(SMALL, disk, measures.UniformMeasure(),
-                                  disk_basis)
+def small_uniform_run(disk_basis):
+    return st.simulate_occupation(SMALL, measures.UniformMeasure(), disk_basis)
 
 
 def test_histogram_mass(small_uniform_run):
     assert mass_check(small_uniform_run) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_seed_determinism(disk, disk_basis, small_uniform_run):
-    again = st.simulate_occupation(SMALL, disk, measures.UniformMeasure(),
-                                   disk_basis)
+def test_seed_determinism(disk_basis, small_uniform_run):
+    again = st.simulate_occupation(SMALL, measures.UniformMeasure(), disk_basis)
     assert np.array_equal(small_uniform_run.counts, again.counts)
     assert (small_uniform_run.n_restarts, small_uniform_run.rejection_attempts,
             small_uniform_run.rejection_accepts) == (
@@ -66,6 +64,13 @@ PINNED = {
     "rect-density":
         "d615169b00997fbcf542a00c270b8947fe5d887caba12d49392f110f0d8ad53f",
 }
+# the SMALL disk-uniform walk at a coarse step: with 16 annuli at dt 4e-3
+# many exit steps start below the last annulus (r < 0.9375), so binning an
+# exit step anywhere but at its midpoint moves the counts, which the
+# digests above at dt 1e-4 do not see
+COARSE = dataclasses.replace(SMALL, step_dt=4e-3)
+PINNED_COARSE = \
+    "3479bf9dd3b0cf9b403e7605445989e98b7b3b8b8fc34bb1e58cdb644432ea8b"
 
 
 @pytest.fixture(scope="module")
@@ -94,15 +99,25 @@ def walk_case(name, walk_domains):
     return domain, basis, spec
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_engine_pinned_digest(name, walk_domains):
-    domain, basis, spec = walk_case(name, walk_domains)
-    run = st.simulate_occupation(SMALL, domain, spec, basis)
+def walk_digest(config, spec, basis):
+    """SHA-256 of a walk's counts and its restart and rejection counters."""
+    run = st.simulate_occupation(config, spec, basis)
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(run.counts, dtype=np.int64).tobytes())
     h.update(np.array([run.n_restarts, run.rejection_attempts,
                        run.rejection_accepts], dtype=np.int64).tobytes())
-    assert h.hexdigest() == PINNED[name]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_engine_pinned_digest(name, walk_domains):
+    _, basis, spec = walk_case(name, walk_domains)
+    assert walk_digest(SMALL, spec, basis) == PINNED[name]
+
+
+def test_exit_step_binning_pinned(walk_domains):
+    _, basis, spec = walk_case("disk-uniform", walk_domains)
+    assert walk_digest(COARSE, spec, basis) == PINNED_COARSE
 
 
 def next_uniform(state, idx):
@@ -243,8 +258,7 @@ def engine_matches_step_loop(case, walk_domains):
     name, n_paths, n_steps, dt, seed = case
     domain, basis, spec = walk_case(name, walk_domains)
     args = (derive_seeds(seed, n_paths), n_steps, dt,
-            st.WalkConfig(step_dt=dt).band(), domain,
-            spec.restart(domain, basis), 7)
+            st.WalkConfig(step_dt=dt).band(), domain, spec.restart(basis), 7)
     hist, _, stats = _kernels.run_walk(*args)
     want_hist, want_stats, exits = step_loop(*args)
     assert stats[0] > 0
@@ -280,7 +294,7 @@ def walk_with_draw_failing(walk_domains, in_parent, in_child):
     """A 2-shard walk whose restart draw calls ``in_parent()`` in this
     process and ``in_child()`` in the forked shard."""
     domain, basis, spec = walk_case("disk-uniform", walk_domains)
-    draw = spec.restart(domain, basis)
+    draw = spec.restart(basis)
     parent = os.getpid()
 
     def failing(u):
@@ -337,27 +351,27 @@ def test_parent_failure_kills_shards(force_shards, walk_domains):
     assert_no_child_left()
 
 
-def restart_radii(spec, disk, disk_basis, n=10_000):
+def restart_radii(spec, disk_basis, n=10_000):
     """Radii of ``n`` restarts from ``spec``'s draw through the kernel's
     restart, band rejection included, at the SMALL walk's band; returns
     (radii, outer radius of the band)."""
     band = SMALL.band()
     x, y = np.full(n, np.nan), np.full(n, np.nan)
     _kernels._np_restart(derive_seeds(SMALL.seed, n), np.arange(n),
-                         spec.restart(disk, disk_basis), disk, band,
+                         spec.restart(disk_basis), disk_basis.domain, band,
                          np.zeros(3, dtype=np.int64), x, y)
     return np.hypot(x, y), 1.0 - band
 
 
-def test_uniform_restart_distribution(disk, disk_basis):
+def test_uniform_restart_distribution(disk_basis):
     # squared radii of uniform restarts off the band are uniform on (0, b^2)
-    r, b = restart_radii(measures.UniformMeasure(), disk, disk_basis)
+    r, b = restart_radii(measures.UniformMeasure(), disk_basis)
     assert r.max() < b
     assert kstest(r ** 2, "uniform", args=(0.0, b * b)).pvalue > 0.01
 
 
-def test_ground_state_restart_distribution(disk, disk_basis):
-    r, b = restart_radii(measures.GroundStateMeasure(), disk, disk_basis)
+def test_ground_state_restart_distribution(disk_basis):
+    r, b = restart_radii(measures.GroundStateMeasure(), disk_basis)
 
     def mass(x):            # ground-state mass of the disk of radius x
         return x * jv(1, J01 * x)
@@ -366,21 +380,21 @@ def test_ground_state_restart_distribution(disk, disk_basis):
     assert kstest(r, lambda x: mass(x) / mass(b)).pvalue > 0.01
 
 
-def test_dirac_restarts(disk, disk_basis):
-    r, _ = restart_radii(measures.DiracMeasure(0.0, 0.0), disk, disk_basis)
+def test_dirac_restarts(disk_basis):
+    r, _ = restart_radii(measures.DiracMeasure(0.0, 0.0), disk_basis)
     assert r.max() == 0.0
 
 
-def test_circle_restarts(disk, disk_basis):
-    r, _ = restart_radii(measures.CircleMeasure(0.5), disk, disk_basis)
+def test_circle_restarts(disk_basis):
+    r, _ = restart_radii(measures.CircleMeasure(0.5), disk_basis)
     assert np.abs(r - 0.5).max() < 1e-12
 
 
-def test_restart_point_inside_band_rejected(disk, disk_basis):
-    cfg = st.WalkConfig(step_dt=1e-4, n_steps=10, n_paths=2,
-                        boundary_tolerance=0.2)
+def test_restart_point_inside_band_rejected(disk_basis):
+    # dt 2e-2 makes the band 0.5826 * sqrt(0.04) = 0.117, which covers r = 0.9
+    cfg = st.WalkConfig(step_dt=2e-2, n_steps=10, n_paths=2)
     with pytest.raises(ValueError):
-        st.simulate_occupation(cfg, disk, measures.DiracMeasure(0.9, 0.0),
+        st.simulate_occupation(cfg, measures.DiracMeasure(0.9, 0.0),
                                disk_basis)
 
 
@@ -408,15 +422,14 @@ def test_small_run_l1(small_uniform_run, uniform_disk):
     assert st.compare_stationary(small_uniform_run, pred) < 0.15
 
 
-def test_wall_annulus_without_exit_step_bias(disk, disk_basis,
-                                             groundstate_disk):
+def test_wall_annulus_without_exit_step_bias(disk_basis, groundstate_disk):
     # 2e6 steps of a ground-state walk, whose stationary density J_0(j r)
     # vanishes at the wall: binning the exit step at its old position
     # instead of its midpoint left the last annulus 14-20% short
     # (seeds 1-6), with this bound met by none of them
     cfg = st.WalkConfig(step_dt=4e-4, n_steps=2000, n_paths=1000, seed=1,
                         n_bins=24)
-    run = st.simulate_occupation(cfg, disk, measures.GroundStateMeasure(),
+    run = st.simulate_occupation(cfg, measures.GroundStateMeasure(),
                                  disk_basis)
     pred = st.stationary_prediction(groundstate_disk, run)
     assert abs(run.normalized_density[-1] / pred[-1] - 1.0) < 0.08
@@ -427,7 +440,7 @@ def test_rectangle_simulation():
     basis = geometry.build_basis(rect, 200.0)
     cfg = st.WalkConfig(step_dt=1e-4, n_steps=4000, n_paths=400, seed=3,
                         n_bins=8)
-    run = st.simulate_occupation(cfg, rect, measures.UniformMeasure(), basis)
+    run = st.simulate_occupation(cfg, measures.UniformMeasure(), basis)
     assert mass_check(run) == pytest.approx(1.0, abs=1e-12)
     mom = measures.compute_moments(measures.UniformMeasure(), basis)
     series = secular.build_secular_series(basis, mom)
@@ -443,7 +456,7 @@ def test_histogram_csv(small_uniform_run, uniform_disk):
     assert len(lines) == small_uniform_run.counts.size + 1
 
 
-def test_rejection_efficiency_guard(disk, disk_basis):
+def test_rejection_efficiency_guard(disk_basis):
     # a density concentrated on a tiny spot drives the acceptance below 1%
     def spike(x, y):
         r2 = (x - 0.2) ** 2 + y ** 2
@@ -452,14 +465,14 @@ def test_rejection_efficiency_guard(disk, disk_basis):
     spec = measures.DensityMeasure(spike)
     cfg = st.WalkConfig(step_dt=1e-4, n_steps=50, n_paths=20, seed=1)
     with pytest.raises(RejectionEfficiencyError):
-        st.simulate_occupation(cfg, disk, spec, disk_basis)
+        st.simulate_occupation(cfg, spec, disk_basis)
 
 
 def attempts_in(error):
     return int(str(error.value).split("/")[1].split()[0])
 
 
-def test_rejection_floor_stops_the_shard(disk, disk_basis):
+def test_rejection_floor_stops_the_shard(disk_basis):
     # the spot of test_rejection_efficiency_guard places a path about once
     # in 10^4 attempts; the floor stops the walk from 10^4 attempts on, not
     # after the 206,775 attempts the whole walk makes
@@ -469,13 +482,12 @@ def test_rejection_floor_stops_the_shard(disk, disk_basis):
 
     cfg = st.WalkConfig(step_dt=1e-4, n_steps=50, n_paths=20, seed=1)
     with pytest.raises(RejectionEfficiencyError) as error:
-        st.simulate_occupation(cfg, disk, measures.DensityMeasure(spike),
-                               disk_basis)
+        st.simulate_occupation(cfg, measures.DensityMeasure(spike), disk_basis)
     assert _kernels._FLOOR_ATTEMPTS <= attempts_in(error) \
         < _kernels._FLOOR_ATTEMPTS + cfg.n_paths
 
 
-def test_rejection_floor_after_a_short_walk(disk, disk_basis):
+def test_rejection_floor_after_a_short_walk(disk_basis):
     # a spot of radius 0.06 accepts about 0.5% of the attempts; the walk
     # makes fewer than 10^4, so the check after the walk raises
     def spot(x, y):
@@ -484,8 +496,7 @@ def test_rejection_floor_after_a_short_walk(disk, disk_basis):
 
     cfg = st.WalkConfig(step_dt=1e-4, n_steps=50, n_paths=20, seed=1)
     with pytest.raises(RejectionEfficiencyError) as error:
-        st.simulate_occupation(cfg, disk, measures.DensityMeasure(spot),
-                               disk_basis)
+        st.simulate_occupation(cfg, measures.DensityMeasure(spot), disk_basis)
     assert attempts_in(error) < _kernels._FLOOR_ATTEMPTS
 
 
@@ -574,13 +585,13 @@ def test_batched_restart_floor_at_ten_thousand(batched, disk):
 
 
 @pytest.mark.slow
-def test_dt_halving_consistency(disk, disk_basis, uniform_disk):
+def test_dt_halving_consistency(disk_basis, uniform_disk):
     base = st.WalkConfig(step_dt=2e-4, n_steps=4000, n_paths=1500, seed=7,
                          n_bins=16)
     half = st.WalkConfig(step_dt=1e-4, n_steps=8000, n_paths=1500, seed=7,
                          n_bins=16)
-    runs = [st.simulate_occupation(c, disk, measures.UniformMeasure(),
-                                   disk_basis) for c in (base, half)]
+    runs = [st.simulate_occupation(c, measures.UniformMeasure(), disk_basis)
+            for c in (base, half)]
     preds = [st.stationary_prediction(uniform_disk, r) for r in runs]
     d = [st.compare_stationary(r, p) for r, p in zip(runs, preds)]
     # halving dt moves the distance by less than the statistical error bar

@@ -11,7 +11,9 @@ Dirichlet basis is one table of parameter rows, with no per-mode object, and
 a mode perturbation is its coefficient vector.  A boundary-layer quotient and
 the secular tail bound each have one function that computes them.  The
 eigenvalue clusters are one table whose columns the secular poles, the
-Dirichlet classification and the theorem checks read."""
+Dirichlet classification and the theorem checks read.  Each value has one
+source: no input that changes nothing is accepted, and no record field or
+parameter repeats what another already gives."""
 
 import ast
 import dataclasses
@@ -331,3 +333,32 @@ def test_clusters_are_one_table():
                       if isinstance(node, ast.Attribute)
                       and node.attr in columns and id(node) not in windowed]
     assert whole == []
+
+
+def test_one_source_per_value():
+    # no boundary mass, boundary tolerance, output_dir key or figure1 sides
+    # to set; the walk and the restarts read the domain from the basis, and
+    # no record holds a value that another of its fields gives
+    for cls in measures.MeasureSpec.__args__:
+        assert "boundary_mass" not in {f.name for f in dataclasses.fields(cls)}
+        assert list(inspect.signature(cls.restart).parameters) == [
+            "self", "basis"]
+    assert not hasattr(measures._Variant, "__post_init__")
+    assert "boundary_tolerance" not in {
+        f.name for f in dataclasses.fields(stochastic.WalkConfig)}
+    strings = {node.value for node in ast.walk(parse("cli.py"))
+               if isinstance(node, ast.Constant)
+               and isinstance(node.value, str)}
+    assert not strings & {"output_dir", "boundary_mass",
+                          "boundary_tolerance", "--side-x", "--side-y"}
+    assert list(inspect.signature(stochastic.simulate_occupation).parameters) \
+        == ["config", "spec", "basis"]
+    assert list(inspect.signature(enclosure.bound_first_eigenvalue)
+                .parameters) == ["series", "cert"]
+    for record, repeated in ((cli.Experiment, {"domain", "moments"}),
+                             (measures.MeasureMoments, {"basis"}),
+                             (secular.SecularSeries, {"cutoff"})):
+        assert not {f.name for f in dataclasses.fields(record)} & repeated
+    assert not {f.name for f in dataclasses.fields(
+        measures.AdmissibilityCertificate)} & {"threshold_literal",
+                                               "literal_passed"}
