@@ -136,7 +136,7 @@ def test_invalid_configs(tmp_path):
 
 @pytest.mark.parametrize("walk", [
     {"n_paths": "many"}, {"n_bins": 0}, {"step_dt": -1e-4}, {"n_paths": 0},
-    {"n_steps": -5}, {"seed": True}, {"seed": math.nan},
+    {"n_steps": -5}, {"step_dt": math.nan}, {"l1_threshold": -0.01},
     {"l1_threshold": 0.0}, {"l1_threshold": math.inf}, {"step_dt": 10.0},
     "fast",
     # (walk, measure): the restart point or circle lies in the boundary band
@@ -146,6 +146,7 @@ def test_invalid_configs(tmp_path):
     {"n_steps": 1.5}, {"n_steps": "12"}, {"n_steps": True},
     {"n_paths": 2.5}, {"n_paths": math.nan}, {"n_bins": math.inf},
     {"n_bins": -math.inf}, {"n_bins": False}, {"seed": 1.5}, {"seed": "7"},
+    {"seed": True}, {"seed": math.nan},
 ])
 def test_invalid_walk_configs(tmp_path, capsys, walk):
     walk, measure = walk if isinstance(walk, tuple) \
