@@ -16,10 +16,28 @@ the counters are bitwise identical to those of a per-step loop over all
 paths, whatever the block size.
 
 A shard allocates its pass buffers once: counter states, a shift temporary,
-radii and angles (reused for the step midpoints) and positions.  A pass of
-m steps over n paths writes into the first m x n of each, through ``out=``
+radii and angles (reused for the step midpoints) and positions; the first
+three are also the scratch of the angle's cosine and sine.  A pass of m
+steps over n paths writes into the first m x n of each, through ``out=``
 and in-place ufuncs that keep the order of every float operation, so each
 value keeps its bits.
+
+A step is the Box-Muller pair ``r cos(2 pi u2), r sin(2 pi u2)`` (Box and
+Muller, Ann. Math. Stat. 29, 1958), and the angle's cosine and sine come
+from a table rather than from libm (Tang, ACM TOMS 17, 1991).  The table
+holds cos and sin of ``2 pi h / 1024`` for h = 0 .. 1024: the first octant
+from ``np.cos`` and ``np.sin``, the rest by symmetry, so the quarter turns
+are exact.  For u in [0, 1], ``u * 1024`` splits exactly into its integer
+part h and a fraction, whose angle ``delta`` is below 2 pi / 1024 < 0.0062;
+``cos delta - 1`` to delta^6 and ``sin delta`` to delta^7 (the next terms
+are below 1e-22) rotate the table entry.  Against exact values (mpmath, on
+3,000 random dyadic u, the quarter turns and every node and its neighbours
+1 ulp away) the error is at most 1.5e-16, where ``np.cos`` and ``np.sin``
+of ``2 pi u`` are off by up to 6.8e-16, mostly from rounding the argument;
+the two differ by at most 7.3e-16 over 2 x 10^6 dyadic u.  It costs under a
+third of the two libm calls (about 10 against 33 ns a value), and the walk's
+histograms keep their bits: a step moves by a few ulps, which flips a bin or
+an exit only when a position lies that close to an edge.
 
 The counters also let a restart draw several rejection rounds at once: round
 j of a path's candidates takes its uniforms from ``state + j k gamma``, with
@@ -49,6 +67,7 @@ import math
 import os
 import pickle
 import signal
+from itertools import accumulate
 
 import numpy as np
 
@@ -76,6 +95,21 @@ _SHARD_CELLS = 1 << 20       # fewest steps x paths worth a fork (about 7 ms)
 _MIN_ACCEPTANCE = 0.01       # floor on rejection accepts / attempts
 _FLOOR_ATTEMPTS = 10_000     # attempts a shard makes before the floor applies
 _ROUNDS = 4                  # rejection rounds drawn at once per pending path
+_NODES = 1024                # sincos table nodes per turn
+
+
+def _turn_table():
+    """cos and sin of ``2 pi h / _NODES`` for h = 0 .. _NODES: the first
+    octant from ``np.cos`` and ``np.sin``, then a quarter turn by reflection
+    about pi / 4 and the other three quarters by rotation."""
+    a = 2.0 * math.pi / _NODES * np.arange(_NODES // 8 + 1)
+    c, s = np.cos(a), np.sin(a)
+    c, s = np.concatenate([c, s[-2::-1]]), np.concatenate([s, c[-2::-1]])
+    return (np.concatenate([c, -s[1:], -c[1:], s[1:]]),
+            np.concatenate([s, c[1:], -s[1:], -c[1:]]))
+
+
+_COS_NODE, _SIN_NODE = _turn_table()
 
 
 def _mix(s, tmp):
@@ -109,6 +143,44 @@ def _running_sum(P):
             P[i] += P[i - 1]
     else:
         np.cumsum(P, axis=0, out=P)
+
+
+def _sincos_turns(u, cos, sin, work):
+    """cos(2 pi u) and sin(2 pi u) for ``u`` in [0, 1], written to ``cos``
+    and ``sin``; ``u`` is overwritten, and ``work`` holds three scratch
+    arrays of its shape with 8-byte items (of any dtype)."""
+    a, b = (w.view(np.float64) for w in work[:2])
+    h = work[2].view(np.intp)
+    u *= _NODES                               # exact, as is the split
+    np.copyto(h, u, casting="unsafe")         # u >= 0: rounded down
+    u -= h
+    u *= 2.0 * math.pi / _NODES               # delta
+    z = np.multiply(u, u, out=a)
+    cm1 = np.multiply(z, -1.0 / 720, out=cos)   # cos delta - 1
+    cm1 += 1.0 / 24
+    cm1 *= z
+    cm1 -= 0.5
+    cm1 *= z
+    sn = np.multiply(z, -1.0 / 5040, out=sin)   # sin delta
+    sn += 1.0 / 120
+    sn *= z
+    sn -= 1.0 / 6
+    sn *= z
+    sn *= u
+    sn += u
+    # h is within the table; "clip" spares the buffered copy of "raise"
+    ch = np.take(_COS_NODE, h, out=u, mode="clip")
+    sh = np.take(_SIN_NODE, h, out=a, mode="clip")
+    # cos = ch + (ch (cos delta - 1) - sh sin delta) and
+    # sin = sh + (sh (cos delta - 1) + ch sin delta)
+    np.multiply(sh, cm1, out=b)
+    t = np.multiply(sh, sn, out=h.view(np.float64))
+    sn *= ch
+    sn += b
+    sn += sh
+    cm1 *= ch
+    cm1 -= t
+    cm1 += ch
 
 
 def derive_seeds(seed: int, n_paths: int) -> np.ndarray:
@@ -219,13 +291,17 @@ def _np_restart(state, idx, draw, domain, btol, stats, x, y):
         used = np.minimum(first + 1, _ROUNDS)
         if placed is not None:
             live = rounds < used                  # still pending in round j
-            tried = live.sum(axis=1).tolist()
-            took = (live & placed.reshape(_ROUNDS, n)).sum(axis=1).tolist()
+            # the running attempts and accepts as plain ints, before the
+            # first round and after each
+            tried = accumulate(live.sum(axis=1).tolist(),
+                               initial=int(stats[1]))
+            took = accumulate(
+                (live & placed.reshape(_ROUNDS, n)).sum(axis=1).tolist(),
+                initial=int(stats[2]))
             for attempts, accepts in zip(tried, took):
-                stats[1] += attempts
-                stats[2] += accepts
-                if stats[1] >= _FLOOR_ATTEMPTS:
-                    check_acceptance(int(stats[1]), int(stats[2]))
+                if attempts >= _FLOOR_ATTEMPTS:
+                    check_acceptance(attempts, accepts)
+            stats[1], stats[2] = attempts, accepts
         state[idx] += offset[used]
         hit = np.nonzero(first < _ROUNDS)[0]
         at = first[hit] * n + hit
@@ -374,19 +450,19 @@ def _walk_shard(seeds, n_steps, dt, btol, domain, draw, n_bins):
         s = state[act]
         u, tmp = view(counters, m, n), view(shifted, m, n)
         r, ang = view(radii, m, n), view(angles, m, n)
-        # r = sqrt(-2 log u1) and ang = 2 pi u2, operation for operation
+        X, Y = view(xs, m + 1, n), view(ys, m + 1, n)
+        # cos and sin of 2 pi u2 first, while the radii are free scratch
+        _unit(np.add(s, off_a[:m, None], out=u), tmp, ang)
+        _sincos_turns(ang, X[1:], Y[1:], (r, u, tmp))
+        # r = sqrt(-2 log u1), operation for operation
         _unit(np.add(s, off_r[:m, None], out=u), tmp, r)
         np.log(r, out=r)
         r *= -2.0
         np.sqrt(r, out=r)
-        _unit(np.add(s, off_a[:m, None], out=u), tmp, ang)
-        ang *= 2.0 * math.pi
-        X, Y = view(xs, m + 1, n), view(ys, m + 1, n)
         np.take(x, act, out=X[0])
         np.take(y, act, out=Y[0])
-        # steps: step * (r * cos(ang)) and step * (r * sin(ang))
-        for P, trig in ((X[1:], np.cos), (Y[1:], np.sin)):
-            trig(ang, out=P)
+        # steps: step * (r * cos(2 pi u2)) and step * (r * sin(2 pi u2))
+        for P in (X[1:], Y[1:]):
             P *= r
             P *= step
         _running_sum(X)

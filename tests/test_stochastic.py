@@ -120,6 +120,51 @@ def test_exit_step_binning_pinned(walk_domains):
     assert walk_digest(COARSE, spec, basis) == PINNED_COARSE
 
 
+def sincos_turns(u):
+    """The kernel's cos(2 pi u) and sin(2 pi u), on fresh buffers."""
+    u = np.array(u, dtype=float)
+    c, s = np.empty_like(u), np.empty_like(u)
+    _kernels._sincos_turns(u, c, s, [np.empty_like(u) for _ in range(3)])
+    return c, s
+
+
+def turns_sample():
+    """10^5 dyadic u = k 2^-53 in (0, 1], the quarter turns, and every node
+    h / 1024 of the kernel's table with its neighbours 1 ulp away."""
+    k = np.random.default_rng(28).integers(1, 2 ** 53, 100_000, np.uint64,
+                                           endpoint=True)
+    nodes = np.arange(_kernels._NODES + 1) / _kernels._NODES
+    return np.concatenate([k * 2.0 ** -53, [2.0 ** -53, 0.25, 0.5, 0.75, 1.0],
+                           nodes, np.nextafter(nodes, 2.0)[:-1],
+                           np.nextafter(nodes, -1.0)[1:]])
+
+
+def sincos_error(u):
+    """Largest distance of the kernel's cos and sin from ``np.cos`` and
+    ``np.sin`` of 2 pi u, and of c^2 + s^2 from 1."""
+    c, s = sincos_turns(u)
+    angle = 2.0 * math.pi * u
+    return max(np.abs(c - np.cos(angle)).max(),
+               np.abs(s - np.sin(angle)).max(),
+               np.abs(c * c + s * s - 1.0).max())
+
+
+def test_sincos_turns_accuracy():
+    assert sincos_error(turns_sample()) <= 1e-15
+    # the quarter turns come from the table alone, exactly
+    c, s = sincos_turns([0.25, 0.5, 0.75, 1.0])
+    assert c.tolist() == [0.0, -1.0, 0.0, 1.0]
+    assert s.tolist() == [1.0, 0.0, -1.0, 0.0]
+
+
+def test_sincos_turns_bound_sees_a_shifted_table(monkeypatch):
+    # negative control: a table one node off breaks the bound
+    for name in ("_COS_NODE", "_SIN_NODE"):
+        monkeypatch.setattr(_kernels, name,
+                            np.roll(getattr(_kernels, name), 1))
+    assert sincos_error(turns_sample()) > 1e-15
+
+
 def next_uniform(state, idx):
     """The next uniform of each stream ``state[idx]``, advancing it by one
     draw: the reference loops take their uniforms one at a time."""
@@ -177,8 +222,9 @@ def step_loop(seeds, n_steps, dt, btol, domain, draw, n_bins):
         u1 = next_uniform(state, everyone)
         u2 = next_uniform(state, everyone)
         r = np.sqrt(-2.0 * np.log(u1))
-        xn = x + step * (r * np.cos(2.0 * math.pi * u2))
-        yn = y + step * (r * np.sin(2.0 * math.pi * u2))
+        c, s = sincos_turns(u2)
+        xn = x + step * (r * c)
+        yn = y + step * (r * s)
         if disk:
             exited = xn * xn + yn * yn >= (1.0 - btol) ** 2
         else:

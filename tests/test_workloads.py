@@ -1,4 +1,4 @@
-"""The benchmark's workload configs stay the same.
+"""The benchmark's workload configs stay the same, and so does its walk.
 
 ``perfbench/workloads.py`` redraws the ``rect_certify`` perturbation until
 ``check_hypothesis_v`` accepts it, so a change in how the package computes
@@ -9,6 +9,10 @@ import hashlib
 import importlib.util
 import json
 import os
+
+import numpy as np
+
+from jumpspectra import cli, stochastic as st
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -31,3 +35,20 @@ def test_rect_certify_configs_are_pinned():
                for tiny in (False, True) for seed in range(1, 31)]
     digest = hashlib.sha256(json.dumps(configs, sort_keys=True).encode())
     assert digest.hexdigest() == RECT_CERTIFY
+
+
+# SHA-256 of the counts and the restart and rejection counters of the
+# seed-1 disk_walk walk at full size: 1000 paths x 20,000 steps, 2e7 steps
+# in all, where a count flipped by a step's last bits would show
+DISK_WALK_SEED1 = \
+    "94d6afd093a3ba6fe89ccc6b67dd2657f96a4a6ead53d8cc6eb21b8aa9b6eed7"
+
+
+def test_disk_walk_at_full_size_is_pinned():
+    exp = cli.build_experiment(load_workloads().make_config("disk_walk", 1))
+    assert exp.walk.n_paths * exp.walk.n_steps == 20_000_000
+    run = st.simulate_occupation(exp.walk, exp.measure, exp.basis)
+    h = hashlib.sha256(np.ascontiguousarray(run.counts, np.int64).tobytes())
+    h.update(np.array([run.n_restarts, run.rejection_attempts,
+                       run.rejection_accepts], np.int64).tobytes())
+    assert h.hexdigest() == DISK_WALK_SEED1
