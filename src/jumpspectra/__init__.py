@@ -12,11 +12,11 @@ from .measures import (AdmissibilityCertificate, CircleMeasure, DensityMeasure,
 from .secular import (RootReport, SecularSeries, build_secular_series,
                       complex_roots_in, eval_secular, eval_secular_derivative,
                       real_roots_in)
-from .spectrum import (EigenFunction, SpectrumReport, assemble_spectrum,
-                       eigenfunction_at, rayleigh_identity_check)
+from .spectrum import SpectrumReport, assemble_spectrum
 from .resolvent import (SpectralVector, apply_adjoint_resolvent,
                         apply_dirichlet_resolvent, apply_generator,
-                        apply_jump_resolvent, selfadjointness_defect)
+                        apply_jump_resolvent, eigenfunction_at,
+                        rayleigh_identity_check, selfadjointness_defect)
 from .enclosure import (CheckResult, bound_first_eigenvalue,
                         check_halfplane_exclusion, check_interlacing,
                         check_nested_enclosure, emit_matryoshka_curves,

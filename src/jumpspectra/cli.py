@@ -46,6 +46,7 @@ _DEFAULTS = {
     "k": 2,
     "thresholds": [0.1, 0.2, 0.3, 0.4],
     "seed": st.WalkConfig.seed,
+    "tasks": ["spectrum"],
 }
 
 
@@ -91,11 +92,32 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _block(cfg: dict, name: str) -> dict:
+class _Keys(dict):
+    """A config object that notes the keys read from it and keeps the
+    objects read from it as blocks, so that a key nothing reads, a
+    misspelt one say, can be refused instead of leaving a default."""
+
+    def __init__(self, items=()):
+        super().__init__(items)
+        self.read, self.blocks = set(), {}
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def unread(self) -> list:
+        """The keys nothing read, a block's as ``name.key``."""
+        return [key for key in self if key not in self.read] + [
+            f"{name}.{key}" for name, block in self.blocks.items()
+            for key in block.unread()]
+
+
+def _block(cfg: _Keys, name: str) -> _Keys:
     block = cfg.get(name, {})
     if not isinstance(block, dict):
         raise ConfigError(f"{name} must be an object")
-    return block
+    cfg.blocks[name] = _Keys(block)
+    return cfg.blocks[name]
 
 
 def _read(block: dict, key: str, default, convert, positive=False, where=""):
@@ -263,11 +285,11 @@ def _walk_settings(cfg: dict, domain) -> tuple[st.WalkConfig, float]:
 
 
 def build_experiment(cfg: dict, out_dir: str | None = None) -> Experiment:
-    merged = dict(_DEFAULTS)
+    merged = _Keys(_DEFAULTS)
     merged.update(cfg)
     if merged.get("version", CONFIG_VERSION) != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {merged.get('version')}")
-    tasks = merged.setdefault("tasks", ["spectrum"])
+    tasks = merged.get("tasks")
     if not isinstance(tasks, list) or not tasks:
         raise ConfigError(f"tasks must be a nonempty array of task names, "
                           f"got {tasks!r}")
@@ -290,6 +312,8 @@ def build_experiment(cfg: dict, out_dir: str | None = None) -> Experiment:
         moments = ms.compute_moments(measure, basis)
     except JumpSpectraError as exc:
         raise ConfigError(str(exc)) from exc
+    if unread := merged.unread():
+        raise ConfigError(f"config keys that nothing reads: {', '.join(unread)}")
     if "simulate" in tasks:
         try:
             measure.check_band(domain, walk.band())
@@ -552,9 +576,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "figure1":
-            # summary.json prints this block, sides included for the disk
-            cfg = {"domain": {"kind": args.domain, "side_x": math.pi,
-                              "side_y": math.pi},
+            sides = ({"side_x": math.pi, "side_y": math.pi}
+                     if args.domain == "rectangle" else {})
+            cfg = {"domain": {"kind": args.domain, **sides},
                    "measure": {"variant": "uniform"},
                    "tasks": ["figure1"],
                    "thresholds": list(_read(

@@ -42,8 +42,6 @@ class CheckResult:
     name: str
     verdict: str
     detail: str
-    offenders: tuple = ()
-    margin: float | None = None
     intervals: tuple = ()   # interlacing: ((lo, hi), count, root or None)
 
 
@@ -62,31 +60,11 @@ def in_halfplane(lam: complex, threshold: float) -> bool:
     return lam.imag != 0.0 and lam.real <= threshold
 
 
-def _ray_distance(re, im, cutoff):
-    # distance to the half-line [cutoff, inf) on the real axis
-    return np.where(re >= cutoff, np.abs(im), np.hypot(cutoff - re, im))
-
-
-def spectral_distance(lam, basis: BasisSet):
-    """Distance to the Dirichlet spectrum, tail modes handled analytically.
-
-    Eigenvalues above the cutoff lie on ``[cutoff, inf)``, so the distance
-    to that ray is a valid lower bound for their contribution.
-    """
-    lam = np.asarray(lam, dtype=complex)
-    # the spectrum is real and build_basis sorts ``basis.eigenvalues``
-    # ascending, so the nearest eigenvalue is one of the two around Re lam
-    e = basis.eigenvalues
-    i = np.clip(np.searchsorted(e, lam.real), 1, e.size - 1)
-    d = np.minimum(np.abs(lam - e[i - 1]), np.abs(lam - e[i]))
-    return np.minimum(d, _ray_distance(lam.real, lam.imag, basis.cutoff))
-
-
 def matryoshka_ratio(lam, basis: BasisSet):
     """dist(lam, Dirichlet spectrum) / |lambda_1 - lam| (enclosure field)."""
     lam = np.asarray(lam, dtype=complex)
     lam1 = basis.eigenvalues[0]
-    return spectral_distance(lam, basis) / np.abs(lam1 - lam)
+    return basis.spectral_distance(lam) / np.abs(lam1 - lam)
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +95,13 @@ def check_halfplane_exclusion(report: SpectrumReport,
     if gate := _gate(name, cert, "uniform"):
         return gate
     threshold = halfplane_threshold(basis, k)
-    offenders = tuple(e for e in report.entries
-                      if e.certified and in_halfplane(e.value, threshold))
+    offenders = [e for e in report.entries
+                 if e.certified and in_halfplane(e.value, threshold)]
     if offenders:
-        worst = min(threshold - e.value.real for e in offenders)
-        return CheckResult(name, FAIL,
-                           f"{len(offenders)} nonreal entries below Re = "
-                           f"{threshold:.6g}", offenders, worst)
+        return CheckResult(name, FAIL, f"{len(offenders)} nonreal entries "
+                           f"below Re = {threshold:.6g}")
     return CheckResult(name, PASS,
-                       f"no nonreal spectrum with Re <= {threshold:.6g}",
-                       margin=threshold)
+                       f"no nonreal spectrum with Re <= {threshold:.6g}")
 
 
 def check_interlacing(series: SecularSeries,
@@ -170,9 +145,9 @@ def bound_first_eigenvalue(series: SecularSeries,
     Dirichlet values (symmetry-killed poles) below it are not ruled out,
     and the detail only notes those inside the bracket.  Requires the
     level-2 hypothesis: a certificate at level k >= 2 implies it, since the
-    smallness threshold only falls as k grows.  Returns the located
-    eigenvalue together with the slack of the two-pole remainder bound
-    evaluated at it.
+    smallness threshold only falls as k grows.  The detail gives the
+    located eigenvalue and both sides of the two-pole remainder bound
+    evaluated at it; the bound holds when their slack is not negative.
     """
     name = "first_eigenvalue_bound"
     if cert.k < 2:
@@ -199,8 +174,7 @@ def bound_first_eigenvalue(series: SecularSeries,
     if below := np.count_nonzero((lo < inert) & (inert < root)):
         detail += (f"; note {below} inert Dirichlet values in the bracket "
                    f"below it")
-    return CheckResult(name, PASS if slack >= 0 else FAIL, detail,
-                       margin=slack)
+    return CheckResult(name, PASS if slack >= 0 else FAIL, detail)
 
 
 def check_nested_enclosure(report: SpectrumReport,
@@ -212,22 +186,14 @@ def check_nested_enclosure(report: SpectrumReport,
         return gate
     t = basis.domain.area ** 0.25 * math.sqrt(cert.v_norm)
     h1 = halfplane_threshold(basis, 1)
-    offenders = []
-    worst = math.inf
-    for e in report.nonreal_entries():
-        if not e.certified:
-            continue
-        ratio = float(matryoshka_ratio(np.array([e.value]), basis)[0])
-        if ratio > t or in_halfplane(e.value, h1):
-            offenders.append(e)
-        worst = min(worst, t - ratio)
+    offenders = [e for e in report.nonreal_entries() if e.certified and (
+        matryoshka_ratio(e.value, basis) > t or in_halfplane(e.value, h1))]
     if offenders:
         return CheckResult(name, FAIL,
                            f"{len(offenders)} nonreal entries escape the "
-                           f"enclosure at t = {t:.4g}", tuple(offenders))
-    detail = f"all nonreal entries inside the t = {t:.4g} enclosure"
-    return CheckResult(name, PASS, detail,
-                       margin=None if worst is math.inf else worst)
+                           f"enclosure at t = {t:.4g}")
+    return CheckResult(name, PASS,
+                       f"all nonreal entries inside the t = {t:.4g} enclosure")
 
 
 # ---------------------------------------------------------------------------

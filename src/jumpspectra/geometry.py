@@ -671,6 +671,20 @@ class BasisSet:
                                          np.asarray(y, dtype=float))
         return values[0] if rows.ndim == 1 else values
 
+    def spectral_distance(self, lam):
+        """Distance from ``lam`` (a point or an array of points) to the
+        Dirichlet spectrum, the modes past the cutoff included: they lie on
+        the ray ``[cutoff, inf)``, whose distance bounds theirs from below."""
+        lam = np.asarray(lam, dtype=complex)
+        # the spectrum is real and build_basis sorts ``eigenvalues``
+        # ascending, so the nearest eigenvalue is one of the two around Re lam
+        e, cutoff = self.eigenvalues, self.cutoff
+        i = np.clip(np.searchsorted(e, lam.real), 1, e.size - 1)
+        d = np.minimum(np.abs(lam - e[i - 1]), np.abs(lam - e[i]))
+        ray = np.where(lam.real >= cutoff, np.abs(lam.imag),
+                       np.hypot(cutoff - lam.real, lam.imag))
+        return np.minimum(d, ray)
+
     @cached_property
     def cluster_starts(self) -> np.ndarray:
         """First mode of each cluster.  With ``cluster_sizes`` and

@@ -10,7 +10,10 @@ untruncated operators is controlled by the secular tail bounds.
 The resolvent of the generator is the Dirichlet resolvent plus a rank-one
 correction built from the resolvent of the constant function and the measure
 functional; the adjoint resolvent swaps the two rank-one factors and exists
-for measures with square-integrable densities.
+for measures with square-integrable densities.  An eigenvector at a secular
+root ``lam`` is ``1 + lam R_D(lam) 1``, and the kernel of the adjoint is the
+Dirichlet solve of the measure, the walk's stationary profile.  This module
+is the one place that stores and checks such vectors.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainMembershipError, PoleProximityError,
+from .errors import (ConditioningError, DegenerateEigenfunctionError,
+                     DomainMembershipError, PoleProximityError,
                      ResolventDomainError, UnsupportedMeasureError)
 from .geometry import BasisSet
 from .measures import MeasureMoments
@@ -60,8 +64,7 @@ def _mode_secular(series: SecularSeries, lam: complex) -> complex:
 
 
 def _require_regular(basis: BasisSet, lam: complex):
-    dist = np.min(np.abs(basis.eigenvalues - lam))
-    if dist < 1e-10:
+    if basis.spectral_distance(lam) < 1e-10:
         raise PoleProximityError(
             f"lam = {lam} within 1e-10 of the Dirichlet spectrum")
 
@@ -148,11 +151,11 @@ def apply_adjoint_resolvent(lam: complex, vec: SpectralVector,
 
 
 def adjoint_kernel_vector(series: SecularSeries) -> SpectralVector:
-    """Kernel direction of the adjoint: Dirichlet solve of the density."""
-    if series.moments.l2_density_norm is None:
-        raise UnsupportedMeasureError("adjoint kernel requires an L2 density")
-    basis = series.basis
-    return SpectralVector(series.moments.moments / basis.eigenvalues)
+    """Kernel direction of the adjoint: the Dirichlet solve ``R_D(0) mu`` of
+    the measure, coefficients ``<chi_n>_mu / lambda_n``.  Normalised to unit
+    mass it is the walk's stationary density, for every measure; it lies in
+    L2, the adjoint's space, when the measure has an L2 density."""
+    return SpectralVector(series.moments.moments / series.basis.eigenvalues)
 
 
 def adjoint_kernel_defect(series: SecularSeries) -> float:
@@ -170,6 +173,74 @@ def adjoint_kernel_defect(series: SecularSeries) -> float:
     return float(np.linalg.norm(hg - coef * w) / np.linalg.norm(hg))
 
 
+def eigenfunction_at(lam: complex, series: SecularSeries) -> SpectralVector:
+    """Eigenvector ``1 + lam R_D(lam) 1`` at a secular root of the model.
+
+    Its coefficients are ``lam (1, chi_n)/(lambda_n - lam)`` with constant
+    part 1.  The measure mean of the Dirichlet part vanishes only at a model
+    root, so ``apply_generator``'s domain check refuses any other point.
+    """
+    lam = complex(lam)
+    if lam == 0:
+        raise ValueError("use the explicit kernel vector for the eigenvalue 0")
+    basis = series.basis
+    gap = float(basis.spectral_distance(lam))
+    if gap < 1e-8:
+        raise ConditioningError(
+            f"lam = {lam} is within {gap:.2e} of a Dirichlet eigenvalue")
+    u = SpectralVector(lam * basis.one_coeffs / (basis.eigenvalues - lam), 1.0)
+    apply_generator(u, basis, series.moments)     # the domain check
+    return u
+
+
+def generator_residual(u: SpectralVector, lam: complex,
+                       series: SecularSeries) -> float:
+    """Relative residual ``||H u - lam u|| / (|lam| ||u||)`` of the
+    eigen-equation in the truncated model."""
+    basis = series.basis
+    total = flatten(u, basis)
+    hu = apply_generator(u, basis, series.moments).coeffs
+    return float(np.linalg.norm(hu - lam * total)
+                 / (abs(lam) * np.linalg.norm(total)))
+
+
+def rayleigh_identity_check(u: SpectralVector, lam: float,
+                            basis: BasisSet) -> float:
+    """Quadrature check of the Dirichlet-form identity for real eigenvalues.
+
+    Resums the eigenfunction and its gradient on the quadrature grid and
+    compares the ratio (grad form)/(variance) with ``lam``; returns the
+    relative residual.  Only modes with non-negligible coefficients are
+    resummed.
+    """
+    rule = basis.quadrature
+    live = np.nonzero(np.abs(u.coeffs) > 1e-14)[0]
+    vals = np.full(rule.n_nodes, complex(u.constant))
+    gx = np.zeros(rule.n_nodes, dtype=complex)
+    gy = np.zeros(rule.n_nodes, dtype=complex)
+    for i in live:
+        vals = vals + u.coeffs[i] * basis.mode_values(i, rule.x, rule.y)
+        dgx, dgy = basis.domain.mode_gradient(basis.params[i], rule.x, rule.y)
+        gx = gx + u.coeffs[i] * dgx
+        gy = gy + u.coeffs[i] * dgy
+    num = float(np.real(rule.integrate(np.abs(gx) ** 2 + np.abs(gy) ** 2)))
+    norm2 = float(np.real(rule.integrate(np.abs(vals) ** 2)))
+    mean = complex(rule.integrate(vals))
+    den = norm2 - abs(mean) ** 2 / basis.domain.area
+    if den < 1e-12 * max(norm2, 1.0):
+        raise DegenerateEigenfunctionError(
+            "variance denominator vanished (constant eigenfunction)")
+    return abs(num / den - lam) / abs(lam)
+
+
+def _worst_probe(seed: int, n_probes: int, defect) -> float:
+    """Largest ``defect(rng)`` over ``n_probes`` calls, which draw their
+    random probes in turn from one generator seeded with ``seed``; NaN if
+    any defect is NaN, so that no bound passes it."""
+    rng = np.random.default_rng(seed)
+    return float(np.max([defect(rng) for _ in range(n_probes)]))
+
+
 def resolvent_identity_defect(series: SecularSeries, lam: complex,
                               n_probes: int = 20,
                               generator_moments: MeasureMoments | None = None) -> float:
@@ -181,24 +252,22 @@ def resolvent_identity_defect(series: SecularSeries, lam: complex,
     """
     basis = series.basis
     moments = generator_moments if generator_moments is not None else series.moments
-    rng = np.random.default_rng(_IDENTITY_SEED)
-    worst = 0.0
-    for _ in range(n_probes):
+
+    def defect(rng):
         v = random_probe(basis, rng)
         u = apply_jump_resolvent(lam, v, series)
         hu = apply_generator(u, basis, moments)
-        resid = flatten(hu, basis) - lam * flatten(u, basis) - flatten(v, basis)
-        worst = max(worst, float(np.linalg.norm(resid)))
-    return worst
+        return np.linalg.norm(flatten(hu, basis) - lam * flatten(u, basis)
+                              - flatten(v, basis))
+    return _worst_probe(_IDENTITY_SEED, n_probes, defect)
 
 
 def adjoint_pairing_defect(series: SecularSeries, lam: complex,
                            n_probes: int = 20) -> float:
     """max |(R(conj lam) u, v) - (u, R*(lam) v)| over random probe pairs."""
     basis = series.basis
-    rng = np.random.default_rng(_PAIRING_SEED)
-    worst = 0.0
-    for _ in range(n_probes):
+
+    def defect(rng):
         u = random_probe(basis, rng)
         v = random_probe(basis, rng)
         # the pairing (a, b) conjugates its second slot; np.vdot the first
@@ -206,18 +275,17 @@ def adjoint_pairing_defect(series: SecularSeries, lam: complex,
                        flatten(apply_jump_resolvent(np.conj(lam), u, series), basis))
         right = np.vdot(flatten(apply_adjoint_resolvent(lam, v, series), basis),
                         flatten(u, basis))
-        worst = max(worst, abs(left - right))
-    return worst
+        return abs(left - right)
+    return _worst_probe(_PAIRING_SEED, n_probes, defect)
 
 
 def selfadjointness_defect(series: SecularSeries) -> float:
     """max ||(R(-1) - R*(-1)) v|| / ||v||; positive for every measure."""
     basis = series.basis
-    rng = np.random.default_rng(_SELFADJOINT_SEED)
-    worst = 0.0
-    for _ in range(_SELFADJOINT_PROBES):
+
+    def defect(rng):
         v = random_probe(basis, rng)
         a = flatten(apply_jump_resolvent(-1.0, v, series), basis)
         b = flatten(apply_adjoint_resolvent(-1.0, v, series), basis)
-        worst = max(worst, float(np.linalg.norm(a - b)))
-    return worst
+        return np.linalg.norm(a - b)
+    return _worst_probe(_SELFADJOINT_SEED, _SELFADJOINT_PROBES, defect)

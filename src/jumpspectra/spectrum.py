@@ -4,11 +4,12 @@ The point spectrum of the restart generator decomposes into
     * the kernel point 0 (constants),
     * zeros of the secular series away from the Dirichlet spectrum, and
     * Dirichlet eigenvalues whose eigenspace contains a vector with zero
-      measure mean (those keep an explicit eigenfunction).
+      measure mean (such a vector is an eigenfunction).
 Dirichlet eigenvalues whose entire eigenspace has nonzero measure mean are
 reported but flagged undetermined: membership there is not decidable with
 the certificates this package maintains, and they never enter certified
-statistics.
+statistics.  The eigenvectors at the secular roots are built and checked in
+``resolvent``.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConditioningError, DegenerateEigenfunctionError,
-                     DomainMembershipError)
-from .geometry import BasisSet
-from .resolvent import SpectralVector, flatten
 from .secular import SecularSeries, complex_roots_in, real_roots_in
 
 KERNEL_ZERO = "kernel_zero"
@@ -33,7 +30,6 @@ UNDETERMINED_DIRICHLET = "undetermined_dirichlet"
 
 _MOMENT_ZERO_TOL = 1e-9
 _IM_BAND = 0.01            # nonreal roots are sought from this Im up
-_DEFECT_TOL = 1e-8         # relative mean defect of an eigenfunction
 
 
 @dataclass(frozen=True)
@@ -155,82 +151,3 @@ def assemble_spectrum(series: SecularSeries, window) -> SpectrumReport:
     return SpectrumReport(tuple(entries), (re_lo, re_hi, im_lo, im_hi),
                           min(certified) if certified else None,
                           min(everything) if everything else None)
-
-
-# ---------------------------------------------------------------------------
-# eigenfunctions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EigenFunction:
-    """Eigenfunction in the split form ``u = u0 + constant``."""
-
-    coeffs: np.ndarray
-    constant: complex
-    eigenvalue: complex
-    domain_defect: float       # |<u0>_mu|, zero at exact model roots
-
-    def as_vector(self) -> SpectralVector:
-        return SpectralVector(self.coeffs, self.constant)
-
-
-def eigenfunction_at(lam: complex, series: SecularSeries) -> EigenFunction:
-    """Eigenfunction at a verified secular root: resolvent of the constant.
-
-    The coefficients are ``lam (1, chi_n)/(lambda_n - lam)`` with constant
-    part 1; the measure mean of the Dirichlet part must vanish, which is
-    re-verified here.
-    """
-    lam = complex(lam)
-    if lam == 0:
-        raise ValueError("use the explicit kernel vector for the eigenvalue 0")
-    basis = series.basis
-    gap = float(np.min(np.abs(basis.eigenvalues - lam)))
-    if gap < 1e-8:
-        raise ConditioningError(
-            f"lam = {lam} is within {gap:.2e} of a Dirichlet eigenvalue")
-    coeffs = lam * basis.one_coeffs / (basis.eigenvalues - lam)
-    defect = abs(np.sum(series.moments.moments * coeffs))
-    scale = max(1.0, float(np.linalg.norm(coeffs)))
-    if defect > _DEFECT_TOL * scale:
-        raise DomainMembershipError(
-            f"lam = {lam} is not a model secular root: mean defect {defect:.3e}")
-    return EigenFunction(coeffs.astype(complex), 1.0 + 0j, lam, defect)
-
-
-def generator_residual(u: EigenFunction, series: SecularSeries) -> float:
-    """Relative residual of the eigen-equation in the truncated model."""
-    basis = series.basis
-    hu = basis.eigenvalues * u.coeffs
-    total = flatten(u.as_vector(), basis)
-    resid = hu - u.eigenvalue * total
-    return float(np.linalg.norm(resid) / (abs(u.eigenvalue) * np.linalg.norm(total)))
-
-
-def rayleigh_identity_check(u: EigenFunction, lam: float,
-                            basis: BasisSet) -> float:
-    """Quadrature check of the Dirichlet-form identity for real eigenvalues.
-
-    Resums the eigenfunction and its gradient on the quadrature grid and
-    compares the ratio (grad form)/(variance) with ``lam``; returns the
-    relative residual.  Only modes with non-negligible coefficients are
-    resummed.
-    """
-    rule = basis.quadrature
-    live = np.nonzero(np.abs(u.coeffs) > 1e-14)[0]
-    vals = np.full(rule.n_nodes, complex(u.constant))
-    gx = np.zeros(rule.n_nodes, dtype=complex)
-    gy = np.zeros(rule.n_nodes, dtype=complex)
-    for i in live:
-        vals = vals + u.coeffs[i] * basis.mode_values(i, rule.x, rule.y)
-        dgx, dgy = basis.domain.mode_gradient(basis.params[i], rule.x, rule.y)
-        gx = gx + u.coeffs[i] * dgx
-        gy = gy + u.coeffs[i] * dgy
-    num = float(np.real(rule.integrate(np.abs(gx) ** 2 + np.abs(gy) ** 2)))
-    norm2 = float(np.real(rule.integrate(np.abs(vals) ** 2)))
-    mean = complex(rule.integrate(vals))
-    den = norm2 - abs(mean) ** 2 / basis.domain.area
-    if den < 1e-12 * max(norm2, 1.0):
-        raise DegenerateEigenfunctionError(
-            "variance denominator vanished (constant eigenfunction)")
-    return abs(num / den - lam) / abs(lam)

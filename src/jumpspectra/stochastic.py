@@ -4,7 +4,7 @@ The process is an Euler discretisation of a Brownian motion (generator
 normalised so increments have variance ``2 dt`` per axis) killed on a thin
 boundary band and instantly restarted from the measure.  The long-run
 occupation histogram is compared in L1 against the spectral prediction: the
-normalised Dirichlet solve of the measure density, which spans the kernel
+normalised Dirichlet solve of the measure, which spans the kernel
 of the adjoint generator.
 
 The boundary band ``0.5826 sqrt(2 dt)`` offsets the mean overshoot
@@ -23,6 +23,7 @@ import numpy as np
 from .geometry import BasisSet, Domain
 from ._kernels import derive_seeds, run_walk
 from .measures import MeasureSpec
+from .resolvent import adjoint_kernel_vector
 
 _OVERSHOOT = 0.5826          # mean discrete-exit overshoot, units of sqrt(2 dt)
 
@@ -76,12 +77,12 @@ def simulate_occupation(config: WalkConfig, spec: MeasureSpec,
 def stationary_prediction(series, hist: OccupationHistogram) -> np.ndarray:
     """Bin-averaged stationary density from the adjoint kernel direction.
 
-    The prediction is the Dirichlet solve of the measure density (mode
-    coefficients ``w_n / lambda_n``), normalised to unit mass and
-    integrated exactly over each cell.
+    The prediction is the Dirichlet solve of the measure
+    (``adjoint_kernel_vector``), normalised to unit mass and integrated
+    exactly over each cell.
     """
     basis = series.basis
-    w_over_lam = series.moments.moments / basis.eigenvalues
+    w_over_lam = adjoint_kernel_vector(series).coeffs
     norm = float(np.sum(w_over_lam * basis.one_coeffs))
     masses = hist.domain.cell_masses(basis, w_over_lam, hist.config.n_bins)
     return masses / norm / hist.bin_areas

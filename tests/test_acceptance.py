@@ -6,6 +6,7 @@ lines and timings.  Tolerances are pinned here, not configurable.
 
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -212,7 +213,9 @@ def test_criterion_6_first_eigenvalue_bound(rect_runs):
         for spec, cert, mom, series in rect_runs:
             res = en.bound_first_eigenvalue(series, cert)
             assert res.verdict == en.PASS, res.detail
-            assert res.margin is not None and res.margin >= 0
+            lhs, rhs = map(float, re.search(
+                r"two-pole bound (\S+) <= ([^;]+)", res.detail).groups())
+            assert lhs <= rhs
 
 
 def test_criterion_7_resolvent_identities(uniform_disk, groundstate_disk):

@@ -125,6 +125,19 @@ def test_invalid_configs(tmp_path):
                                   "v_modes": {"1": 0.5}, "v_scale": math.inf}),
         dict(DISK_SMALL, thresholds=[math.nan, 0.2], tasks=["figure1"]),
         dict(DISK_SMALL, thresholds=[], tasks=["figure1"]),
+        # a key that nothing reads: misspelt, or not one that the domain
+        # kind or the measure variant takes
+        dict(DISK_SMALL, output_dir="elsewhere"),
+        dict(DISK_SMALL, walk={"n_step": 5}),
+        dict(DISK_SMALL, walk={"boundary_tolerance": 0.3}),
+        dict(DISK_SMALL, domain={"kind": "disk", "side_x": 2.0}),
+        dict(DISK_SMALL, measure={"variant": "uniform", "boundary_mass": 0.5}),
+        dict(DISK_SMALL, measure={"variant": "dirac", "x0": 0.1, "y0": 0.0,
+                                  "r0": 0.5}),
+        dict(DISK_SMALL, measure={"variant": "density_grid",
+                                  "values": np.full((9, 9), 1 / math.pi)
+                                  .tolist(),
+                                  "file": str(tmp_path / "missing.csv")}),
     ]
     for i, cfg in enumerate(bad):
         path = write_config(tmp_path, cfg, f"bad{i}.json")
@@ -303,6 +316,19 @@ def test_figure1_subcommand(tmp_path):
     svg = (tmp_path / "fig" / "enclosure.svg").read_text()
     assert svg.startswith("<svg")
     assert "threshold 0.1" in svg
+    # the disk takes no sides, so its domain block prints none
+    summary = json.loads((tmp_path / "fig" / "summary.json").read_text())
+    assert summary["config"]["domain"] == {"kind": "disk"}
+
+
+def test_unread_config_keys_are_named(tmp_path, capsys):
+    # a misspelt key would leave its default in force: exit 2, naming it
+    cfg = dict(DISK_SMALL, walk={"n_step": 5, "n_paths": 3}, speed=1,
+               measure={"variant": "uniform", "x0": 0.1})
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == ("configuration error: config keys "
+                                       "that nothing reads: speed, "
+                                       "walk.n_step, measure.x0\n")
 
 
 def test_density_grid_roundtrip(tmp_path):

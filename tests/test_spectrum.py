@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from jumpspectra import measures, secular, spectrum as sp
+from jumpspectra import measures, resolvent as rv, secular, spectrum as sp
 from jumpspectra.errors import (ConditioningError,
                                 DegenerateEigenfunctionError,
                                 DomainMembershipError)
@@ -103,7 +103,7 @@ def test_window_filtering(uniform_disk):
     assert all(e.value.real <= 10.0 for e in rep.entries)
 
 
-# --- eigenfunctions -----------------------------------------------------------
+# --- eigenfunctions (built and checked in resolvent) --------------------------
 
 def _first_root(series, basis):
     return secular.real_roots_in(series, basis.eigenvalues[0] + 1e-6, 30.0)[0]
@@ -111,24 +111,25 @@ def _first_root(series, basis):
 
 def test_eigenfunction_construction(uniform_disk, disk_basis):
     root = _first_root(uniform_disk, disk_basis).value
-    u = sp.eigenfunction_at(root, uniform_disk)
+    u = rv.eigenfunction_at(root, uniform_disk)
+    assert isinstance(u, rv.SpectralVector)
     assert u.constant == 1.0
-    assert u.domain_defect < 1e-10
+    assert abs(np.sum(uniform_disk.moments.moments * u.coeffs)) < 1e-10
     # boundary value equals the measure mean equals 1
     mean = complex(np.sum(uniform_disk.moments.moments * u.coeffs)
                    + u.constant)
     assert mean == pytest.approx(1.0, abs=1e-8)
-    assert sp.generator_residual(u, uniform_disk) < 1e-12
+    assert rv.generator_residual(u, root, uniform_disk) < 1e-12
 
 
 def test_eigenfunction_rejects_non_roots(uniform_disk):
     with pytest.raises(DomainMembershipError):
-        sp.eigenfunction_at(20.0, uniform_disk)
+        rv.eigenfunction_at(20.0, uniform_disk)
 
 
 def test_eigenfunction_conditioning_guard(uniform_disk, disk_basis):
     with pytest.raises(ConditioningError):
-        sp.eigenfunction_at(disk_basis.eigenvalues[0] + 1e-10, uniform_disk)
+        rv.eigenfunction_at(disk_basis.eigenvalues[0] + 1e-10, uniform_disk)
 
 
 def test_eigenfunction_small_lambda_limit(disk_basis):
@@ -140,8 +141,8 @@ def test_eigenfunction_small_lambda_limit(disk_basis):
 
 def test_rayleigh_identity(uniform_disk, disk_basis):
     root = _first_root(uniform_disk, disk_basis).value
-    u = sp.eigenfunction_at(root, uniform_disk)
-    resid = sp.rayleigh_identity_check(u, root, disk_basis)
+    u = rv.eigenfunction_at(root, uniform_disk)
+    resid = rv.rayleigh_identity_check(u, root, disk_basis)
     assert resid < 1e-6
 
 
@@ -150,16 +151,16 @@ def test_rayleigh_negative_control(uniform_disk, disk_basis):
     root = _first_root(uniform_disk, disk_basis).value
     coeffs = np.zeros(len(disk_basis), dtype=complex)
     coeffs[0] = 1.0
-    fake = sp.EigenFunction(coeffs, 0.05 + 0j, root, 0.0)
-    resid = sp.rayleigh_identity_check(fake, root, disk_basis)
+    fake = rv.SpectralVector(coeffs, 0.05 + 0j)
+    resid = rv.rayleigh_identity_check(fake, root, disk_basis)
     assert resid > 1e-2
 
 
 def test_rayleigh_degenerate_denominator(uniform_disk, disk_basis):
-    const = sp.EigenFunction(np.zeros(len(disk_basis), dtype=complex),
-                             1.0 + 0j, 1.0, 0.0)
+    const = rv.SpectralVector(np.zeros(len(disk_basis), dtype=complex),
+                              1.0 + 0j)
     with pytest.raises(DegenerateEigenfunctionError):
-        sp.rayleigh_identity_check(const, 1.0, disk_basis)
+        rv.rayleigh_identity_check(const, 1.0, disk_basis)
 
 
 # --- serialization ------------------------------------------------------------

@@ -13,7 +13,10 @@ the secular tail bound each have one function that computes them.  The
 eigenvalue clusters are one table whose columns the secular poles, the
 Dirichlet classification and the theorem checks read.  Each value has one
 source: no input that changes nothing is accepted, and no record field or
-parameter repeats what another already gives."""
+parameter repeats what another already gives.  The resolvent module is the
+one home of the truncated-model vectors: an eigenvector is a
+``SpectralVector``, one method measures the distance to the Dirichlet
+spectrum, and the defect witnesses share one probe loop."""
 
 import ast
 import dataclasses
@@ -25,7 +28,7 @@ import pytest
 
 import jumpspectra
 from jumpspectra import (_kernels, cli, enclosure, geometry, measures,
-                         numrange, secular, stochastic)
+                         numrange, resolvent, secular, spectrum, stochastic)
 
 SRC = os.path.dirname(os.path.abspath(jumpspectra.__file__))
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -362,3 +365,58 @@ def test_one_source_per_value():
     assert not {f.name for f in dataclasses.fields(
         measures.AdmissibilityCertificate)} & {"threshold_literal",
                                                "literal_passed"}
+
+
+def test_one_home_for_the_truncated_model():
+    # an eigenvector is a SpectralVector from resolvent, and spectrum only
+    # assembles and classifies: it imports nothing from resolvent
+    assert not hasattr(spectrum, "EigenFunction")
+    assert not hasattr(spectrum, "_DEFECT_TOL")
+    for name in python_files(SRC):
+        with open(os.path.join(SRC, name)) as fh:
+            assert "EigenFunction" not in fh.read(), name
+    assert not [node for node in ast.walk(parse("spectrum.py"))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and "resolvent" in ast.unparse(node)]
+    # one distance to the Dirichlet spectrum: no abs, argmin or sorted
+    # search over the eigenvalues outside BasisSet.spectral_distance, which
+    # the resolvent guards and the enclosure field read
+    for name in ("spectral_distance", "_ray_distance"):
+        assert not hasattr(enclosure, name)
+    scans = []
+    for name in python_files(SRC):
+        tree = parse(name)
+        skip = {id(inner) for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "spectral_distance"
+                for inner in ast.walk(node)}
+        scans += [(name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in skip
+                  and getattr(node.func, "attr", getattr(node.func, "id", None))
+                  in ("abs", "absolute", "argmin", "searchsorted")
+                  and any(isinstance(inner, ast.Attribute)
+                          and inner.attr == "eigenvalues"
+                          for arg in node.args for inner in ast.walk(arg))]
+    assert scans == []
+    functions = {node.name: node
+                 for module in ("resolvent.py", "enclosure.py")
+                 for node in parse(module).body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def called(function):
+        return {getattr(node.func, "attr", getattr(node.func, "id", None))
+                for node in ast.walk(functions[function])
+                if isinstance(node, ast.Call)}
+
+    for function in ("_require_regular", "eigenfunction_at",
+                     "matryoshka_ratio"):
+        assert "spectral_distance" in called(function), function
+    # the three defect witnesses draw their probes in one seeded loop
+    for function in ("resolvent_identity_defect", "adjoint_pairing_defect",
+                     "selfadjointness_defect"):
+        assert "_worst_probe" in called(function), function
+        assert not [node for node in ast.walk(functions[function])
+                    if isinstance(node, (ast.For, ast.While))], function
+    assert [name for name in functions
+            if "default_rng" in called(name)] == ["_worst_probe"]
+    assert resolvent.eigenfunction_at is jumpspectra.eigenfunction_at
