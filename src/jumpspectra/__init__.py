@@ -16,7 +16,7 @@ from .spectrum import SpectrumReport, assemble_spectrum
 from .resolvent import (SpectralVector, apply_adjoint_resolvent,
                         apply_dirichlet_resolvent, apply_generator,
                         apply_jump_resolvent, eigenfunction_at,
-                        rayleigh_identity_check, selfadjointness_defect)
+                        selfadjointness_defect)
 from .enclosure import (CheckResult, bound_first_eigenvalue,
                         check_halfplane_exclusion, check_interlacing,
                         check_nested_enclosure, emit_matryoshka_curves,

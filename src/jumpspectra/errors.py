@@ -57,10 +57,6 @@ class ConditioningError(JumpSpectraError):
     """Requested point is too close to a Dirichlet eigenvalue."""
 
 
-class DegenerateEigenfunctionError(JumpSpectraError):
-    """Rayleigh-quotient denominator vanished (constant eigenfunction)."""
-
-
 class GeometryError(JumpSpectraError):
     """Boundary-layer construction incompatible with the domain."""
 

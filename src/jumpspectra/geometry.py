@@ -15,7 +15,7 @@ so that every mean coefficient ``(1, chi)`` comes out positive; the ground
 state is positive either way.
 
 Each domain class owns every fact that differs between the two shapes: the
-mode enumeration, values, gradients and mean coefficients, the tensor and
+mode enumeration, values and mean coefficients, the tensor and
 boundary-layer quadrature rules, the torsion anchors, and the walk's
 interior test, uniform sampler and occupation cells.  The rest of the
 package calls the domain instead of asking which one it is.
@@ -257,31 +257,6 @@ class Disk:
         return (self._radial(params, np.hypot(x, y))
                 * self._angular(params, np.arctan2(y, x)))
 
-    def mode_gradient(self, params, x, y):
-        """Cartesian gradient of the mode of one ``params`` row.
-
-        Angular modes are singular at the origin in polar form; callers must
-        keep r > 0 (interior quadrature nodes always do).
-        """
-        m, j, norm, sine = params
-        m = int(m)
-        r = np.hypot(x, y)
-        theta = np.arctan2(y, x)
-        if m == 0:
-            drad = -j * jv(1, j * r) / norm
-            return (drad * np.cos(theta), drad * np.sin(theta))
-        below, at, above = jv(np.array([m - 1, m, m + 1])[:, None], j * r)
-        rad = at / norm
-        drad = j * 0.5 * (below - above) / norm
-        if sine:
-            ang, dang = np.sin(m * theta), m * np.cos(m * theta)
-        else:
-            ang, dang = np.cos(m * theta), -m * np.sin(m * theta)
-        fr = drad * ang
-        ft = rad * dang / r
-        return (fr * np.cos(theta) - ft * np.sin(theta),
-                fr * np.sin(theta) + ft * np.cos(theta))
-
     def quadrature(self, n_r: int, n_theta: int) -> QuadratureRule:
         """Gauss-Legendre in r times the trapezoid rule in theta."""
         r, wr = _gl_nodes(n_r, 0.0, 1.0)
@@ -440,17 +415,6 @@ class Rectangle:
         return (2.0 / math.sqrt(a * b)
                 * np.sin(m * math.pi * x / a)
                 * np.sin(n * math.pi * y / b))
-
-    def mode_gradient(self, params, x, y):
-        m, n = params
-        a, b = self.side_x, self.side_y
-        c = 2.0 / math.sqrt(a * b)
-        sx = np.sin(m * math.pi * x / a)
-        cx = np.cos(m * math.pi * x / a)
-        sy = np.sin(n * math.pi * y / b)
-        cy = np.cos(n * math.pi * y / b)
-        return (c * (m * math.pi / a) * cx * sy,
-                c * (n * math.pi / b) * sx * cy)
 
     def quadrature(self, n_x: int, n_y: int) -> QuadratureRule:
         """Tensor Gauss-Legendre rule: one open-mesh block, x along the
@@ -719,14 +683,13 @@ class BasisSet:
         return sum(np.append(values, 0.0)[index].T)
 
 
-def build_basis(domain: Domain, cutoff: float,
-                quadrature: QuadratureRule | None = None) -> BasisSet:
+def build_basis(domain: Domain, cutoff: float) -> BasisSet:
     """Enumerate all Dirichlet eigenpairs with eigenvalue <= cutoff.
 
     Ties in eigenvalue are broken by lexicographic label order so the
-    enumeration is deterministic.  The default rule is sized for products
-    of modes up to the cutoff (>= 4 nodes per oscillation of the highest
-    mode per axis).
+    enumeration is deterministic.  The domain's default rule is sized for
+    products of modes up to the cutoff (>= 4 nodes per oscillation of the
+    highest mode per axis).
     """
     raw = domain.modes(cutoff)
     if not raw:
@@ -734,7 +697,7 @@ def build_basis(domain: Domain, cutoff: float,
             f"cutoff {cutoff} lies below the first eigenvalue of the domain")
     raw.sort(key=lambda t: (t[0], t[1]))
 
-    rule = quadrature if quadrature is not None else domain.default_quadrature(cutoff)
+    rule = domain.default_quadrature(cutoff)
     domain.check_resolution(cutoff, rule)
 
     eigs, labels, params = zip(*raw)

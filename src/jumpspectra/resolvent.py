@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConditioningError, DegenerateEigenfunctionError,
-                     DomainMembershipError, PoleProximityError,
-                     ResolventDomainError, UnsupportedMeasureError)
+from .errors import (ConditioningError, DomainMembershipError,
+                     PoleProximityError, ResolventDomainError,
+                     UnsupportedMeasureError)
 from .geometry import BasisSet
 from .measures import MeasureMoments
 from .secular import SecularSeries, eval_secular
@@ -202,35 +202,6 @@ def generator_residual(u: SpectralVector, lam: complex,
     hu = apply_generator(u, basis, series.moments).coeffs
     return float(np.linalg.norm(hu - lam * total)
                  / (abs(lam) * np.linalg.norm(total)))
-
-
-def rayleigh_identity_check(u: SpectralVector, lam: float,
-                            basis: BasisSet) -> float:
-    """Quadrature check of the Dirichlet-form identity for real eigenvalues.
-
-    Resums the eigenfunction and its gradient on the quadrature grid and
-    compares the ratio (grad form)/(variance) with ``lam``; returns the
-    relative residual.  Only modes with non-negligible coefficients are
-    resummed.
-    """
-    rule = basis.quadrature
-    live = np.nonzero(np.abs(u.coeffs) > 1e-14)[0]
-    vals = np.full(rule.n_nodes, complex(u.constant))
-    gx = np.zeros(rule.n_nodes, dtype=complex)
-    gy = np.zeros(rule.n_nodes, dtype=complex)
-    for i in live:
-        vals = vals + u.coeffs[i] * basis.mode_values(i, rule.x, rule.y)
-        dgx, dgy = basis.domain.mode_gradient(basis.params[i], rule.x, rule.y)
-        gx = gx + u.coeffs[i] * dgx
-        gy = gy + u.coeffs[i] * dgy
-    num = float(np.real(rule.integrate(np.abs(gx) ** 2 + np.abs(gy) ** 2)))
-    norm2 = float(np.real(rule.integrate(np.abs(vals) ** 2)))
-    mean = complex(rule.integrate(vals))
-    den = norm2 - abs(mean) ** 2 / basis.domain.area
-    if den < 1e-12 * max(norm2, 1.0):
-        raise DegenerateEigenfunctionError(
-            "variance denominator vanished (constant eigenfunction)")
-    return abs(num / den - lam) / abs(lam)
 
 
 def _worst_probe(seed: int, n_probes: int, defect) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -391,6 +392,31 @@ def test_numrange_direction_labels(tmp_path):
     (row,) = summary["results"]
     labels = [part.split(":")[0] for part in row["detail"].split("; ")]
     assert labels == ["dir +1", "dir -1", "dir +i", "dir -i"]
+
+
+@pytest.mark.parametrize("spoil, slope, defect", [
+    (lambda s: dataclasses.replace(s, quotient=s.quotient / math.sqrt(s.epsilon)),
+     -1.0, []),
+    (lambda s: dataclasses.replace(s, mean_defect=1e-6),
+     -0.5, ["domain mean defect 1.00e-06"]),
+], ids=["slope", "mean_defect"])
+def test_numrange_row_fails_on_a_spoiled_sweep(tmp_path, monkeypatch, spoil,
+                                               slope, defect):
+    # negative control: the row fails when each quotient grows like 1/eps
+    # (slope -1, not -1/2), and when the trial states leave the domain
+    sweep = cli.nr.sweep
+    monkeypatch.setattr(cli.nr, "sweep",
+                        lambda *args: [spoil(s) for s in sweep(*args)])
+    path = write_config(tmp_path, dict(DISK_SMALL, cutoff=300.0,
+                                       tasks=["numrange"]))
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out)]) == cli.EXIT_FAIL
+    (row,) = json.loads((out / "summary.json").read_text())["results"]
+    assert row["verdict"] == "fail"
+    parts = row["detail"].split("; ")
+    assert parts[4:] == defect
+    for part in parts[:4]:
+        assert float(part.split("slope ")[1]) == pytest.approx(slope, abs=0.05)
 
 
 def test_numrange_inapplicable_off_bump_point_mass(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -75,6 +76,19 @@ def test_thm1_rectangle(rect_admissible, rect_basis):
     assert res.verdict == en.PASS
 
 
+def test_thm1_fails_on_a_planted_nonreal_entry(rect_admissible, rect_basis):
+    # negative control: one certified nonreal entry below the level-2
+    # threshold is a counterexample, and the checker must say so
+    _, cert, _, _, rep = rect_admissible
+    threshold = en.halfplane_threshold(rect_basis, 2)
+    planted = sp.SpectrumEntry(threshold - 0.5 + 1j, sp.SECULAR_ROOT, 1,
+                               0.0, "planted")
+    rep = dataclasses.replace(rep, entries=rep.entries + (planted,))
+    res = en.check_halfplane_exclusion(rep, cert, 2, rect_basis)
+    assert res.verdict == en.FAIL
+    assert res.detail == "1 nonreal entries below Re = 4.14256"
+
+
 def test_thm1_gate_inapplicable(rect_basis):
     v = make_mode_perturbation(rect_basis, {0: 0.8, 1: 0.3, 4: 0.4}, 0.8)
     spec = measures.PerturbedMeasure(measures.UniformMeasure(), v)
@@ -102,6 +116,23 @@ def test_interlacing_rectangle(rect_admissible):
     (interval, count, root) = res.intervals[0]
     assert count == 1
     assert interval[0] < root < interval[1]
+
+
+def _second_residue_negated(series):
+    residues = series.residues.copy()
+    residues[1] = -residues[1]
+    return dataclasses.replace(series, residues=residues)
+
+
+def test_interlacing_fails_on_a_flipped_residue(rect_admissible):
+    # negative control: with the second residue negated the secular
+    # function has the same sign at both ends of the first gap, so the gap
+    # holds no root
+    _, cert, _, series, _ = rect_admissible
+    res = en.check_interlacing(_second_residue_negated(series), cert, 2)
+    assert res.verdict == en.FAIL
+    assert res.detail == "gap with count != 1"
+    assert res.intervals[0][1:] == (0, None)
 
 
 def test_derivative_positive_on_gap_grid(rect_admissible):
@@ -145,6 +176,14 @@ def test_first_eigenvalue_bound(rect_admissible):
     assert lhs < rhs
 
 
+def test_first_eigenvalue_bound_fails_on_a_flipped_residue(rect_admissible):
+    # negative control: no root in the first gap, so nothing to bound
+    _, cert, _, series, _ = rect_admissible
+    res = en.bound_first_eigenvalue(_second_residue_negated(series), cert)
+    assert res.verdict == en.FAIL
+    assert res.detail == "interlacing failed in the first gap"
+
+
 def test_first_eigenvalue_bound_needs_level_2(rect_admissible, rect_basis):
     # a level-1 certificate does not give the level-2 hypothesis, even for
     # a perturbation that meets it
@@ -176,6 +215,21 @@ def test_nested_enclosure_vacuous(groundstate_disk, disk_basis):
     rep = sp.assemble_spectrum(groundstate_disk, (-1.0, 60.0, -15.0, 15.0))
     res = en.check_nested_enclosure(rep, cert, disk_basis)
     assert res.verdict == en.PASS      # no nonreal entries at all
+
+
+def test_nested_enclosure_fails_on_a_planted_nonreal_entry(groundstate_disk,
+                                                           disk_basis):
+    # negative control: at v = 0 the enclosure shrinks to t = 0, so a
+    # certified nonreal entry at 40 + 10i escapes it
+    spec = measures.PerturbedMeasure(
+        measures.GroundStateMeasure(), np.zeros(len(disk_basis)))
+    cert = measures.check_hypothesis_v(spec, disk_basis, 1)
+    rep = sp.assemble_spectrum(groundstate_disk, (-1.0, 60.0, -15.0, 15.0))
+    planted = sp.SpectrumEntry(40 + 10j, sp.SECULAR_ROOT, 1, 0.0, "planted")
+    rep = dataclasses.replace(rep, entries=rep.entries + (planted,))
+    res = en.check_nested_enclosure(rep, cert, disk_basis)
+    assert res.verdict == en.FAIL
+    assert res.detail == "1 nonreal entries escape the enclosure at t = 0"
 
 
 def test_nested_enclosure_gate(disk_basis):

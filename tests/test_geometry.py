@@ -200,25 +200,8 @@ def test_quadrature_nonfinite_raises(disk):
 
 
 def test_resolution_guard(disk):
-    rule = disk.quadrature(8, 16)
     with pytest.raises(ResolutionError):
-        geometry.build_basis(disk, 2000.0, quadrature=rule)
-
-
-def test_mode_gradient_matches_fd(disk_basis_small, rect_basis):
-    for basis in (disk_basis_small, rect_basis):
-        x0, y0 = ((0.3, 0.2) if isinstance(basis.domain, geometry.Disk)
-                  else (1.0, 1.5))
-        h = 1e-6
-        gx, gy = basis.domain.mode_gradient(basis.params[3], np.array([x0]),
-                                            np.array([y0]))
-
-        def value(x, y):
-            return basis.mode_values(3, np.array([x]), np.array([y]))[0]
-        fdx = (value(x0 + h, y0) - value(x0 - h, y0)) / (2 * h)
-        fdy = (value(x0, y0 + h) - value(x0, y0 - h)) / (2 * h)
-        assert gx[0] == pytest.approx(fdx, rel=1e-6, abs=1e-8)
-        assert gy[0] == pytest.approx(fdy, rel=1e-6, abs=1e-8)
+        disk.check_resolution(2000.0, disk.quadrature(8, 16))
 
 
 # --- layer quadrature and Dirichlet solves ----------------------------------

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from jumpspectra import measures, resolvent as rv, secular, spectrum as sp
-from jumpspectra.errors import (ConditioningError,
-                                DegenerateEigenfunctionError,
-                                DomainMembershipError)
+from jumpspectra.errors import ConditioningError, DomainMembershipError
 
 J21_SQ = 26.374616427163392
 
@@ -137,30 +135,6 @@ def test_eigenfunction_small_lambda_limit(disk_basis):
     lam = 1e-8
     coeffs = lam * disk_basis.one_coeffs / (disk_basis.eigenvalues - lam)
     assert np.abs(coeffs).max() < 1e-7
-
-
-def test_rayleigh_identity(uniform_disk, disk_basis):
-    root = _first_root(uniform_disk, disk_basis).value
-    u = rv.eigenfunction_at(root, uniform_disk)
-    resid = rv.rayleigh_identity_check(u, root, disk_basis)
-    assert resid < 1e-6
-
-
-def test_rayleigh_negative_control(uniform_disk, disk_basis):
-    # a synthetic non-eigenfunction breaks the identity
-    root = _first_root(uniform_disk, disk_basis).value
-    coeffs = np.zeros(len(disk_basis), dtype=complex)
-    coeffs[0] = 1.0
-    fake = rv.SpectralVector(coeffs, 0.05 + 0j)
-    resid = rv.rayleigh_identity_check(fake, root, disk_basis)
-    assert resid > 1e-2
-
-
-def test_rayleigh_degenerate_denominator(uniform_disk, disk_basis):
-    const = rv.SpectralVector(np.zeros(len(disk_basis), dtype=complex),
-                              1.0 + 0j)
-    with pytest.raises(DegenerateEigenfunctionError):
-        rv.rayleigh_identity_check(const, 1.0, disk_basis)
 
 
 # --- serialization ------------------------------------------------------------

@@ -16,7 +16,9 @@ source: no input that changes nothing is accepted, and no record field or
 parameter repeats what another already gives.  The resolvent module is the
 one home of the truncated-model vectors: an eigenvector is a
 ``SpectralVector``, one method measures the distance to the Dirichlet
-spectrum, and the defect witnesses share one probe loop."""
+spectrum, and the defect witnesses share one probe loop.  The basis has one
+evaluation path, ``mode_values``, with no per-row gradient beside it, and
+only the geometry reads a rule's flat node coordinates."""
 
 import ast
 import dataclasses
@@ -27,7 +29,7 @@ import numpy as np
 import pytest
 
 import jumpspectra
-from jumpspectra import (_kernels, cli, enclosure, geometry, measures,
+from jumpspectra import (_kernels, cli, enclosure, errors, geometry, measures,
                          numrange, resolvent, secular, spectrum, stochastic)
 
 SRC = os.path.dirname(os.path.abspath(jumpspectra.__file__))
@@ -242,17 +244,33 @@ def test_basis_is_one_table():
     assert not hasattr(geometry.BasisSet, "modes")
     x, y = np.array([0.3, 0.5]), np.array([0.2, 0.4])
     for domain in (geometry.unit_disk(), geometry.rectangle(2.0, 3.0)):
-        for name in ("mode_values", "mode_gradient"):
-            assert list(inspect.signature(getattr(domain, name)).parameters) \
-                == ["params", "x", "y"]
+        assert list(inspect.signature(domain.mode_values).parameters) \
+            == ["params", "x", "y"]
         basis = geometry.build_basis(domain, 60.0)
         for table in (basis.one_coeffs, basis.labels, basis.params):
             assert len(table) == len(basis) == basis.eigenvalues.size
         values = domain.mode_values(basis.params[:3], x, y)
         assert values.shape == (3, 2)
         assert np.array_equal(values[1], basis.mode_values(1, x, y))
-        gx, gy = domain.mode_gradient(basis.params[1], x, y)
-        assert gx.shape == gy.shape == (2,)
+
+
+def test_one_evaluation_path_for_the_basis():
+    # no Rayleigh-identity check and no per-row mode gradient: the basis is
+    # evaluated through mode_values (and the moment transform) only, a basis
+    # is built on its domain's default rule, and no module but geometry
+    # reads a rule's flat .x/.y (the tests read them as the node-by-node
+    # reference)
+    assert not hasattr(resolvent, "rayleigh_identity_check")
+    assert not hasattr(jumpspectra, "rayleigh_identity_check")
+    assert not hasattr(errors, "DegenerateEigenfunctionError")
+    for domain in (geometry.Disk, geometry.Rectangle):
+        assert not hasattr(domain, "mode_gradient")
+    assert list(inspect.signature(geometry.build_basis).parameters) == [
+        "domain", "cutoff"]
+    reads = [(name, node.lineno) for name in python_files(SRC)
+             if name != "geometry.py" for node in ast.walk(parse(name))
+             if isinstance(node, ast.Attribute) and node.attr in ("x", "y")]
+    assert reads == []
 
 
 def test_perturbation_is_its_coefficients():
