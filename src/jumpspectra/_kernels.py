@@ -58,7 +58,9 @@ one column per candidate and ``draw.uniforms`` rows, the uniforms that one
 candidate takes, and ``placed`` is the accept mask of a rejection sampler,
 or None when every candidate stands.  Only this module advances a stream: a
 restart makes every candidate's uniforms in one batch and hands them to the
-draw.  A candidate in the boundary band is drawn again.
+draw.  A candidate in the boundary band is drawn again.  ``complex_normals``
+serves the same streams to the resolvent's random probes, so no module needs
+a second generator.
 """
 
 from __future__ import annotations
@@ -188,6 +190,19 @@ def derive_seeds(seed: int, n_paths: int) -> np.ndarray:
     root = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
     s = root + np.arange(1, n_paths + 1, dtype=np.uint64) * _GOLDEN
     return _mix(s, np.empty_like(s))
+
+
+def complex_normals(seed: int, n: int) -> np.ndarray:
+    """``n`` complex numbers from the stream ``seed`` whose real and
+    imaginary parts are independent standard normals.  Entry i is the
+    Box-Muller pair ``r e^(2 pi i u2)``, ``r = sqrt(-2 log u1)``, of the
+    uniforms of ``derive_seeds(seed, 2 n)`` states 2i + 1 (u1) and 2i + 2
+    (u2), the radius then angle order of a walk step."""
+    s = derive_seeds(seed, 2 * n)
+    u = _unit(s, np.empty_like(s), np.empty(s.shape))
+    r = np.sqrt(-2.0 * np.log(u[0::2]))
+    angle = 2.0 * math.pi * u[1::2]
+    return r * np.cos(angle) + 1j * (r * np.sin(angle))
 
 
 def fixed_draw(x0, y0):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .geometry import BasisSet
 from .measures import AdmissibilityCertificate
-from .secular import SecularSeries, real_roots_in
+from .secular import _SUM_TERMS, SecularSeries, real_roots_in
 from .spectrum import SpectrumReport
 
 PASS, FAIL, INAPPLICABLE = "pass", "fail", "inapplicable"
@@ -201,8 +201,18 @@ def check_nested_enclosure(report: SpectrumReport,
 # ---------------------------------------------------------------------------
 
 def ratio_field(basis: BasisSet, re_grid: np.ndarray, im_grid: np.ndarray):
-    """Enclosure field on a grid, shape (len(re_grid), len(im_grid))."""
-    return matryoshka_ratio(re_grid[:, None] + 1j * im_grid, basis)
+    """Enclosure field on a grid, shape (len(re_grid), len(im_grid)).
+
+    It is evaluated a block of real-axis rows at a time, at most
+    ``_SUM_TERMS`` points, so its complex temporaries come from the heap
+    rather than from fresh mappings of the whole grid; the field is
+    elementwise, so the blocks leave every value's bits unchanged."""
+    out = np.empty((len(re_grid), len(im_grid)))
+    rows = max(1, _SUM_TERMS // max(len(im_grid), 1))
+    for lo in range(0, len(re_grid), rows):
+        out[lo:lo + rows] = matryoshka_ratio(
+            re_grid[lo:lo + rows, None] + 1j * im_grid, basis)
+    return out
 
 
 # Cell (i, j) has corners (i, j), (i+1, j), (i+1, j+1), (i, j+1), bits 1, 2,

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import complex_normals, derive_seeds
 from .errors import (ConditioningError, DomainMembershipError,
                      PoleProximityError, ResolventDomainError,
                      UnsupportedMeasureError)
@@ -30,7 +31,7 @@ from .measures import MeasureMoments
 from .secular import SecularSeries, eval_secular
 
 _DOMAIN_TOL = 1e-8
-# each check draws its random probes from a fixed seed of its own
+# each check draws its random probes from a splitmix64 seed of its own
 _IDENTITY_SEED, _PAIRING_SEED, _SELFADJOINT_SEED = 7, 11, 3
 _SELFADJOINT_PROBES = 10
 
@@ -51,8 +52,10 @@ def flatten(vec: SpectralVector, basis: BasisSet) -> np.ndarray:
     return out
 
 
-def random_probe(basis: BasisSet, rng: np.random.Generator) -> SpectralVector:
-    z = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+def random_probe(basis: BasisSet, seed: int) -> SpectralVector:
+    """A unit probe whose coefficients are the complex normals of the
+    splitmix64 stream ``seed``."""
+    z = complex_normals(seed, len(basis))
     return SpectralVector(z / np.linalg.norm(z))
 
 
@@ -205,11 +208,11 @@ def generator_residual(u: SpectralVector, lam: complex,
 
 
 def _worst_probe(seed: int, n_probes: int, defect) -> float:
-    """Largest ``defect(rng)`` over ``n_probes`` calls, which draw their
-    random probes in turn from one generator seeded with ``seed``; NaN if
-    any defect is NaN, so that no bound passes it."""
-    rng = np.random.default_rng(seed)
-    return float(np.max([defect(rng) for _ in range(n_probes)]))
+    """Largest ``defect(s)`` over the ``n_probes`` probe seeds ``s`` of
+    ``derive_seeds(seed, n_probes)``; NaN if any defect is NaN, so that no
+    bound passes it."""
+    return float(np.max([defect(s) for s in
+                         derive_seeds(seed, n_probes).tolist()]))
 
 
 def resolvent_identity_defect(series: SecularSeries, lam: complex,
@@ -224,8 +227,8 @@ def resolvent_identity_defect(series: SecularSeries, lam: complex,
     basis = series.basis
     moments = generator_moments if generator_moments is not None else series.moments
 
-    def defect(rng):
-        v = random_probe(basis, rng)
+    def defect(seed):
+        v = random_probe(basis, seed)
         u = apply_jump_resolvent(lam, v, series)
         hu = apply_generator(u, basis, moments)
         return np.linalg.norm(flatten(hu, basis) - lam * flatten(u, basis)
@@ -238,9 +241,9 @@ def adjoint_pairing_defect(series: SecularSeries, lam: complex,
     """max |(R(conj lam) u, v) - (u, R*(lam) v)| over random probe pairs."""
     basis = series.basis
 
-    def defect(rng):
-        u = random_probe(basis, rng)
-        v = random_probe(basis, rng)
+    def defect(seed):
+        u, v = (random_probe(basis, s)
+                for s in derive_seeds(seed, 2).tolist())
         # the pairing (a, b) conjugates its second slot; np.vdot the first
         left = np.vdot(flatten(v, basis),
                        flatten(apply_jump_resolvent(np.conj(lam), u, series), basis))
@@ -254,8 +257,8 @@ def selfadjointness_defect(series: SecularSeries) -> float:
     """max ||(R(-1) - R*(-1)) v|| / ||v||; positive for every measure."""
     basis = series.basis
 
-    def defect(rng):
-        v = random_probe(basis, rng)
+    def defect(seed):
+        v = random_probe(basis, seed)
         a = flatten(apply_jump_resolvent(-1.0, v, series), basis)
         b = flatten(apply_adjoint_resolvent(-1.0, v, series), basis)
         return np.linalg.norm(a - b)

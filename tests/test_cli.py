@@ -481,7 +481,7 @@ PINNED_OUTPUT = {
     }),
     ("disk", "verify"): (cli.EXIT_PASS, {
         "stdout":
-            "6f071c1ffd240ccee721211ce21650232b48878cd3b3aa987fc8515a3f50a76d",
+            "fbfdb2e32d18f176ab2dc720b9930800d57b64d4b845b178b41db48f9a1eeb5d",
     }),
     # enclosure_thm3 is inapplicable to a uniform-base perturbation: exit 3
     ("rect", "run"): (cli.EXIT_UNDECIDED, {
@@ -500,7 +500,7 @@ PINNED_OUTPUT = {
     }),
     ("rect", "verify"): (cli.EXIT_PASS, {
         "stdout":
-            "df685b3553a119095a48f594957a84017a18f68b99f11588d0bc42a14149bc74",
+            "fa87edf7965c852f3726998bbff8aefb1df49b83412c7435976a5a03b08316cc",
     }),
     ("square_dirac", "run"): (cli.EXIT_PASS, {
         "spectrum.csv":
@@ -515,7 +515,7 @@ PINNED_OUTPUT = {
     # adjoint_checks is inapplicable to a measure with no L2 density: exit 3
     ("square_dirac", "verify"): (cli.EXIT_UNDECIDED, {
         "stdout":
-            "49f0e48934237e92cb66903a55b4363114ad028b58d0cd5a0d2994a91ba4d03c",
+            "80a5a698f51ae0e320f05f88e6981e3d092b342a52188415b0259e869f7c740f",
     }),
 }
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -287,6 +288,39 @@ def test_field_matches_brute_force(name, cutoff, disk_basis, rect_basis):
         assert np.array_equal(en.matryoshka_ratio(extra, basis),
                               ref_extra / np.abs(e[0] - extra),
                               equal_nan=True)
+
+
+def test_ratio_field_blocks_keep_every_bit(disk_basis):
+    # blocks of 13 rows of 300 points: 29 rows leave a last block of 3
+    re_grid = np.linspace(0.0, 60.0, 29)
+    im_grid = np.linspace(-15.0, 15.0, 300)
+    rows = secular._SUM_TERMS // im_grid.size
+    assert re_grid.size > rows and re_grid.size % rows
+    whole = en.matryoshka_ratio(re_grid[:, None] + 1j * im_grid, disk_basis)
+    assert np.array_equal(
+        en.ratio_field(disk_basis, re_grid, im_grid).view(np.uint64),
+        whole.view(np.uint64))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_figure_field_temporaries_stay_small(disk_basis):
+    # the figure-1 grid of 600 x 300 points holds a 1.4 MB field; evaluated
+    # in one shot, its complex temporaries take about 10 MB (the control)
+    bound = 4 * 2 ** 20
+    assert traced_peak(lambda: en.emit_matryoshka_curves(disk_basis)) < bound
+    re_grid = np.linspace(0.0, 60.0, 600)
+    im_grid = np.linspace(-15.0, 15.0, 300)
+    assert traced_peak(lambda: en.matryoshka_ratio(
+        re_grid[:, None] + 1j * im_grid, disk_basis)) > bound
 
 
 # --- curves -------------------------------------------------------------------

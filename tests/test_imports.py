@@ -1,6 +1,8 @@
 """scipy stays off the import path: the disk's Bessel functions and zeros
 are the package's own, so no op loads any scipy module.  The walk forks its
-shards with ``os.fork``, so no process pool is imported either.
+shards with ``os.fork``, so no process pool is imported either, and the
+resolvent's random probes come from the walk's splitmix64 streams, so
+``verify`` never loads ``numpy.random``.
 
 Each case runs in a fresh interpreter, since this test session has scipy
 imported already.
@@ -17,6 +19,9 @@ import pytest
 import jumpspectra
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(jumpspectra.__file__)))
+# an L2 density, so verify runs every probe row, the adjoint ones included
+GROUND_STATE = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "configs", "disk_ground_state.json")
 WALK = {"step_dt": 1e-4, "n_steps": 500, "n_paths": 50, "n_bins": 8,
         "seed": 5, "l1_threshold": 2.0}
 RECT = {
@@ -104,3 +109,15 @@ def test_disk_run_and_verify_load_no_scipy(tmp_path, command):
             summary = json.loads(
                 (tmp_path / name / "run" / "summary.json").read_text())
             assert [r["name"] for r in summary["results"]] == cfg["tasks"]
+
+
+def test_verify_loads_no_numpy_random():
+    code = ("import contextlib, io\nfrom jumpspectra import cli\n"
+            "out = io.StringIO()\nwith contextlib.redirect_stdout(out):\n"
+            f"    assert cli.main(['verify', {GROUND_STATE!r}]) == 0\n"
+            "assert 'adjoint_pairing' in out.getvalue()\n"
+            "assert 'nonselfadjointness' in out.getvalue()\n")
+    assert "numpy.random" not in modules_after(code, "numpy")
+    # negative control: the same check sees numpy.random once it is loaded
+    assert "numpy.random" in modules_after(code + "import numpy.random\n",
+                                           "numpy")

@@ -71,8 +71,7 @@ def test_dirichlet_resolvent_diagonal(disk_basis):
 
 
 def test_dirichlet_resolvent_inverse(disk_basis):
-    rng = np.random.default_rng(0)
-    v = rv.random_probe(disk_basis, rng)
+    v = rv.random_probe(disk_basis, 0)
     out = rv.apply_dirichlet_resolvent(-2.0, v, disk_basis)
     back = (disk_basis.eigenvalues + 2.0) * out.coeffs
     assert np.abs(back - v.coeffs).max() < 1e-14
@@ -107,8 +106,7 @@ def test_jump_resolvent_rejects_zero(uniform_disk):
 
 
 def test_jump_resolvent_domain_membership(uniform_disk, disk_basis):
-    rng = np.random.default_rng(1)
-    v = rv.random_probe(disk_basis, rng)
+    v = rv.random_probe(disk_basis, 1)
     u = rv.apply_jump_resolvent(-1.0, v, uniform_disk)
     mean = abs(np.sum(uniform_disk.moments.moments * u.coeffs))
     assert mean < 1e-12
@@ -169,8 +167,7 @@ def test_adjoint_requires_density(disk_basis):
 
 
 def test_adjoint_generator_inverse(uniform_disk, disk_basis):
-    rng = np.random.default_rng(2)
-    v = rv.random_probe(disk_basis, rng)
+    v = rv.random_probe(disk_basis, 2)
     u = rv.apply_adjoint_resolvent(-1.0, v, uniform_disk)
     hu = apply_adjoint_generator(u, uniform_disk)
     resid = rv.flatten(hu, disk_basis) + rv.flatten(u, disk_basis) \
@@ -207,14 +204,13 @@ def test_selfadjoint_control(uniform_disk, disk_basis):
     # the Dirichlet resolvent is symmetric: (R_D(-1) u, v) = (u, R_D(-1) v)
     # on seeded probes; negative control: the jump resolvent's rank-one
     # part breaks the same pairing
-    rng = np.random.default_rng(3)
-
     def asymmetry(apply, u, v):
         return abs(np.vdot(flatten(apply(u), disk_basis), flatten(v, disk_basis))
                    - np.vdot(flatten(u, disk_basis), flatten(apply(v), disk_basis)))
 
-    for _ in range(5):
-        u, v = rv.random_probe(disk_basis, rng), rv.random_probe(disk_basis, rng)
+    for seed in range(30, 40, 2):
+        u = rv.random_probe(disk_basis, seed)
+        v = rv.random_probe(disk_basis, seed + 1)
         assert asymmetry(lambda w: rv.apply_dirichlet_resolvent(
             -1.0, w, disk_basis), u, v) < 1e-14
         assert asymmetry(lambda w: rv.apply_jump_resolvent(
@@ -222,10 +218,9 @@ def test_selfadjoint_control(uniform_disk, disk_basis):
 
 
 def test_rank_one_difference(uniform_disk, disk_basis):
-    rng = np.random.default_rng(4)
     cols = []
-    for _ in range(8):
-        v = rv.random_probe(disk_basis, rng)
+    for seed in range(40, 48):
+        v = rv.random_probe(disk_basis, seed)
         diff = rv.flatten(rv.apply_jump_resolvent(-1.0, v, uniform_disk),
                           disk_basis) \
             - rv.flatten(rv.apply_dirichlet_resolvent(-1.0, v, disk_basis),

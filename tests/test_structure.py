@@ -385,6 +385,21 @@ def test_one_source_per_value():
                                                "literal_passed"}
 
 
+def names_numpy_random(node) -> bool:
+    """Whether ``node`` imports numpy.random or reads ``np.random``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "random" and getattr(node.value, "id", None) \
+            in ("np", "numpy")
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[:2] == ["numpy", "random"]
+                   for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = (node.module or "").split(".")
+        return module[:2] == ["numpy", "random"] or module == ["numpy"] and \
+            any(alias.name == "random" for alias in node.names)
+    return False
+
+
 def test_one_home_for_the_truncated_model():
     # an eigenvector is a SpectralVector from resolvent, and spectrum only
     # assembles and classifies: it imports nothing from resolvent
@@ -435,6 +450,12 @@ def test_one_home_for_the_truncated_model():
         assert "_worst_probe" in called(function), function
         assert not [node for node in ast.walk(functions[function])
                     if isinstance(node, (ast.For, ast.While))], function
-    assert [name for name in functions
-            if "default_rng" in called(name)] == ["_worst_probe"]
+    # and they come from the package's splitmix64 streams: no module names
+    # numpy.random, whose import costs about 6 MB of resident memory
+    assert [node.lineno for node in ast.walk(ast.parse(
+        "import numpy.random\nfrom numpy import random\n"
+        "from numpy.random import default_rng\nnp.random.default_rng(7)\n"))
+        if names_numpy_random(node)] == [1, 2, 3, 4]
+    assert not [(name, node.lineno) for name in python_files(SRC)
+                for node in ast.walk(parse(name)) if names_numpy_random(node)]
     assert resolvent.eigenfunction_at is jumpspectra.eigenfunction_at
